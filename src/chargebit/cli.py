@@ -252,10 +252,9 @@ def occupation_curve(spec: DeviceSpec, mu_min: float, mu_max: float,
     if points < 2:
         raise ValidationError("points", "need at least 2")
     sys_ = build_system(spec)
-    rows = []
-    for mu in np.linspace(mu_min, mu_max, points):
-        rows.append([float(mu), unbroadened_occupation(float(mu), sys_),
-                     occupation(float(mu), sys_, cfg)])
+    mus = np.linspace(mu_min, mu_max, points)
+    rows = [[float(mu), unbroadened_occupation(float(mu), sys_), float(p)]
+            for mu, p in zip(mus, occupation(mus, sys_, cfg))]
     _write_csv(out, ["mu", "p_unbroadened", "p_broadened"], rows)
 
 

@@ -1,15 +1,26 @@
 """Two-electrode quantum-dot device model.
 
 The steady-state occupation is the tunnelling-ratio-weighted sum of the two
-Fermi functions; lifetime broadening enters as a cross-correlation with the
-kernel. The cross-correlation is evaluated per lead after integration by
-parts, so the integrand always carries an exponential (logistic) factor and
-is safe to truncate even for the heavy-tailed Lorentzian kernel:
+leads' smoothed occupations. Lead i contributes
 
-    (g (x) f)(mu) = integral of KernelCDF(u) * logistic_density(u - c) du,
+    p_i(mu) = E_Y[K((Y - (mu - mu_i)) / w)],
 
-with c = mu_lead - mu. At T = 0 the logistic density collapses to a delta
-and the value is KernelCDF(mu_lead - mu) exactly.
+with Y logistic of scale kT_i (the Fermi function is its upper tail) and K
+the cdf of the broadening kernel of width w; -dp_i/dmu is the same
+expectation of the kernel pdf. The expectation runs over s = Y/kT on fixed
+10-node Gauss-Legendre panels of width 2 covering |s| <= 40 (the logistic
+mass beyond is 4e-18). When the kernel is narrower than 2 kT its transition
+is sharper than a panel, so the panels next to the kernel centre
+s* = (mu - mu_i)/kT are replaced by panels graded geometrically down to the
+kernel width. T = 0 leads (p_i = K((mu_i - mu)/w)) and the delta kernel
+(p_i = Fermi function) are closed forms, evaluated with the ``math`` module
+for a float level. Every routine accepts a float level or an array of
+levels; node matrices are built in blocks of at most about 1 MB.
+
+The integrals of p above a level and of 1 - p below it, which are the
+quasistatic erasure works, split into the unbroadened softplus closed forms
+and a broadening excess E_Y[E_U[(U - |mu_i - mu + Y|)^+]] per lead: a single
+adaptive integral over s of the kernel's closed-form partial expectation.
 """
 
 from __future__ import annotations
@@ -17,11 +28,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .kernels import (BroadeningKernel, Delta, kernel_cdf, kernel_density,
-                      kernel_width)
-from .leads import LeadParams, fermi_derivative_density, fermi_occupation
-from .numerics import DEFAULT_CONFIG, NumericsConfig, find_root, integrate
+import numpy as np
+
+from .kernels import BroadeningKernel, Delta, kernel_width
+from .leads import (LeadParams, fermi_derivative_density, fermi_occupation,
+                    occupied_weight_above, vacancy_weight_below)
+from .numerics import DEFAULT_CONFIG, NonConvergence, NumericsConfig, integrate
 
 
 class PureStep(ValueError):
@@ -71,6 +85,10 @@ class DotSystem:
     def bias(self) -> float:
         return self.source.chemical_potential - self.drain.chemical_potential
 
+    def weighted_leads(self):
+        return ((self.rates.gamma_source, self.source),
+                (self.rates.gamma_drain, self.drain))
+
 
 def dominant_scale(sys: DotSystem) -> float:
     """Largest smoothing energy scale (thermal or broadening); 1.0 fallback."""
@@ -92,72 +110,158 @@ def unbroadened_occupation(mu: float, sys: DotSystem) -> float:
             + sys.rates.gamma_drain * fermi_occupation(mu, sys.drain))
 
 
-def _correlated_occupation(mu: float, lead: LeadParams,
-                           kernel: BroadeningKernel,
-                           cfg: NumericsConfig) -> float:
-    # (g (x) f_lead)(mu) for a non-delta kernel
-    c = lead.chemical_potential - mu
+# -- the fixed-panel rule over s = Y/kT ---------------------------------------
+
+_WINDOW = 40.0
+_PANELS = 40  # of width 2 on [-_WINDOW, _WINDOW]
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
+_BLOCK_ELEMENTS = 1 << 17  # 1 MB of float64 per node matrix
+
+
+def _logistic_density(s):
+    e = np.exp(-np.abs(s))
+    return e / (1.0 + e) ** 2
+
+
+def _panel_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return ((mid[:, None] + half[:, None] * _GL_X).ravel(),
+            (half[:, None] * _GL_W).ravel())
+
+
+_S, _S_W = _panel_rule(np.linspace(-_WINDOW, _WINDOW, _PANELS + 1))
+_S_LW = _S_W * _logistic_density(_S)
+_S_PANEL = np.repeat(np.arange(_PANELS), _GL_X.size)
+
+
+def _grading_levels(ratio: float) -> int:
+    """Halvings from a 4-wide region down to a kernel of width ratio*kT; 0
+    when the kernel is at least a panel wide and needs no grading."""
+    return 0 if ratio >= 2.0 else math.ceil(math.log2(4.0 / ratio))
+
+
+@lru_cache(maxsize=64)
+def _graded_rule(levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Panels on [0, 1] with edges 0, 2^-levels, ..., 1/2, 1."""
+    return _panel_rule(np.concatenate(([0.0], 2.0 ** -np.arange(levels, -1, -1))))
+
+
+def _lead_block(d: np.ndarray, kt: float, kernel: BroadeningKernel,
+                names: tuple[str, ...]) -> list[np.ndarray]:
+    """E_Y[kernel.<name>(Y - d)] for a block of offsets d = mu - mu_lead."""
+    xs = kt * _S - d[:, None]
+    weights = _S_LW
+    levels = _grading_levels(kernel.width / kt)
+    if levels:
+        # replace the three panels around the kernel centre by panels graded
+        # geometrically from it, down to the kernel width
+        t, tw = _graded_rule(levels)
+        c = np.clip(d / kt, -_WINDOW, _WINDOW)
+        panel = np.clip(np.floor(0.5 * (c + _WINDOW)), 0, _PANELS - 1)
+        a = 2.0 * np.maximum(panel - 1, 0) - _WINDOW
+        b = 2.0 * (np.minimum(panel + 1, _PANELS - 1) + 1) - _WINDOW
+        right, left = (b - c)[:, None], (c - a)[:, None]
+        offsets = np.concatenate((right * t, -left * t), axis=1)
+        near_w = (np.concatenate((right * tw, left * tw), axis=1)
+                  * _logistic_density(c[:, None] + offsets))
+        far_w = np.where(np.abs(_S_PANEL - panel[:, None]) <= 1, 0.0, _S_LW)
+        # kt*(c + offset) - d, keeping the small offset exact near s*
+        xs = np.concatenate(
+            (xs, kt * offsets + (kt * c - d)[:, None]), axis=1)
+        weights = np.concatenate((far_w, near_w), axis=1)
+    return [(getattr(kernel, name)(xs) * weights).sum(axis=1) for name in names]
+
+
+def _lead_values(mu, lead: LeadParams, kernel: BroadeningKernel,
+                 names: tuple[str, ...]) -> list:
+    """[E_Y[kernel.<name>(Y - (mu - mu_lead))] for each name in names].
+
+    ``names`` are kernel method names, "cdf" for the lead's smoothed
+    occupation and "pdf" for its -d/dmu. ``mu`` is a float (floats are
+    returned) or a 1-D array.
+    """
     kt = lead.thermal_energy
+    scalar = isinstance(mu, float)
     if kt == 0.0:
-        return kernel_cdf(c, kernel)
-    half = cfg.tail_cutoff_exponential * kt
-    w = kernel_width(kernel)
-    pts = [0.0, -cfg.tail_cutoff_gaussian * w, cfg.tail_cutoff_gaussian * w, c]
-    f = lambda u: kernel_cdf(u, kernel) * fermi_derivative_density(mu + u, lead)
-    return integrate(f, c - half, c + half, cfg, breakpoints=pts).value
+        if isinstance(kernel, Delta):
+            # an atom: step occupation, no density away from mu_lead
+            return [kernel.cdf(lead.chemical_potential - mu) if n == "cdf"
+                    else 0.0 * mu for n in names]
+        return [getattr(kernel, n)(lead.chemical_potential - mu)
+                for n in names]
+    if isinstance(kernel, Delta):
+        if scalar:
+            return [fermi_occupation(mu, lead) if n == "cdf"
+                    else fermi_derivative_density(mu, lead) for n in names]
+        x = (mu - lead.chemical_potential) / kt
+        e = np.exp(-np.abs(x))
+        return [np.where(x >= 0.0, e, 1.0) / (1.0 + e) if n == "cdf"
+                else e / (kt * (1.0 + e) ** 2) for n in names]
+    d = np.atleast_1d(mu - lead.chemical_potential)
+    levels = _grading_levels(kernel.width / kt)
+    nodes = _S.size + (2 * _GL_X.size * (levels + 1) if levels else 0)
+    rows = max(1, _BLOCK_ELEMENTS // nodes)
+    blocks = [_lead_block(d[lo:lo + rows], kt, kernel, names)
+              for lo in range(0, d.size, rows)]
+    out = [np.concatenate(parts) for parts in zip(*blocks)]
+    return [float(v[0]) for v in out] if scalar else out
 
 
-def occupation(mu: float, sys: DotSystem,
-               cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
-    """Broadened steady-state occupation p(mu)."""
-    if isinstance(sys.kernel, Delta):
+def _combined(mu, sys: DotSystem, names: tuple[str, ...]) -> list:
+    """Rate-weighted sums over the leads of _lead_values, float or array."""
+    if isinstance(mu, (float, int)):
+        mu, shape = float(mu), None
+    else:
+        mu = np.asarray(mu, dtype=float)
+        shape, mu = mu.shape, mu.ravel()
+    totals = [0.0] * len(names)
+    for gamma, lead in sys.weighted_leads():
+        for i, v in enumerate(_lead_values(mu, lead, sys.kernel, names)):
+            totals[i] = totals[i] + gamma * v
+    if shape is not None:
+        totals = [np.reshape(t, shape) for t in totals]
+    return totals
+
+
+def occupation(mu, sys: DotSystem, cfg: NumericsConfig = DEFAULT_CONFIG):
+    """Broadened steady-state occupation p(mu) for a float or an array of mu.
+
+    ``cfg`` is accepted for a uniform call signature; the fixed panel rule
+    does not depend on it.
+    """
+    if isinstance(mu, float) and isinstance(sys.kernel, Delta):
+        # the hot path of Delta-kernel ramps, which call this once per step
         return unbroadened_occupation(mu, sys)
-    p = (sys.rates.gamma_source
-         * _correlated_occupation(mu, sys.source, sys.kernel, cfg)
-         + sys.rates.gamma_drain
-         * _correlated_occupation(mu, sys.drain, sys.kernel, cfg))
-    # quadrature roundoff can overshoot the probability range by ~1e-15
-    return min(1.0, max(0.0, p))
+    (p,) = _combined(mu, sys, ("cdf",))
+    # the rule's roundoff can overshoot the probability range by ~1e-16
+    if isinstance(p, float):
+        return min(1.0, max(0.0, p))
+    return np.clip(p, 0.0, 1.0)
 
 
-def _correlated_density(mu: float, lead: LeadParams,
-                        kernel: BroadeningKernel,
-                        cfg: NumericsConfig) -> float:
-    # (g (x) f'_lead)(mu) for a non-delta kernel
-    c = lead.chemical_potential - mu
-    kt = lead.thermal_energy
-    if kt == 0.0:
-        return kernel_density(c, kernel)
-    half = cfg.tail_cutoff_exponential * kt
-    w = kernel_width(kernel)
-    pts = [0.0, -cfg.tail_cutoff_gaussian * w, cfg.tail_cutoff_gaussian * w, c]
-    f = lambda u: kernel_density(u, kernel) * fermi_derivative_density(mu + u, lead)
-    return integrate(f, c - half, c + half, cfg, breakpoints=pts).value
+def occupation_derivative_density(mu, sys: DotSystem,
+                                  cfg: NumericsConfig = DEFAULT_CONFIG):
+    """-dp/dmu for a float or an array of mu: the kernel-pdf expectation.
 
-
-def occupation_derivative_density(mu: float, sys: DotSystem,
-                                  cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
-    """-dp/dmu, computed analytically as a cross-correlation of densities."""
+    A T = 0 lead without broadening contributes an atom; its density part is
+    zero everywhere except exactly at its chemical potential.
+    """
     if is_atomic(sys):
         raise PureStep("occupation distribution is atomic; no pointwise density")
-    if isinstance(sys.kernel, Delta):
-        total = 0.0
-        for gamma, lead in ((sys.rates.gamma_source, sys.source),
-                            (sys.rates.gamma_drain, sys.drain)):
-            if lead.thermal_energy > 0.0:
-                total += gamma * fermi_derivative_density(mu, lead)
-            # a T = 0 lead contributes an atom; its density part is zero
-            # everywhere except exactly at its chemical potential
-        return total
-    return (sys.rates.gamma_source
-            * _correlated_density(mu, sys.source, sys.kernel, cfg)
-            + sys.rates.gamma_drain
-            * _correlated_density(mu, sys.drain, sys.kernel, cfg))
+    (dens,) = _combined(mu, sys, ("pdf",))
+    return dens
 
 
 def half_occupation_level(sys: DotSystem,
                           cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
     """The gate level mu_1/2 with p(mu_1/2) = 1/2.
+
+    Safeguarded Newton iteration on p(mu) - 1/2, with -dp/dmu from the same
+    nodes. It keeps a bracket and bisects whenever a Newton step would leave
+    it or would be longer than half the step before last. It stops once
+    |p - 1/2| <= cfg.root_tol, or when the bracket cannot be split any
+    further because p jumps across 1/2 at the atom of a T = 0 lead.
 
     For the all-atomic device this is the median of the two-atom distribution;
     the degenerate gamma_S = 1/2 case has a whole plateau at p = 1/2 and the
@@ -165,8 +269,8 @@ def half_occupation_level(sys: DotSystem,
     """
     mu_s = sys.source.chemical_potential
     mu_d = sys.drain.chemical_potential
+    g_s = sys.rates.gamma_source
     if is_atomic(sys):
-        g_s = sys.rates.gamma_source
         if g_s < 0.5:
             return mu_d
         if g_s > 0.5:
@@ -177,11 +281,72 @@ def half_occupation_level(sys: DotSystem,
     scale = dominant_scale(sys)
     lo = mu_d - 60.0 * scale
     hi = mu_s + 60.0 * scale
-    root_cfg = NumericsConfig(
-        rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-        max_subdivisions=cfg.max_subdivisions,
-        tail_cutoff_exponential=cfg.tail_cutoff_exponential,
-        tail_cutoff_gaussian=cfg.tail_cutoff_gaussian,
-        root_tol=cfg.root_tol * scale)
-    return find_root(lambda mu: occupation(mu, sys, cfg) - 0.5,
-                     lo, hi, root_cfg)
+    # start inside the lead that carries the majority of the rate
+    mu = mu_s if g_s > 0.5 else mu_d if g_s < 0.5 else 0.5 * (mu_s + mu_d)
+    step = prev_step = hi - lo
+    # bisection alone splits any bracket of doubles within ~2100 steps
+    for _ in range(2200):
+        p, dens = _combined(mu, sys, ("cdf", "pdf"))
+        excess = p - 0.5
+        if abs(excess) <= cfg.root_tol:
+            return mu
+        if excess > 0.0:
+            lo = mu
+        else:
+            hi = mu
+        nxt = mu + excess / dens if dens > 0.0 else math.nan
+        if not lo < nxt < hi or abs(nxt - mu) > 0.5 * prev_step:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                return mu
+        prev_step, step = step, abs(nxt - mu)
+        mu = nxt
+    raise NonConvergence(f"half-occupation level did not converge near {mu}")
+
+
+# -- integrals of the occupation ----------------------------------------------
+
+def _broadening_excess(c: float, kt: float, kernel: BroadeningKernel,
+                       cfg: NumericsConfig) -> float:
+    """E_Y[E_U[(U - |c + Y|)^+]]: U the kernel, Y logistic of scale kT.
+
+    What broadening adds to both integrals of occupation_tail_integrals for
+    a lead at c = mu_lead - mu: 0 without a kernel, infinite for a kernel
+    without a mean.
+    """
+    if kt == 0.0:
+        return kernel.partial_expectation(abs(c))
+    w = kernel_width(kernel)
+    if w == 0.0 or math.isinf(kernel.partial_expectation(0.0)):
+        return kernel.partial_expectation(0.0)
+    s_star = -c / kt
+    reach = cfg.tail_cutoff_gaussian * w / kt
+    lo = max(-_WINDOW, s_star - reach)
+    hi = min(_WINDOW, s_star + reach)
+    if not lo < hi:
+        return 0.0
+
+    def f(s):
+        e = math.exp(-abs(s))
+        return e / (1.0 + e) ** 2 * kernel.partial_expectation(abs(c + kt * s))
+    return integrate(f, lo, hi, cfg, breakpoints=[s_star, 0.0]).value
+
+
+def occupation_tail_integrals(mu: float, sys: DotSystem,
+                              cfg: NumericsConfig = DEFAULT_CONFIG
+                              ) -> tuple[float, float]:
+    """(integral of p over [mu, inf), integral of 1 - p over (-inf, mu]).
+
+    Per lead these are kT*softplus(+-(mu_lead - mu)/kT) (exact ramps at
+    T = 0) plus the same broadening excess; both are infinite for the
+    Lorentzian kernel.
+    """
+    above = below = 0.0
+    for gamma, lead in sys.weighted_leads():
+        if gamma == 0.0:
+            continue
+        excess = _broadening_excess(lead.chemical_potential - mu,
+                                    lead.thermal_energy, sys.kernel, cfg)
+        above += gamma * (occupied_weight_above(mu, lead) + excess)
+        below += gamma * (vacancy_weight_below(mu, lead) + excess)
+    return above, below

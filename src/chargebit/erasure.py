@@ -1,16 +1,14 @@
 """Optimal erasure work costs, characteristic energy scales and the bound.
 
 W0 (erase to empty) and W1 (erase to full) are the quasistatic-ramp-plus-
-quench limits. For a broadened device they are evaluated as single integrals
-over the kernel by exchanging the order of integration:
-
-    W0 = integral g(u) * P0(mu_half + u) du,
-    P0(y) = integral of the unbroadened occupation over [y, inf),
-
-where P0 has a softplus closed form per lead (exact ramps at T = 0). The
-kernel-free and T = 0 cases fall out of the same expressions. The Lorentzian
-kernel makes both integrals diverge and is reported as such; eta-erasure is
-the supported finite-cost alternative.
+quench limits: the integral of p above mu_1/2 and of 1 - p below it. Per
+lead they are the unbroadened softplus closed forms (exact ramps at T = 0)
+plus a common broadening excess, one adaptive integral of the kernel's
+closed-form partial expectation (see ``dot_model.occupation_tail_integrals``).
+The Lorentzian kernel makes both diverge and is reported as such;
+eta-erasure is the supported finite-cost alternative. The mean-absolute-
+deviation form of the average cost and eta-erasure integrate the
+fixed-panel occupation and its derivative with adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -19,10 +17,10 @@ import math
 from dataclasses import dataclass
 
 from .dot_model import (DotSystem, dominant_scale, half_occupation_level,
-                        occupation, occupation_derivative_density)
-from .kernels import Delta, Lorentzian, kernel_density, kernel_mad
-from .leads import (fermi_derivative_density, occupied_weight_above,
-                    vacancy_weight_below)
+                        occupation, occupation_derivative_density,
+                        occupation_tail_integrals)
+from .kernels import Delta, Lorentzian, kernel_mad, kernel_width
+from .leads import fermi_derivative_density
 from .numerics import DEFAULT_CONFIG, NumericsConfig, find_root, integrate
 
 
@@ -67,40 +65,6 @@ def energy_scales(sys: DotSystem) -> EnergyScales:
     return EnergyScales(e_therm, e_bias, e_broad)
 
 
-def _unbroadened_tail_above(y: float, sys: DotSystem) -> float:
-    # integral of p0 over [y, inf)
-    return (sys.rates.gamma_source * occupied_weight_above(y, sys.source)
-            + sys.rates.gamma_drain * occupied_weight_above(y, sys.drain))
-
-
-def _unbroadened_tail_below(y: float, sys: DotSystem) -> float:
-    # integral of (1 - p0) over (-inf, y]
-    return (sys.rates.gamma_source * vacancy_weight_below(y, sys.source)
-            + sys.rates.gamma_drain * vacancy_weight_below(y, sys.drain))
-
-
-def _kernel_weighted(inner, sys: DotSystem, mu_half: float,
-                     cfg: NumericsConfig) -> float:
-    # integral of g(u) * inner(mu_half + u) du for a Gaussian kernel
-    sigma = sys.kernel.sigma
-    span = (sys.bias
-            + cfg.tail_cutoff_exponential * max(sys.source.thermal_energy,
-                                                sys.drain.thermal_energy)
-            + abs(sys.source.chemical_potential - mu_half)
-            + abs(sys.drain.chemical_potential - mu_half))
-    half = cfg.tail_cutoff_gaussian * sigma + span
-    pts = [0.0, -cfg.tail_cutoff_gaussian * sigma,
-           cfg.tail_cutoff_gaussian * sigma]
-    for lead in (sys.source, sys.drain):
-        c = lead.chemical_potential - mu_half
-        # bracket the lead's thermal transition so a feature much narrower
-        # than the kernel span cannot slip between quadrature nodes
-        edge = cfg.tail_cutoff_exponential * lead.thermal_energy
-        pts.extend([c, c - edge, c + edge])
-    f = lambda u: kernel_density(u, sys.kernel) * inner(mu_half + u)
-    return integrate(f, -half, half, cfg, breakpoints=pts).value
-
-
 def absolute_deviation_integral(sys: DotSystem, point: float,
                                 cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
     """integral of |mu - point| * p'(mu) dmu, by direct quadrature over mu.
@@ -113,8 +77,7 @@ def absolute_deviation_integral(sys: DotSystem, point: float,
     if isinstance(sys.kernel, Delta):
         # atoms from T = 0 leads contribute exactly; thermal leads by quadrature
         total = 0.0
-        for gamma, lead in ((sys.rates.gamma_source, sys.source),
-                            (sys.rates.gamma_drain, sys.drain)):
+        for gamma, lead in sys.weighted_leads():
             if lead.thermal_energy == 0.0:
                 total += gamma * abs(lead.chemical_potential - point)
             else:
@@ -133,8 +96,9 @@ def absolute_deviation_integral(sys: DotSystem, point: float,
                                  lead.chemical_potential + reach]).value
         return total
     kt_max = max(sys.source.thermal_energy, sys.drain.thermal_energy)
+    sigma = kernel_width(sys.kernel)
     reach = (cfg.tail_cutoff_exponential * kt_max
-             + cfg.tail_cutoff_gaussian * sys.kernel.sigma)
+             + cfg.tail_cutoff_gaussian * sigma)
     lo = min(sys.drain.chemical_potential, point) - reach
     hi = max(sys.source.chemical_potential, point) + reach
     f = lambda mu: abs(mu - point) * occupation_derivative_density(mu, sys, cfg)
@@ -142,7 +106,7 @@ def absolute_deviation_integral(sys: DotSystem, point: float,
     for lead in (sys.source, sys.drain):
         # each lead's smoothed peak has width ~ max(kT, sigma); bracket it
         half_width = (cfg.tail_cutoff_exponential * lead.thermal_energy
-                      + cfg.tail_cutoff_gaussian * sys.kernel.sigma)
+                      + cfg.tail_cutoff_gaussian * sigma)
         pts.extend([lead.chemical_potential,
                     lead.chemical_potential - half_width,
                     lead.chemical_potential + half_width])
@@ -158,17 +122,10 @@ def erasure_costs(sys: DotSystem, cfg: NumericsConfig = DEFAULT_CONFIG,
     large parameter sweeps where only w_bar is needed.
     """
     mu_half = half_occupation_level(sys, cfg)
-    if isinstance(sys.kernel, Lorentzian):
-        return ErasureCosts(math.inf, math.inf, math.inf, mu_half, True)
-    if isinstance(sys.kernel, Delta):
-        w0 = _unbroadened_tail_above(mu_half, sys)
-        w1 = _unbroadened_tail_below(mu_half, sys)
-    else:
-        w0 = _kernel_weighted(lambda y: _unbroadened_tail_above(y, sys),
-                              sys, mu_half, cfg)
-        w1 = _kernel_weighted(lambda y: _unbroadened_tail_below(y, sys),
-                              sys, mu_half, cfg)
+    w0, w1 = occupation_tail_integrals(mu_half, sys, cfg)
     w_bar = 0.5 * (w0 + w1)
+    if math.isinf(w_bar):
+        return ErasureCosts(w0, w1, w_bar, mu_half, True)
     discrepancy = None
     if mad_check:
         mad = absolute_deviation_integral(sys, mu_half, cfg)

@@ -3,6 +3,11 @@
 All kernels are symmetric about 0 with median exactly 0. The width parameter
 carries the broadening energy hbar*Gamma_tot: the Gaussian's standard
 deviation and the Lorentzian's half-width both equal that energy.
+
+Each kernel is a small frozen dataclass whose ``cdf``, ``pdf`` and
+``partial_expectation`` methods take an energy offset that is either a float
+(evaluated with the ``math`` module, returning a float) or a numpy array
+(evaluated elementwise, returning an array of the same shape).
 """
 
 from __future__ import annotations
@@ -11,7 +16,11 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
 from scipy.special import ndtr, ndtri
+
+_SQRT2 = math.sqrt(2.0)
+_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 class DeltaKernelError(ValueError):
@@ -22,6 +31,22 @@ class DeltaKernelError(ValueError):
 class Delta:
     """No broadening; the identity element for cross-correlation."""
 
+    width = 0.0
+    mad = 0.0
+
+    def cdf(self, x):
+        """Step at 0, with value 1/2 exactly at 0."""
+        if isinstance(x, float):
+            return 0.0 if x < 0.0 else 1.0 if x > 0.0 else 0.5
+        return np.where(x < 0.0, 0.0, np.where(x > 0.0, 1.0, 0.5))
+
+    def pdf(self, x):
+        raise DeltaKernelError("delta kernel has no pointwise density")
+
+    def partial_expectation(self, a):
+        """E[(X - a)^+] for a >= 0: zero for a point mass at 0."""
+        return 0.0 * a
+
 
 @dataclass(frozen=True)
 class Gaussian:
@@ -30,6 +55,33 @@ class Gaussian:
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be strictly positive")
+
+    @property
+    def width(self) -> float:
+        return self.sigma
+
+    @property
+    def mad(self) -> float:
+        return self.sigma * math.sqrt(2.0 / math.pi)
+
+    def cdf(self, x):
+        if isinstance(x, float):
+            return 0.5 * math.erfc(-x / (self.sigma * _SQRT2))
+        return ndtr(x / self.sigma)
+
+    def pdf(self, x):
+        z = x / self.sigma
+        exp = math.exp if isinstance(x, float) else np.exp
+        return exp(-0.5 * z * z) / (self.sigma * _SQRT2PI)
+
+    def partial_expectation(self, a):
+        """E[(X - a)^+] = sigma*(phi(z) - z*Phi(-z)), z = a/sigma, for a >= 0."""
+        if isinstance(a, float):
+            z = a / self.sigma
+            return self.sigma * (math.exp(-0.5 * z * z) / _SQRT2PI
+                                 - 0.5 * z * math.erfc(z / _SQRT2))
+        z = a / self.sigma
+        return self.sigma * (np.exp(-0.5 * z * z) / _SQRT2PI - z * ndtr(-z))
 
 
 @dataclass(frozen=True)
@@ -40,50 +92,47 @@ class Lorentzian:
         if self.scale <= 0:
             raise ValueError("scale must be strictly positive")
 
+    mad = math.inf
+
+    @property
+    def width(self) -> float:
+        return self.scale
+
+    def cdf(self, x):
+        # atan2(1, -x/scale)/pi = 1/2 + atan(x/scale)/pi, without the
+        # cancellation far in the lower tail
+        if isinstance(x, float):
+            return math.atan2(1.0, -x / self.scale) / math.pi
+        return np.arctan2(1.0, -x / self.scale) / math.pi
+
+    def pdf(self, x):
+        return self.scale / (math.pi * (self.scale * self.scale + x * x))
+
+    def partial_expectation(self, a):
+        """E[(X - a)^+] diverges: the Lorentzian has no mean."""
+        return math.inf + 0.0 * a
+
 
 BroadeningKernel = Union[Delta, Gaussian, Lorentzian]
 
 
 def kernel_width(k: BroadeningKernel) -> float:
     """Characteristic energy width (0 for the delta kernel)."""
-    if isinstance(k, Gaussian):
-        return k.sigma
-    if isinstance(k, Lorentzian):
-        return k.scale
-    return 0.0
+    return k.width
 
 
 def kernel_density(x: float, k: BroadeningKernel) -> float:
-    if isinstance(k, Gaussian):
-        z = x / k.sigma
-        if abs(z) > 38.0:
-            return 0.0
-        return math.exp(-0.5 * z * z) / (k.sigma * math.sqrt(2.0 * math.pi))
-    if isinstance(k, Lorentzian):
-        return k.scale / (math.pi * (k.scale * k.scale + x * x))
-    raise DeltaKernelError("delta kernel has no pointwise density")
+    return k.pdf(x)
 
 
 def kernel_cdf(x: float, k: BroadeningKernel) -> float:
     """P(X <= x) for the kernel; step at 0 (value 1/2) for the delta kernel."""
-    if isinstance(k, Gaussian):
-        return float(ndtr(x / k.sigma))
-    if isinstance(k, Lorentzian):
-        return 0.5 + math.atan(x / k.scale) / math.pi
-    if x < 0.0:
-        return 0.0
-    if x > 0.0:
-        return 1.0
-    return 0.5
+    return k.cdf(x)
 
 
 def kernel_mad(k: BroadeningKernel) -> float:
     """Mean absolute deviation about the (zero) median; inf if divergent."""
-    if isinstance(k, Gaussian):
-        return k.sigma * math.sqrt(2.0 / math.pi)
-    if isinstance(k, Lorentzian):
-        return math.inf
-    return 0.0
+    return k.mad
 
 
 def kernel_quantile(p: float, k: BroadeningKernel) -> float:

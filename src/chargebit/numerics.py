@@ -33,7 +33,7 @@ class NumericsConfig:
     max_subdivisions: int = 60
     tail_cutoff_exponential: float = 45.0  # multiples of the decay scale
     tail_cutoff_gaussian: float = 12.0     # multiples of sigma
-    root_tol: float = 1e-12
+    root_tol: float = 1e-12  # |p - 1/2| for mu_1/2; the step for find_root
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "tail_cutoff_exponential",

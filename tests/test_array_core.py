@@ -1,0 +1,208 @@
+"""The fixed-panel occupation core and the W0/W1 integrals against tight
+adaptive quadrature.
+
+The reference integrates each lead's kernel cdf (or pdf) against the
+logistic density in energy with scipy's QUADPACK, breakpoints at the kernel
+centre, and kernel functions written out here rather than taken from the
+package. W0/W1 are checked against the kernel-weighted softplus tails,
+integral of g(u) * P0(mu_half + u) du.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+from scipy.special import ndtr
+
+from chargebit import erasure_costs, half_occupation_level
+from chargebit.dot_model import occupation, occupation_derivative_density
+from chargebit.kernels import Delta, Gaussian, Lorentzian
+
+from conftest import make_system, random_system
+
+TIGHT = dict(epsabs=1e-16, epsrel=1e-13, limit=2000)
+TOL = 1e-10
+
+
+def _kernel_cdf(x, k):
+    if isinstance(k, Gaussian):
+        return float(ndtr(x / k.sigma))
+    return 0.5 + math.atan(x / k.scale) / math.pi
+
+
+def _kernel_pdf(x, k):
+    if isinstance(k, Gaussian):
+        z = x / k.sigma
+        return math.exp(-0.5 * z * z) / (k.sigma * math.sqrt(2.0 * math.pi))
+    return k.scale / (math.pi * (k.scale ** 2 + x * x))
+
+
+def _logistic(y, kt):
+    e = math.exp(-abs(y) / kt)
+    return e / (kt * (1.0 + e) ** 2)
+
+
+def _reference_lead(mu, lead, k, fn):
+    """E_Y[fn(Y - d)], d = mu - mu_lead, by adaptive quadrature over Y."""
+    kt = lead.thermal_energy
+    d = mu - lead.chemical_potential
+    if kt == 0.0:
+        return fn(-d, k)
+    w = k.sigma if isinstance(k, Gaussian) else k.scale
+    lo, hi = -45.0 * kt, 45.0 * kt
+    # split at the kernel centre and at decades of its width around it
+    near = [d + sign * w * 10.0 ** k for sign in (-1, 1) for k in range(7)]
+    pts = sorted({min(max(p, lo), hi) for p in [0.0, d] + near} - {lo, hi})
+    return quad(lambda y: fn(y - d, k) * _logistic(y, kt), lo, hi,
+                points=pts, **TIGHT)[0]
+
+
+def _reference(mu, sys_, fn):
+    return sum(g * _reference_lead(mu, lead, sys_.kernel, fn)
+               for g, lead in ((sys_.rates.gamma_source, sys_.source),
+                               (sys_.rates.gamma_drain, sys_.drain)))
+
+
+def _levels(sys_, n=9):
+    reach = 8.0 * max(sys_.source.thermal_energy, sys_.drain.thermal_energy,
+                      sys_.kernel.width)
+    return np.linspace(sys_.drain.chemical_potential - reach,
+                       sys_.source.chemical_potential + reach, n)
+
+
+def _assert_core_matches(sys_):
+    mus = _levels(sys_)
+    p = occupation(mus, sys_)
+    dens = occupation_derivative_density(mus, sys_)
+    for mu, pi, di in zip(mus, p, dens):
+        assert abs(pi - _reference(mu, sys_, _kernel_cdf)) <= TOL, mu
+        assert abs(di - _reference(mu, sys_, _kernel_pdf)) <= TOL, mu
+
+
+def _corpus():
+    rng = np.random.default_rng(42)
+    systems = [random_system(rng) for _ in range(200)]
+    return systems[::25]
+
+
+@pytest.mark.parametrize("sys_", _corpus())
+def test_criterion5_corpus(sys_):
+    _assert_core_matches(sys_)
+
+
+@pytest.mark.parametrize("sys_", [
+    make_system(0.4, 0.9, 3.0, 0.6, Lorentzian(0.7)),
+    make_system(1e-3, 0.5, 30.0, 0.3, Lorentzian(2.0)),
+    make_system(0.2, 0.2, 0.0, 0.5, Lorentzian(1e-3)),
+    make_system(15.94, 11.8, 308.6, 0.0339, Lorentzian(7.2e-5)),
+], ids=["comparable", "sharp-lead", "narrow", "khz-rate"])
+def test_lorentzian_devices(sys_):
+    _assert_core_matches(sys_)
+
+
+@pytest.mark.parametrize("kernel", [Gaussian(0.8), Lorentzian(0.8),
+                                    Gaussian(1e-4), Lorentzian(40.0)],
+                         ids=["gauss", "lorentz", "gauss-narrow",
+                              "lorentz-wide"])
+def test_zero_temperature_leads(kernel):
+    _assert_core_matches(make_system(0.0, 0.7, 5.0, 0.45, kernel))
+    _assert_core_matches(make_system(0.0, 0.0, 5.0, 0.45, kernel))
+
+
+@pytest.mark.parametrize("ratio", [1e-6, 1e-4, 1e-2, 0.5, 1.99, 2.0, 10.0,
+                                   1e3, 1e6])
+@pytest.mark.parametrize("kernel_type", [Gaussian, Lorentzian])
+def test_width_ratio_range(ratio, kernel_type):
+    kt = 0.7
+    sys_ = make_system(kt, kt, 2.5, 0.35, kernel_type(ratio * kt))
+    mus = np.concatenate((_levels(sys_, 7),
+                          [0.0, 1e-7, 2.5 + 3e-7, 2.5 + 0.5 * ratio * kt]))
+    p = occupation(mus, sys_)
+    dens = occupation_derivative_density(mus, sys_)
+    for mu, pi, di in zip(mus, p, dens):
+        assert abs(pi - _reference(mu, sys_, _kernel_cdf)) <= TOL, mu
+        assert abs(di - _reference(mu, sys_, _kernel_pdf)) <= TOL, mu
+
+
+def _reference_costs(sys_, mu_half):
+    """W0, W1 as kernel-weighted softplus tails, by adaptive quadrature."""
+    sigma = sys_.kernel.sigma
+    leads = ((sys_.rates.gamma_source, sys_.source),
+             (sys_.rates.gamma_drain, sys_.drain))
+
+    def tail(y, sign):
+        total = 0.0
+        for g, lead in leads:
+            d = sign * (lead.chemical_potential - y)
+            kt = lead.thermal_energy
+            total += g * (max(d, 0.0) if kt == 0.0 else
+                          kt * (max(d / kt, 0.0)
+                                + math.log1p(math.exp(-abs(d / kt)))))
+        return total
+
+    pts = [0.0]
+    for _, lead in leads:
+        c = lead.chemical_potential - mu_half
+        pts += [c - 40 * lead.thermal_energy, c, c + 40 * lead.thermal_energy]
+    lo, hi = -38.0 * sigma, 38.0 * sigma
+    pts = sorted({p for p in pts if lo < p < hi})
+    return [quad(lambda u: _kernel_pdf(u, sys_.kernel)
+                 * tail(mu_half + u, sign), lo, hi, points=pts, **TIGHT)[0]
+            for sign in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("sys_", _corpus() + [
+    make_system(0.0, 0.6, 4.0, 0.3, Gaussian(0.5)),
+    make_system(0.0, 0.0, 4.0, 0.7, Gaussian(2.0)),
+    make_system(0.7, 0.7, 2.0, 0.4, Gaussian(0.7e-4)),
+    make_system(0.7, 1e-3, 2.0, 0.6, Gaussian(7e2)),
+])
+def test_erasure_costs_match_kernel_weighted_tails(sys_):
+    costs = erasure_costs(sys_, mad_check=False)
+    w0, w1 = _reference_costs(sys_, costs.mu_half)
+    assert costs.w_zero == pytest.approx(w0, rel=TOL)
+    assert costs.w_one == pytest.approx(w1, rel=TOL)
+
+
+class TestShapes:
+    SYS = make_system(0.5, 0.2, 3.0, 0.4, Gaussian(0.3))
+
+    @pytest.mark.parametrize("sys_", [
+        SYS, make_system(0.5, 0.2, 3.0, 0.4),
+        make_system(0.0, 0.2, 3.0, 0.4, Lorentzian(0.3))])
+    def test_float_in_float_out(self, sys_):
+        for fn in (occupation, occupation_derivative_density):
+            assert type(fn(1.3, sys_)) is float
+            assert type(fn(np.float64(1.3), sys_)) is float
+
+    @pytest.mark.parametrize("kernel", [Gaussian(0.3), Delta(),
+                                        Lorentzian(2.0)])
+    def test_array_keeps_shape(self, kernel):
+        sys_ = make_system(0.5, 0.0, 3.0, 0.4, kernel)
+        mus = np.linspace(-2.0, 5.0, 12).reshape(3, 4)
+        for fn in (occupation, occupation_derivative_density):
+            out = fn(mus, sys_)
+            assert isinstance(out, np.ndarray) and out.shape == (3, 4)
+            assert out[1, 2] == pytest.approx(fn(float(mus[1, 2]), sys_),
+                                              abs=1e-15)
+
+    @pytest.mark.parametrize("sigma", [0.3, 1e-5],
+                             ids=["uniform-panels", "graded-panels"])
+    def test_blocks_match_single_levels(self, sigma):
+        # 10k levels span several node-matrix blocks of at most ~1 MB
+        sys_ = make_system(0.5, 0.2, 3.0, 0.4, Gaussian(sigma))
+        mus = np.linspace(-6.0, 9.0, 10_000)
+        p = occupation(mus, sys_)
+        dens = occupation_derivative_density(mus, sys_)
+        single_p = np.array([occupation(float(m), sys_) for m in mus])
+        single_d = np.array([occupation_derivative_density(float(m), sys_)
+                             for m in mus])
+        np.testing.assert_allclose(p, single_p, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(dens, single_d, rtol=0, atol=1e-14)
+
+
+def test_newton_half_level_on_corpus():
+    for sys_ in _corpus():
+        mu = half_occupation_level(sys_)
+        assert abs(occupation(mu, sys_) - 0.5) <= 1e-12

@@ -116,6 +116,30 @@ class TestAnalyze:
             assert report[f"w_eta_{eta}_ueV"] > 0.0
 
 
+class TestKiloHertzLorentzian:
+    # hbar*Gamma is 7e-5 ueV against kT of 12-16 ueV
+    CONFIG = """\
+temperature_source = 185m
+temperature_drain  = 137m
+bias        = 308.6
+rate_source = 3.72k
+rate_drain  = 106k
+kernel      = lorentzian
+"""
+
+    def test_analyze_reports_finite_eta_works(self, tmp_path, capsys):
+        path = tmp_path / "khz.cfg"
+        path.write_text(self.CONFIG)
+        assert main(["analyze", "--config", str(path)]) == 0
+        lines = dict(line.split(": ", 1) for line in
+                     capsys.readouterr().out.split("machine-readable:\n")[1]
+                     .splitlines() if ": " in line)
+        works = [float(lines[f"w_eta_{eta}_ueV"])
+                 for eta in ("0.1", "0.01", "0.001")]
+        assert all(math.isfinite(w) and w > 0.0 for w in works)
+        assert works[0] < works[1] < works[2]
+
+
 class TestSweep:
     def test_landauer_corner_and_bounds(self, device1_path, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -163,6 +163,12 @@ class TestHalfOccupationLevel:
         with pytest.warns(AmbiguousMedianWarning):
             assert half_occupation_level(sys_) == pytest.approx(5.0)
 
+    def test_lead_ten_decades_narrower_still_hits_half(self):
+        # the solve stops on |p - 1/2|, not on a step scaled by the widest lead
+        sys_ = make_system(2.37e5, 6.2e-6, 1.42e-6, 0.72, Delta())
+        mu_half = half_occupation_level(sys_)
+        assert abs(occupation(mu_half, sys_) - 0.5) <= 1e-12
+
     def test_atomic_asymmetric_atom(self):
         # with gamma_S < 1/2 the crossing sits at the drain's step
         sys_ = make_system(0.0, 0.0, 10.0, 0.3)
