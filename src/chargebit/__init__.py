@@ -12,21 +12,16 @@ from .dot_model import (AmbiguousMedianWarning, DotSystem, PureStep,
                         TunnelRates, half_occupation_level, occupation,
                         occupation_derivative_density, unbroadened_occupation)
 from .dynamics import (ProtocolSchedule, Segment, Trajectory,
-                       make_erasure_schedule, relaxation_rate,
-                       reversibility_check, simulate)
+                       make_erasure_schedule, reversibility_check, simulate)
 from .erasure import (BoundReport, DivergentInput, EnergyScales, ErasureCosts,
                       check_bound, energy_scales, erasure_costs,
                       eta_erasure_work)
 from .kernels import (BroadeningKernel, Delta, DeltaKernelError, Gaussian,
-                      Lorentzian, kernel_cdf, kernel_density, kernel_mad,
-                      kernel_quantile)
+                      Lorentzian, kernel_mad)
 from .leads import LeadParams, ZeroTemperature, fermi_derivative_density, fermi_occupation
 from .madgrid import (GridPdf, LemmaReport, grid_cross_correlate, grid_mad,
-                      grid_median, pathological_counterexample, verify_lemma1,
-                      verify_lemma2)
-from .numerics import (DivergentTail, NoBracket, NonConvergence,
-                       NumericsConfig, find_root, integrate,
-                       integrate_semi_infinite)
+                      grid_median, verify_lemma1, verify_lemma2)
+from .numerics import NonConvergence, NumericsConfig, integrate
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, erasure, madgrid
-from .dot_model import DotSystem, TunnelRates, half_occupation_level, occupation, unbroadened_occupation
-from .kernels import Delta, Gaussian, Lorentzian, kernel_width
+from .dot_model import DotSystem, TunnelRates, occupation, unbroadened_occupation
+from .kernels import Delta, Gaussian, Lorentzian
 from .leads import LeadParams
 from .numerics import DEFAULT_CONFIG, NumericsConfig
 from .units import broadening_energy_uev, thermal_energy_uev
@@ -37,6 +37,8 @@ class ValidationError(ValueError):
 
 
 KERNEL_NAMES = ("delta", "gaussian", "lorentzian")
+_NUMBER_FIELDS = ("temperature_source", "temperature_drain", "bias",
+                  "rate_source", "rate_drain")
 
 
 @dataclass(frozen=True)
@@ -49,16 +51,10 @@ class DeviceSpec:
     kernel: str                # delta | gaussian | lorentzian
 
     def __post_init__(self):
-        if self.temperature_source < 0:
-            raise ValidationError("temperature_source", "must be >= 0")
-        if self.temperature_drain < 0:
-            raise ValidationError("temperature_drain", "must be >= 0")
-        if self.bias < 0:
-            raise ValidationError("bias", "must be >= 0")
-        if self.rate_source < 0:
-            raise ValidationError("rate_source", "must be >= 0")
-        if self.rate_drain < 0:
-            raise ValidationError("rate_drain", "must be >= 0")
+        for name in _NUMBER_FIELDS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(name, "must be finite and >= 0")
         if self.rate_source + self.rate_drain <= 0:
             raise ValidationError("rate_source", "total rate must be > 0")
         if self.kernel not in KERNEL_NAMES:
@@ -80,8 +76,7 @@ def parse_number(text: str) -> float:
     return float(text)
 
 
-_SPEC_FIELDS = ("temperature_source", "temperature_drain", "bias",
-                "rate_source", "rate_drain", "kernel")
+_SPEC_FIELDS = _NUMBER_FIELDS + ("kernel",)
 
 
 def load_config(path: str) -> DeviceSpec:
@@ -166,9 +161,8 @@ def analyze(spec: DeviceSpec, etas: tuple[float, ...] = (),
         "kernel": spec.kernel,
         "gamma_source": sys_.rates.gamma_source,
         "gamma_drain": sys_.rates.gamma_drain,
-        "hbar_gamma_tot_ueV": kernel_width(sys_.kernel)
-        if not isinstance(sys_.kernel, Delta)
-        else broadening_energy_uev(spec.rate_source + spec.rate_drain),
+        "hbar_gamma_tot_ueV": broadening_energy_uev(spec.rate_source
+                                                    + spec.rate_drain),
         "mu_half_ueV": costs.mu_half,
         "e_therm_ueV": scales.e_therm,
         "e_bias_ueV": scales.e_bias,

@@ -15,7 +15,9 @@ s* = (mu - mu_i)/kT are replaced by panels graded geometrically down to the
 kernel width. T = 0 leads (p_i = K((mu_i - mu)/w)) and the delta kernel
 (p_i = Fermi function) are closed forms, evaluated with the ``math`` module
 for a float level. Every routine accepts a float level or an array of
-levels; node matrices are built in blocks of at most about 1 MB.
+levels; node matrices are built in blocks of at most about 1 MB. The level
+where p crosses a target (1/2 for mu_1/2, eta for eta-erasure) is one
+safeguarded Newton solve on the same nodes.
 
 The integrals of p above a level and of 1 - p below it, which are the
 quasistatic erasure works, split into the unbroadened softplus closed forms
@@ -32,10 +34,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import BroadeningKernel, Delta, kernel_width
+from .kernels import BroadeningKernel, Delta
 from .leads import (LeadParams, fermi_derivative_density, fermi_occupation,
                     occupied_weight_above, vacancy_weight_below)
-from .numerics import DEFAULT_CONFIG, NonConvergence, NumericsConfig, integrate
+from .numerics import (DEFAULT_CONFIG, TAIL_CUTOFF_GAUSSIAN, NonConvergence,
+                       NumericsConfig, integrate)
+
+LEVEL_TOL = 1e-12  # |p - target| at which occupation_level stops
 
 
 class PureStep(ValueError):
@@ -93,7 +98,7 @@ class DotSystem:
 def dominant_scale(sys: DotSystem) -> float:
     """Largest smoothing energy scale (thermal or broadening); 1.0 fallback."""
     s = max(sys.source.thermal_energy, sys.drain.thermal_energy,
-            kernel_width(sys.kernel))
+            sys.kernel.width)
     return s if s > 0.0 else 1.0
 
 
@@ -253,19 +258,47 @@ def occupation_derivative_density(mu, sys: DotSystem,
     return dens
 
 
+def occupation_level(sys: DotSystem, target: float, lo: float, hi: float,
+                     mu0: float) -> float:
+    """The level in [lo, hi] where p crosses target; p(lo) >= target >= p(hi).
+
+    Safeguarded Newton iteration on p(mu) - target from mu0, with -dp/dmu
+    from the same nodes. It keeps the bracket and bisects whenever a Newton
+    step would leave it or would be longer than half the step before last.
+    It stops once |p - target| <= LEVEL_TOL. When p jumps across the target
+    at the atom of a T = 0 lead, the bracket shrinks to adjacent doubles and
+    its end beyond the target, hi, is returned.
+    """
+    mu = mu0
+    step = prev_step = hi - lo
+    # bisection alone splits any bracket of doubles within ~2100 steps
+    for _ in range(2200):
+        p, dens = _combined(mu, sys, ("cdf", "pdf"))
+        excess = p - target
+        if abs(excess) <= LEVEL_TOL:
+            return mu
+        if excess > 0.0:
+            lo = mu
+        else:
+            hi = mu
+        nxt = mu + excess / dens if dens > 0.0 else math.nan
+        if not lo < nxt < hi or abs(nxt - mu) > 0.5 * prev_step:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                return hi
+        prev_step, step = step, abs(nxt - mu)
+        mu = nxt
+    raise NonConvergence(f"level with p = {target} did not converge near {mu}")
+
+
 def half_occupation_level(sys: DotSystem,
                           cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
-    """The gate level mu_1/2 with p(mu_1/2) = 1/2.
+    """The gate level mu_1/2 with p(mu_1/2) = 1/2, by occupation_level.
 
-    Safeguarded Newton iteration on p(mu) - 1/2, with -dp/dmu from the same
-    nodes. It keeps a bracket and bisects whenever a Newton step would leave
-    it or would be longer than half the step before last. It stops once
-    |p - 1/2| <= cfg.root_tol, or when the bracket cannot be split any
-    further because p jumps across 1/2 at the atom of a T = 0 lead.
-
-    For the all-atomic device this is the median of the two-atom distribution;
-    the degenerate gamma_S = 1/2 case has a whole plateau at p = 1/2 and the
-    midpoint is returned with a warning.
+    ``cfg`` is accepted for a uniform call signature; the solve does not
+    depend on it. For the all-atomic device this is the median of the
+    two-atom distribution; the degenerate gamma_S = 1/2 case has a whole
+    plateau at p = 1/2 and the midpoint is returned with a warning.
     """
     mu_s = sys.source.chemical_potential
     mu_d = sys.drain.chemical_potential
@@ -279,29 +312,10 @@ def half_occupation_level(sys: DotSystem,
                       AmbiguousMedianWarning, stacklevel=2)
         return 0.5 * (mu_s + mu_d)
     scale = dominant_scale(sys)
-    lo = mu_d - 60.0 * scale
-    hi = mu_s + 60.0 * scale
     # start inside the lead that carries the majority of the rate
-    mu = mu_s if g_s > 0.5 else mu_d if g_s < 0.5 else 0.5 * (mu_s + mu_d)
-    step = prev_step = hi - lo
-    # bisection alone splits any bracket of doubles within ~2100 steps
-    for _ in range(2200):
-        p, dens = _combined(mu, sys, ("cdf", "pdf"))
-        excess = p - 0.5
-        if abs(excess) <= cfg.root_tol:
-            return mu
-        if excess > 0.0:
-            lo = mu
-        else:
-            hi = mu
-        nxt = mu + excess / dens if dens > 0.0 else math.nan
-        if not lo < nxt < hi or abs(nxt - mu) > 0.5 * prev_step:
-            nxt = 0.5 * (lo + hi)
-            if not lo < nxt < hi:
-                return mu
-        prev_step, step = step, abs(nxt - mu)
-        mu = nxt
-    raise NonConvergence(f"half-occupation level did not converge near {mu}")
+    mu0 = mu_s if g_s > 0.5 else mu_d if g_s < 0.5 else 0.5 * (mu_s + mu_d)
+    return occupation_level(sys, 0.5, mu_d - 60.0 * scale,
+                            mu_s + 60.0 * scale, mu0)
 
 
 # -- integrals of the occupation ----------------------------------------------
@@ -316,11 +330,11 @@ def _broadening_excess(c: float, kt: float, kernel: BroadeningKernel,
     """
     if kt == 0.0:
         return kernel.partial_expectation(abs(c))
-    w = kernel_width(kernel)
+    w = kernel.width
     if w == 0.0 or math.isinf(kernel.partial_expectation(0.0)):
         return kernel.partial_expectation(0.0)
     s_star = -c / kt
-    reach = cfg.tail_cutoff_gaussian * w / kt
+    reach = TAIL_CUTOFF_GAUSSIAN * w / kt
     lo = max(-_WINDOW, s_star - reach)
     hi = min(_WINDOW, s_star + reach)
     if not lo < hi:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -73,15 +73,8 @@ class Trajectory:
         return float(self.p[-1])
 
 
-def relaxation_rate(p: float, mu: float, sys: DotSystem,
-                    cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
-    """dp/dt at occupation p with the level held at mu."""
-    return sys.rates.total * (occupation(mu, sys, cfg) - p)
-
-
 def simulate(sys: DotSystem, sched: ProtocolSchedule, dt_max: float,
-             cfg: NumericsConfig = DEFAULT_CONFIG,
-             samples_per_segment: int = 200) -> Trajectory:
+             cfg: NumericsConfig = DEFAULT_CONFIG) -> Trajectory:
     """Integrate the relaxation equation through a schedule, tracking work."""
     gamma_tot = sys.rates.total
     if dt_max <= 0:
@@ -117,7 +110,8 @@ def simulate(sys: DotSystem, sched: ProtocolSchedule, dt_max: float,
             return [gamma_tot * (occupation(mu, sys, cfg) - y[0]),
                     y[0] * rate]
 
-        t_eval = np.linspace(0.0, seg.duration, samples_per_segment + 1)
+        # the trajectory samples each ramp at 200 equal steps
+        t_eval = np.linspace(0.0, seg.duration, 201)
         sol = solve_ivp(rhs, (0.0, seg.duration), [p, 0.0], method="RK45",
                         rtol=1e-10, atol=1e-12, max_step=dt_max,
                         t_eval=t_eval)

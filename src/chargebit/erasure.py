@@ -8,7 +8,9 @@ closed-form partial expectation (see ``dot_model.occupation_tail_integrals``).
 The Lorentzian kernel makes both diverge and is reported as such;
 eta-erasure is the supported finite-cost alternative. The mean-absolute-
 deviation form of the average cost and eta-erasure integrate the
-fixed-panel occupation and its derivative with adaptive quadrature.
+fixed-panel occupation and its derivative with adaptive quadrature;
+eta-erasure finds its level with the solver of mu_1/2,
+``dot_model.occupation_level``.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from dataclasses import dataclass
 
 from .dot_model import (DotSystem, dominant_scale, half_occupation_level,
                         occupation, occupation_derivative_density,
-                        occupation_tail_integrals)
-from .kernels import Delta, Lorentzian, kernel_mad, kernel_width
+                        occupation_level, occupation_tail_integrals)
+from .kernels import Delta, Lorentzian, kernel_mad
 from .leads import fermi_derivative_density
-from .numerics import DEFAULT_CONFIG, NumericsConfig, find_root, integrate
+from .numerics import (DEFAULT_CONFIG, TAIL_CUTOFF_EXPONENTIAL,
+                       TAIL_CUTOFF_GAUSSIAN, NumericsConfig, integrate)
 
 
 class DivergentInput(ValueError):
@@ -82,7 +85,7 @@ def absolute_deviation_integral(sys: DotSystem, point: float,
                 total += gamma * abs(lead.chemical_potential - point)
             else:
                 kt = lead.thermal_energy
-                reach = cfg.tail_cutoff_exponential * kt
+                reach = TAIL_CUTOFF_EXPONENTIAL * kt
                 lo = min(lead.chemical_potential, point) - reach
                 hi = max(lead.chemical_potential, point) + reach
                 f = lambda mu: (abs(mu - point)
@@ -96,17 +99,16 @@ def absolute_deviation_integral(sys: DotSystem, point: float,
                                  lead.chemical_potential + reach]).value
         return total
     kt_max = max(sys.source.thermal_energy, sys.drain.thermal_energy)
-    sigma = kernel_width(sys.kernel)
-    reach = (cfg.tail_cutoff_exponential * kt_max
-             + cfg.tail_cutoff_gaussian * sigma)
+    sigma = sys.kernel.width
+    reach = TAIL_CUTOFF_EXPONENTIAL * kt_max + TAIL_CUTOFF_GAUSSIAN * sigma
     lo = min(sys.drain.chemical_potential, point) - reach
     hi = max(sys.source.chemical_potential, point) + reach
     f = lambda mu: abs(mu - point) * occupation_derivative_density(mu, sys, cfg)
     pts = [point]
     for lead in (sys.source, sys.drain):
         # each lead's smoothed peak has width ~ max(kT, sigma); bracket it
-        half_width = (cfg.tail_cutoff_exponential * lead.thermal_energy
-                      + cfg.tail_cutoff_gaussian * sigma)
+        half_width = (TAIL_CUTOFF_EXPONENTIAL * lead.thermal_energy
+                      + TAIL_CUTOFF_GAUSSIAN * sigma)
         pts.extend([lead.chemical_potential,
                     lead.chemical_potential - half_width,
                     lead.chemical_potential + half_width])
@@ -156,12 +158,13 @@ def eta_erasure_work(sys: DotSystem, eta: float,
                      cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
     """Work to drive the occupation from 1/2 down to eta and reset the level.
 
-    W = integral of p over [mu_half, mu_eta] minus (mu_eta - mu_half)*eta.
-    Finite for every kernel, which is the point: it is the supported erasure
-    notion when exact erasure diverges (Lorentzian broadening). For the
-    zero-bias, T = 0 Lorentzian device the closed form
-    (scale/2pi) * ln sec^2(pi(1/2 - eta)) is evaluated as well and the two
-    routes are required to agree.
+    W = integral of p over [mu_half, mu_eta] minus (mu_eta - mu_half) times
+    the occupation reached just above mu_eta, which is eta unless p jumps
+    past eta at the atom of a T = 0 lead. Finite for every kernel, which is
+    the point: it is the supported erasure notion when exact erasure
+    diverges (Lorentzian broadening). For the zero-bias, T = 0 Lorentzian
+    device the closed form (scale/2pi) * ln sec^2(pi(1/2 - eta)) is
+    evaluated as well and the two routes are required to agree.
     """
     if not 0.0 < eta < 0.5:
         raise ValueError(f"eta must lie strictly in (0, 1/2), got {eta}")
@@ -170,14 +173,14 @@ def eta_erasure_work(sys: DotSystem, eta: float,
     hi = sys.source.chemical_potential + 60.0 * scale
     while occupation(hi, sys, cfg) > eta:
         hi = mu_half + 2.0 * (hi - mu_half)
-    mu_eta = find_root(lambda mu: occupation(mu, sys, cfg) - eta,
-                       mu_half, hi, cfg)
+    mu_eta = occupation_level(sys, eta, mu_half, hi, mu_half)
     if mu_eta <= mu_half:
         return 0.0
     raise_work = integrate(lambda mu: occupation(mu, sys, cfg),
                            mu_half, mu_eta, cfg,
                            breakpoints=[sys.source.chemical_potential]).value
-    work = raise_work - (mu_eta - mu_half) * occupation(mu_eta, sys, cfg)
+    reached = occupation(math.nextafter(mu_eta, math.inf), sys, cfg)
+    work = raise_work - (mu_eta - mu_half) * reached
     if (isinstance(sys.kernel, Lorentzian) and sys.bias == 0.0
             and sys.source.thermal_energy == 0.0
             and sys.drain.thermal_energy == 0.0):

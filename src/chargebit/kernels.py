@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 class DeltaKernelError(ValueError):
-    """Pointwise density/quantile requested for the unbroadened (delta) kernel."""
+    """Pointwise density requested for the unbroadened (delta) kernel."""
 
 
 @dataclass(frozen=True)
@@ -116,31 +116,6 @@ class Lorentzian:
 BroadeningKernel = Union[Delta, Gaussian, Lorentzian]
 
 
-def kernel_width(k: BroadeningKernel) -> float:
-    """Characteristic energy width (0 for the delta kernel)."""
-    return k.width
-
-
-def kernel_density(x: float, k: BroadeningKernel) -> float:
-    return k.pdf(x)
-
-
-def kernel_cdf(x: float, k: BroadeningKernel) -> float:
-    """P(X <= x) for the kernel; step at 0 (value 1/2) for the delta kernel."""
-    return k.cdf(x)
-
-
 def kernel_mad(k: BroadeningKernel) -> float:
     """Mean absolute deviation about the (zero) median; inf if divergent."""
     return k.mad
-
-
-def kernel_quantile(p: float, k: BroadeningKernel) -> float:
-    """Upper-tail quantile: the x with P(X > x) = p."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must lie strictly in (0, 1), got {p}")
-    if isinstance(k, Gaussian):
-        return k.sigma * float(ndtri(1.0 - p))
-    if isinstance(k, Lorentzian):
-        return k.scale * math.tan(math.pi * (0.5 - p))
-    raise DeltaKernelError("delta kernel has no continuous quantile")

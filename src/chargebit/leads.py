@@ -9,10 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# exp(x) overflows just above 709; beyond this the occupation is 0 or 1 to
-# double precision anyway
-_XMAX = 745.0
-
 
 class ZeroTemperature(ValueError):
     """Requested a pointwise density for a T = 0 lead (it is a delta)."""
@@ -39,10 +35,7 @@ def fermi_occupation(energy: float, lead: LeadParams) -> float:
             return 0.0
         return 0.5
     x = d / kt
-    if x > _XMAX:
-        return 0.0
-    if x < -_XMAX:
-        return 1.0
+    # exp of the negative |x| only, so nothing overflows
     if x >= 0.0:
         e = math.exp(-x)
         return e / (1.0 + e)
@@ -55,8 +48,6 @@ def fermi_derivative_density(energy: float, lead: LeadParams) -> float:
     if kt == 0.0:
         raise ZeroTemperature("density of a T = 0 lead is a delta function")
     x = (energy - lead.chemical_potential) / kt
-    if abs(x) > _XMAX:
-        return 0.0
     e = math.exp(-abs(x))
     return e / (kt * (1.0 + e) ** 2)
 
@@ -86,11 +77,3 @@ def vacancy_weight_below(level: float, lead: LeadParams) -> float:
         return max(d, 0.0)
     return kt * _softplus(d / kt)
 
-
-def absolute_deviation_about(point: float, lead: LeadParams) -> float:
-    """Mean absolute deviation of the lead's derivative density about ``point``.
-
-    Equals kT*(softplus(d/kT) + softplus(-d/kT)) with d = point - mu, which
-    gives the familiar 2*ln2*kT at d = 0 and |d| in the T = 0 limit.
-    """
-    return occupied_weight_above(point, lead) + vacancy_weight_below(point, lead)

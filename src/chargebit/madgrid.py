@@ -10,6 +10,13 @@ numerical checks of the two sandwich inequalities
 
 the second for densities even about their medians. Tolerances scale with the
 grid step because the inequalities are exact only in the continuum.
+
+The lower bounds need the broadening kernel's shape not to depend on the
+level. Without that, the paper's fine-tuned level-dependent counterexample
+pairs a unit-box density with a three-atom conditional distribution whose
+outer atoms always dodge the box: the resulting pseudo-density carries only
+mass eta and MAD eta/4, so no lower bound on the broadened spread survives.
+Its atoms cannot be gridded faithfully, so it is stated here, not checked.
 """
 
 from __future__ import annotations
@@ -80,11 +87,6 @@ def grid_median(f: GridPdf) -> float:
 def grid_mad(f: GridPdf) -> float:
     """Mean absolute deviation about the grid median."""
     return f.step * float(np.abs(f.xs - grid_median(f)).dot(f.densities))
-
-
-def grid_abs_deviation(f: GridPdf, about: float) -> float:
-    """Mean absolute deviation about an arbitrary reference point."""
-    return f.step * float(np.abs(f.xs - about).dot(f.densities))
 
 
 def _fft_size(n: int) -> int:
@@ -197,20 +199,6 @@ def verify_lemma2(f: GridPdf, g: GridPdf, p_f: float) -> LemmaReport:
         values={"d_f": df, "d_g": dg, "d_mix": dh, "m_f": m_f, "m_g": m_g,
                 "p_f": p_f, "lower": lower, "upper": upper, "tol": tol},
     )
-
-
-def pathological_counterexample(eta: float) -> dict:
-    """Closed-form mass and MAD of the fine-tuned level-dependent example.
-
-    The construction pairs a unit-box density with a three-atom conditional
-    distribution whose outer atoms always dodge the box; the resulting
-    pseudo-density carries only mass eta and MAD eta/4, so no lower bound on
-    the broadened spread survives without shape-invariance assumptions. The
-    atoms cannot be gridded faithfully, hence the analytic evaluation.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
-    return {"mixture_mass": eta, "mad": eta / 4.0}
 
 
 # -- random density generators for the property suites ------------------------

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: adaptive quadrature, tail truncation, root finding.
+"""Adaptive quadrature and the tolerances its callers share.
 
 Everything here is a pure function of its arguments; tolerances travel in a
 :class:`NumericsConfig` so callers can tighten or relax them uniformly.
@@ -6,24 +6,14 @@ Everything here is a pure function of its arguments; tolerances travel in a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from scipy import integrate as _sciint
-from scipy import optimize as _sciopt
 
 
 class NonConvergence(RuntimeError):
     """Quadrature hit the subdivision limit without meeting tolerance."""
-
-
-class DivergentTail(ArithmeticError):
-    """Semi-infinite integral with a tail too heavy to truncate (e.g. ~1/x)."""
-
-
-class NoBracket(ValueError):
-    """Root finder called with same-signed endpoints."""
 
 
 @dataclass(frozen=True)
@@ -31,13 +21,9 @@ class NumericsConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_subdivisions: int = 60
-    tail_cutoff_exponential: float = 45.0  # multiples of the decay scale
-    tail_cutoff_gaussian: float = 12.0     # multiples of sigma
-    root_tol: float = 1e-12  # |p - 1/2| for mu_1/2; the step for find_root
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "tail_cutoff_exponential",
-                     "tail_cutoff_gaussian", "root_tol"):
+        for name in ("rel_tol", "abs_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.max_subdivisions < 10:
@@ -46,25 +32,11 @@ class NumericsConfig:
 
 DEFAULT_CONFIG = NumericsConfig()
 
-
-@dataclass(frozen=True)
-class ExponentialTail:
-    """Integrand magnitude decays like exp(-x/scale)."""
-    scale: float
-
-
-@dataclass(frozen=True)
-class GaussianTail:
-    """Integrand magnitude decays like exp(-x^2/(2 scale^2))."""
-    scale: float
-
-
-@dataclass(frozen=True)
-class AlgebraicTail:
-    """Power-law decay; cannot be safely truncated."""
-
-
-TailClass = ExponentialTail | GaussianTail | AlgebraicTail
+# Where infinite integration ranges are cut: the mass discarded beyond these
+# multiples of an exponential decay scale or of a Gaussian sigma is below the
+# default abs_tol.
+TAIL_CUTOFF_EXPONENTIAL = 45.0
+TAIL_CUTOFF_GAUSSIAN = 12.0
 
 
 class QuadResult(NamedTuple):
@@ -104,39 +76,3 @@ def integrate(f: Callable[[float], float], a: float, b: float,
             raise NonConvergence(
                 f"quadrature on [{a}, {b}] did not converge: {out[3]}")
     return QuadResult(value, abserr)
-
-
-def integrate_semi_infinite(f: Callable[[float], float], a: float,
-                            decay: TailClass,
-                            cfg: NumericsConfig = DEFAULT_CONFIG,
-                            breakpoints: Sequence[float] = ()) -> QuadResult:
-    """Integrate f over [a, inf) by class-aware tail truncation.
-
-    The truncation point is chosen so the discarded tail is below abs_tol for
-    the declared decay class. Algebraic tails are refused outright: callers
-    that can diverge (Lorentzian broadening) must handle that case explicitly.
-    """
-    if isinstance(decay, AlgebraicTail):
-        raise DivergentTail(
-            "algebraic tail cannot be truncated to finite precision")
-    if isinstance(decay, ExponentialTail):
-        cutoff = cfg.tail_cutoff_exponential * decay.scale
-    else:
-        cutoff = cfg.tail_cutoff_gaussian * decay.scale
-    if cutoff <= 0:
-        raise ValueError("tail decay scale must be strictly positive")
-    return integrate(f, a, a + cutoff, cfg, breakpoints)
-
-
-def find_root(f: Callable[[float], float], lo: float, hi: float,
-              cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
-    """Bracketed root of f on [lo, hi] (Brent, bisection fallback built in)."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        raise NoBracket(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
-    return float(_sciopt.brentq(f, lo, hi, xtol=cfg.root_tol, rtol=8.9e-16))

@@ -273,6 +273,19 @@ class TestMainExitCodes:
     def test_lemmas_success_exit_0(self, capsys):
         assert main(["lemmas", "--trials", "3", "--seed", "1"]) == 0
 
+    @pytest.mark.parametrize("value", ["NaN", "1e999"])
+    @pytest.mark.parametrize("field", ["temperature_source",
+                                       "temperature_drain", "bias",
+                                       "rate_source", "rate_drain"])
+    def test_non_finite_value_exits_2_naming_field(self, tmp_path, capsys,
+                                                   field, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text("\n".join(f"{field} = {value}"
+                                  if line.split("=")[0].strip() == field
+                                  else line for line in DEVICE1.splitlines()))
+        assert main(["analyze", "--config", str(path)]) == 2
+        assert f"{field}: must be finite" in capsys.readouterr().err
+
     def test_env_var_overrides_tolerance(self, device1_path, monkeypatch,
                                          capsys):
         monkeypatch.setenv("ERASURE_NUMERICS_RTOL", "1e-8")

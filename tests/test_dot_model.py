@@ -12,7 +12,7 @@ from chargebit.dot_model import (AmbiguousMedianWarning, DotSystem, PureStep,
                                  half_occupation_level, occupation,
                                  occupation_derivative_density,
                                  unbroadened_occupation)
-from chargebit.kernels import Delta, Gaussian, Lorentzian, kernel_cdf
+from chargebit.kernels import Delta, Gaussian, Lorentzian
 from chargebit.leads import LeadParams, fermi_occupation
 from chargebit.numerics import integrate
 

@@ -8,7 +8,7 @@ import pytest
 from chargebit.dot_model import occupation
 from chargebit.dynamics import (INSTANTANEOUS, LINEAR, ProtocolSchedule,
                                 Segment, StepTooLarge, make_erasure_schedule,
-                                relaxation_rate, reversibility_check, simulate)
+                                reversibility_check, simulate)
 from chargebit.erasure import erasure_costs
 from chargebit.kernels import Gaussian
 from chargebit.numerics import integrate
@@ -36,21 +36,6 @@ class TestSegments:
         with pytest.raises(ValueError):
             simulate(SYM, ProtocolSchedule((Segment(0.0, 1.0, 1.0),),
                                            initial_occupation=1.5), 0.05)
-
-
-class TestRelaxationRate:
-    def test_zero_at_steady_state(self):
-        p = occupation(2.0, SYM)
-        assert relaxation_rate(p, 2.0, SYM) == 0.0
-
-    def test_filling_when_empty_below_potentials(self):
-        sys_ = make_system(1.0, 1.0, 2.0, 0.5)
-        rate = relaxation_rate(0.0, -50.0, sys_)
-        assert rate == pytest.approx(sys_.rates.total, rel=1e-9)
-
-    def test_sign_above_steady_state(self):
-        p = occupation(1.0, SYM)
-        assert relaxation_rate(p + 0.1, 1.0, SYM) < 0.0
 
 
 class TestSimulate:

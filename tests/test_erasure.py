@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from chargebit import (check_bound, energy_scales, erasure_costs,
-                       eta_erasure_work)
+from chargebit import (DotSystem, LeadParams, TunnelRates, check_bound,
+                       energy_scales, erasure_costs, eta_erasure_work)
 from chargebit.dot_model import occupation
 from chargebit.erasure import DivergentInput, absolute_deviation_integral
 from chargebit.kernels import Delta, Gaussian, Lorentzian
@@ -154,6 +154,29 @@ class TestEtaErasure:
         wide = make_system(0.0, 0.0, 0.0, 0.5, Lorentzian(3.0))
         assert eta_erasure_work(wide, 0.1) == pytest.approx(
             3.0 * eta_erasure_work(narrow, 0.1), rel=1e-7)
+
+    @pytest.mark.parametrize("eta", [0.39, 0.3, 0.1, 1e-3])
+    def test_ramp_past_zero_temperature_atom(self, eta):
+        # p falls from 0.4 to ~0 at the T = 0 source's atom at mu = 1, so
+        # every eta below 0.4 takes the same ramp to just past the atom
+        kt = 0.01
+        sys_ = DotSystem(LeadParams(0.0, 1.0), LeadParams(kt, 0.0),
+                         TunnelRates(0.4, 0.6), Delta())
+        mu_half = kt * math.log(5.0)  # 0.4 + 0.6/(1 + e^(mu/kT)) = 1/2
+        softplus = lambda z: math.log1p(math.exp(z))
+        raise_work = 0.4 * (1.0 - mu_half) + 0.6 * kt * (
+            softplus(-mu_half / kt) - softplus(-1.0 / kt))
+        p_after = 0.6 / (1.0 + math.exp(1.0 / kt))
+        expected = raise_work - (1.0 - mu_half) * p_after
+        assert expected == pytest.approx(0.394656, abs=1e-6)
+        assert eta_erasure_work(sys_, eta) == pytest.approx(expected, rel=1e-9)
+
+    def test_zero_when_atom_at_mu_half_jumps_below_eta(self):
+        # p falls from 1 to 0.25 at the T = 0 drain's atom, which is mu_1/2,
+        # so p just above mu_1/2 is already below eta
+        sys_ = DotSystem(LeadParams(0.1, 10.0), LeadParams(0.0, 0.0),
+                         TunnelRates(0.25, 0.75), Delta())
+        assert eta_erasure_work(sys_, 0.3) == 0.0
 
     def test_domain(self):
         sys_ = make_system(1.0, 1.0, 0.0, 0.5)

@@ -7,10 +7,8 @@ import pytest
 from scipy.special import ndtr
 
 from chargebit.kernels import (Delta, DeltaKernelError, Gaussian, Lorentzian,
-                               kernel_cdf, kernel_density, kernel_mad,
-                               kernel_quantile, kernel_width)
+                               kernel_mad)
 from chargebit.leads import (LeadParams, ZeroTemperature,
-                             absolute_deviation_about,
                              fermi_derivative_density, fermi_occupation,
                              occupied_weight_above, vacancy_weight_below)
 from chargebit.numerics import integrate
@@ -72,8 +70,11 @@ class TestFermiDerivativeDensity:
 
     def test_mad_about_mu_is_2ln2_kt(self):
         lead = LeadParams(0.9, 4.0)
-        assert absolute_deviation_about(4.0, lead) == pytest.approx(
-            2.0 * math.log(2.0) * 0.9, rel=1e-12)
+        # the MAD about a point is the occupied weight above it plus the
+        # vacancy weight below it
+        closed = (occupied_weight_above(4.0, lead)
+                  + vacancy_weight_below(4.0, lead))
+        assert closed == pytest.approx(2.0 * math.log(2.0) * 0.9, rel=1e-12)
         numeric = integrate(
             lambda e: abs(e - 4.0) * fermi_derivative_density(e, lead),
             4.0 - 60 * 0.9, 4.0 + 60 * 0.9, breakpoints=[4.0]).value
@@ -89,30 +90,33 @@ class TestFermiDerivativeDensity:
 
 class TestKernelDensity:
     def test_gaussian_peak(self):
-        assert kernel_density(0.0, Gaussian(1.0)) == pytest.approx(
+        assert Gaussian(1.0).pdf(0.0) == pytest.approx(
             1.0 / math.sqrt(2.0 * math.pi), rel=1e-12)
 
     def test_lorentzian_peak(self):
-        assert kernel_density(0.0, Lorentzian(1.0)) == pytest.approx(
+        assert Lorentzian(1.0).pdf(0.0) == pytest.approx(
             1.0 / math.pi, rel=1e-12)
 
     def test_gaussian_one_sigma(self):
-        assert kernel_density(2.0, Gaussian(2.0)) == pytest.approx(
+        assert Gaussian(2.0).pdf(2.0) == pytest.approx(
             0.1209854, abs=1e-7)
 
     def test_delta_has_no_density(self):
         with pytest.raises(DeltaKernelError):
-            kernel_density(0.0, Delta())
+            Delta().pdf(0.0)
 
     def test_normalisation(self):
         g = Gaussian(1.7)
-        val = integrate(lambda x: kernel_density(x, g), -12 * 1.7,
-                        12 * 1.7).value
+        val = integrate(g.pdf, -12 * 1.7, 12 * 1.7).value
         assert val == pytest.approx(1.0, abs=1e-10)
         lz = Lorentzian(0.4)
         # analytic CDF difference over a wide window
-        assert kernel_cdf(1e9, lz) - kernel_cdf(-1e9, lz) == pytest.approx(
+        assert lz.cdf(1e9) - lz.cdf(-1e9) == pytest.approx(
             1.0, abs=1e-9)
+
+    def test_gaussian_cdf_matches_normal(self, rng):
+        for x in rng.uniform(-4, 4, 20):
+            assert Gaussian(1.0).cdf(x) == pytest.approx(ndtr(x), rel=1e-12)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -133,39 +137,6 @@ class TestKernelMad:
         assert math.isinf(kernel_mad(Lorentzian(1.0)))
 
     def test_width(self):
-        assert kernel_width(Delta()) == 0.0
-        assert kernel_width(Gaussian(2.5)) == 2.5
-        assert kernel_width(Lorentzian(0.3)) == 0.3
-
-
-class TestKernelQuantile:
-    def test_lorentzian_quarter(self):
-        assert kernel_quantile(0.25, Lorentzian(1.0)) == pytest.approx(1.0)
-
-    def test_median_zero(self):
-        assert kernel_quantile(0.5, Gaussian(3.0)) == pytest.approx(0.0, abs=1e-12)
-        assert kernel_quantile(0.5, Lorentzian(3.0)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_gaussian_one_sigma_tail(self):
-        assert kernel_quantile(0.158655, Gaussian(1.0)) == pytest.approx(
-            1.0, abs=1e-5)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            kernel_quantile(0.0, Gaussian(1.0))
-        with pytest.raises(ValueError):
-            kernel_quantile(1.0, Lorentzian(1.0))
-        with pytest.raises(DeltaKernelError):
-            kernel_quantile(0.3, Delta())
-
-    def test_inverse_of_cdf(self, rng):
-        for k in (Gaussian(0.8), Lorentzian(1.6)):
-            for p in rng.uniform(0.01, 0.99, 100):
-                x = kernel_quantile(p, k)
-                # upper-tail convention: cdf(x) = 1 - p
-                assert kernel_cdf(x, k) == pytest.approx(1.0 - p, abs=1e-9)
-
-    def test_gaussian_cdf_matches_normal(self, rng):
-        for x in rng.uniform(-4, 4, 20):
-            assert kernel_cdf(x, Gaussian(1.0)) == pytest.approx(
-                ndtr(x), rel=1e-12)
+        assert Delta().width == 0.0
+        assert Gaussian(2.5).width == 2.5
+        assert Lorentzian(0.3).width == 0.3

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from chargebit.madgrid import (GRID_STEP, AsymmetricInput, GridPdf,
-                               StepMismatch, grid_abs_deviation,
-                               grid_cross_correlate, grid_mad, grid_median,
-                               pathological_counterexample, random_grid_pdf,
+                               StepMismatch, grid_cross_correlate, grid_mad,
+                               grid_median, random_grid_pdf,
                                random_symmetric_grid_pdf, verify_lemma1,
                                verify_lemma2)
 
@@ -84,7 +83,9 @@ class TestGridMad:
             for off in rng.uniform(-4, 4, 20):
                 if abs(off) < 2 * pdf.step:
                     continue
-                assert grid_abs_deviation(pdf, med + off) >= base - pdf.step
+                deviation = pdf.step * np.abs(pdf.xs - med - off).dot(
+                    pdf.densities)
+                assert deviation >= base - pdf.step
 
     def test_reflection_invariance(self, rng):
         for _ in range(20):
@@ -188,25 +189,3 @@ class TestLemma2:
                                 random_symmetric_grid_pdf(rng),
                                 float(rng.uniform(0.05, 0.95)))
             assert rep.ok, rep.values
-
-
-class TestPathologicalCounterexample:
-    def test_reference_point(self):
-        out = pathological_counterexample(0.2)
-        assert out["mixture_mass"] == pytest.approx(0.2)
-        assert out["mad"] == pytest.approx(0.05)
-
-    def test_vanishing_limit(self):
-        assert pathological_counterexample(1e-9)["mad"] < 1e-9
-
-    def test_boundary_matches_uniform_box(self):
-        # at full mass the construction degenerates to a unit box, whose MAD
-        # the grid machinery reproduces independently
-        assert pathological_counterexample(1.0)["mad"] == pytest.approx(
-            grid_mad(uniform_pdf(0.0, 1.0)), abs=2e-3)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            pathological_counterexample(0.0)
-        with pytest.raises(ValueError):
-            pathological_counterexample(1.5)

@@ -1,14 +1,13 @@
-"""Quadrature, tail handling and root finding."""
+"""Quadrature and its tail cut-offs."""
 
 import math
 
 import numpy as np
 import pytest
 
-from chargebit.numerics import (DEFAULT_CONFIG, AlgebraicTail, DivergentTail,
-                                ExponentialTail, GaussianTail, NoBracket,
-                                NumericsConfig, find_root, integrate,
-                                integrate_semi_infinite)
+from chargebit.numerics import (DEFAULT_CONFIG, TAIL_CUTOFF_EXPONENTIAL,
+                                TAIL_CUTOFF_GAUSSIAN, NumericsConfig,
+                                integrate)
 
 
 def normal_pdf(x):
@@ -53,46 +52,13 @@ class TestIntegrate:
 
 
 class TestSemiInfinite:
-    def test_exponential_tail(self):
-        val = integrate_semi_infinite(
-            lambda x: math.exp(-x), 0.0, ExponentialTail(1.0)).value
-        assert val == pytest.approx(1.0, abs=1e-10)
-
-    def test_gaussian_first_moment(self):
-        val = integrate_semi_infinite(
-            lambda x: x * normal_pdf(x), 0.0, GaussianTail(1.0)).value
-        assert val == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-10)
-
-    def test_algebraic_tail_refused(self):
-        with pytest.raises(DivergentTail):
-            integrate_semi_infinite(
-                lambda x: abs(x) / (math.pi * (1.0 + x * x)), 0.0,
-                AlgebraicTail())
-
     def test_discarded_tails_below_abs_tol(self):
         cfg = DEFAULT_CONFIG
         # exponential: remainder past the cutoff is e^(-cutoff)
-        assert math.exp(-cfg.tail_cutoff_exponential) < cfg.abs_tol
+        assert math.exp(-TAIL_CUTOFF_EXPONENTIAL) < cfg.abs_tol
         # gaussian: remainder past k sigma is below the k-sigma density
-        k = cfg.tail_cutoff_gaussian
+        k = TAIL_CUTOFF_GAUSSIAN
         assert normal_pdf(k) / k < cfg.abs_tol
-
-
-class TestFindRoot:
-    def test_linear(self):
-        assert find_root(lambda x: x - 2.0, 0.0, 5.0) == pytest.approx(2.0)
-
-    def test_tanh(self):
-        root = find_root(lambda x: math.tanh(x - 1.0), -10.0, 10.0)
-        assert abs(root - 1.0) <= DEFAULT_CONFIG.root_tol
-
-    def test_no_bracket(self):
-        with pytest.raises(NoBracket):
-            find_root(lambda x: x * x + 1.0, -1.0, 1.0)
-
-    def test_deterministic(self):
-        f = lambda x: math.cos(x) - x
-        assert find_root(f, 0.0, 1.0) == find_root(f, 0.0, 1.0)
 
 
 class TestConfig:
