@@ -3,7 +3,9 @@
 Config files are flat ``key = value`` text in laboratory units (kelvin, Hz,
 micro-eV); everything is converted to micro-eV at the boundary and the drain
 chemical potential is the global zero of energy. Exit codes: 0 success
-(divergent results included), 1 property violation, 2 input error.
+(divergent results included), 1 property violation (a lemma-suite violation,
+or an ``analyze`` report whose MAD cross-check or energy-scale bound fails),
+2 input error.
 """
 
 from __future__ import annotations
@@ -194,6 +196,23 @@ def analyze(spec: DeviceSpec, etas: tuple[float, ...] = (),
     return report
 
 
+_MAD_CHECK_REL = 1e-8  # W-bar vs MAD/2, relative to 1 + W-bar
+
+
+def _failed_checks(report: dict) -> list[str]:
+    """One line per cross-check of an analyze report that did not hold."""
+    failed = []
+    gap = report.get("mad_form_discrepancy_ueV")
+    if gap is not None and not gap <= _MAD_CHECK_REL * (
+            1.0 + report["w_bar_ueV"]):
+        failed.append(f"mad_form_discrepancy_ueV {_fmt(gap)} exceeds "
+                      f"{_MAD_CHECK_REL:g} * (1 + w_bar_ueV)")
+    if report.get("bound_satisfied") is False:
+        failed.append("bound_satisfied is false: w_bar_ueV lies outside "
+                      "[bound_lower_ueV, bound_upper_ueV]")
+    return failed
+
+
 def _print_report(report: dict) -> None:
     width = max(len(k) for k in report)
     print("device analysis")
@@ -262,7 +281,7 @@ def run_protocol(spec: DeviceSpec, target: str,
     gamma_tot = sys_.rates.total
     sched = dynamics.make_erasure_schedule(
         sys_, target, duration_over_gamma / gamma_tot, cfg=cfg)
-    traj = dynamics.simulate(sys_, sched, 0.05 / gamma_tot, cfg)
+    traj = dynamics.simulate(sys_, sched, 0.05 / gamma_tot)
     _write_csv(out, ["t", "mu", "p", "work"],
                [[float(a), float(b), float(c), float(d)]
                 for a, b, c, d in zip(traj.t, traj.mu, traj.p, traj.work)])
@@ -346,8 +365,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_env()
         if args.command == "analyze":
-            _print_report(analyze(load_config(args.config),
-                                  tuple(args.eta), cfg))
+            report = analyze(load_config(args.config), tuple(args.eta), cfg)
+            _print_report(report)
+            failed = _failed_checks(report)
+            for line in failed:
+                print(f"check failed: {line}", file=_sys.stderr)
+            return 1 if failed else 0
         elif args.command == "sweep":
             sweep(load_config(args.config), args.bias_max, args.width_max,
                   args.points, args.out, cfg)

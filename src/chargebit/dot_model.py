@@ -15,7 +15,7 @@ s* = (mu - mu_i)/kT are replaced by panels graded geometrically down to the
 kernel width. T = 0 leads (p_i = K((mu_i - mu)/w)) and the delta kernel
 (p_i = Fermi function) are closed forms, evaluated with the ``math`` module
 for a float level. Every routine accepts a float level or an array of
-levels; node matrices are built in blocks of at most about 1 MB. The level
+levels; node matrices are built in blocks of at most about 128 kB. The level
 where p crosses a target (1/2 for mu_1/2, eta for eta-erasure) is one
 safeguarded Newton solve on the same nodes.
 
@@ -120,7 +120,7 @@ def unbroadened_occupation(mu: float, sys: DotSystem) -> float:
 _WINDOW = 40.0
 _PANELS = 40  # of width 2 on [-_WINDOW, _WINDOW]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
-_BLOCK_ELEMENTS = 1 << 17  # 1 MB of float64 per node matrix
+_BLOCK_ELEMENTS = 1 << 14  # 128 kB of float64 per node matrix, cache-sized
 
 
 def _logistic_density(s):

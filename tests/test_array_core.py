@@ -190,7 +190,7 @@ class TestShapes:
     @pytest.mark.parametrize("sigma", [0.3, 1e-5],
                              ids=["uniform-panels", "graded-panels"])
     def test_blocks_match_single_levels(self, sigma):
-        # 10k levels span several node-matrix blocks of at most ~1 MB
+        # 10k levels span many node-matrix blocks of at most ~128 kB
         sys_ = make_system(0.5, 0.2, 3.0, 0.4, Gaussian(sigma))
         mus = np.linspace(-6.0, 9.0, 10_000)
         p = occupation(mus, sys_)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from chargebit.cli import (DeviceSpec, ParseError, ValidationError, analyze,
-                           build_system, load_config, main, occupation_curve,
-                           parse_number, run_lemma_suite, sweep)
+from chargebit.cli import (DeviceSpec, ParseError, ValidationError,
+                           _failed_checks, analyze, build_system, load_config,
+                           main, occupation_curve, parse_number,
+                           run_lemma_suite, sweep)
 from chargebit.kernels import Delta, Gaussian
 from chargebit.units import broadening_energy_uev, thermal_energy_uev
 
@@ -257,7 +258,27 @@ class TestLemmaSuite:
 class TestMainExitCodes:
     def test_analyze_success(self, device1_path, capsys):
         assert main(["analyze", "--config", device1_path]) == 0
-        assert "machine-readable:" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "machine-readable:" in out
+        assert "check failed" not in err
+
+    def test_analyze_mad_cross_check_failure_exits_1(self, tmp_path, capsys):
+        # an integration window ~1e300 wide misses both peaks of the density
+        path = tmp_path / "huge.cfg"
+        path.write_text(DEVICE1.replace("bias        = 200", "bias = 1e300"))
+        assert main(["analyze", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert "machine-readable:" in out
+        assert "check failed: mad_form_discrepancy_ueV" in err
+
+    def test_bound_failure_is_a_failed_check(self):
+        report = {"w_bar_ueV": 1.0, "mad_form_discrepancy_ueV": 0.0,
+                  "bound_satisfied": False}
+        (line,) = _failed_checks(report)
+        assert line.startswith("bound_satisfied is false")
+        report["bound_satisfied"] = True
+        assert _failed_checks(report) == []
+        assert _failed_checks({"w_bar_ueV": "divergent"}) == []
 
     def test_divergent_still_success(self, tmp_path, capsys):
         path = tmp_path / "l.cfg"

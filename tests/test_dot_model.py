@@ -1,14 +1,17 @@
 """Steady-state occupation, its derivative density and the half level."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from chargebit.dot_model import (AmbiguousMedianWarning, DotSystem, PureStep,
-                                 TunnelRates, dominant_scale,
+from chargebit.dot_model import (LEVEL_TOL, AmbiguousMedianWarning, DotSystem,
+                                 PureStep, TunnelRates, dominant_scale,
                                  half_occupation_level, occupation,
                                  occupation_derivative_density,
                                  unbroadened_occupation)
@@ -175,6 +178,31 @@ class TestHalfOccupationLevel:
         assert half_occupation_level(sys_) == 0.0
         sys2 = make_system(0.0, 0.0, 10.0, 0.7)
         assert half_occupation_level(sys2) == 10.0
+
+
+_TWELVE_DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+class TestHalfOccupationTwelveDecades:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(kt_s=_TWELVE_DECADES, kt_d=_TWELVE_DECADES, bias=_TWELVE_DECADES,
+           sigma=_TWELVE_DECADES, gamma_s=st.floats(0.05, 0.95),
+           gaussian=st.booleans())
+    def test_half_occupation_to_level_resolution(self, kt_s, kt_d, bias,
+                                                 sigma, gamma_s, gaussian):
+        """p(mu_1/2) = 1/2 up to what the doubles around mu_1/2 resolve.
+
+        When a lead's kT is far below |mu_1/2|, adjacent doubles there can
+        straddle 1/2; p then misses it by up to the slope times one ulp.
+        """
+        sys_ = make_system(kt_s, kt_d, bias, gamma_s,
+                           Gaussian(sigma) if gaussian else Delta())
+        mu = half_occupation_level(sys_)
+        slope = occupation_derivative_density(mu, sys_)
+        tol = (LEVEL_TOL + 2.0 * slope * math.ulp(mu)
+               + 4.0 * sys.float_info.epsilon)
+        assert abs(occupation(mu, sys_) - 0.5) <= tol
 
 
 class TestDominantScale:

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from chargebit.dot_model import occupation
 from chargebit.dynamics import (INSTANTANEOUS, LINEAR, ProtocolSchedule,
-                                Segment, StepTooLarge, make_erasure_schedule,
+                                Segment, _ramp_table, make_erasure_schedule,
                                 reversibility_check, simulate)
 from chargebit.erasure import erasure_costs
-from chargebit.kernels import Gaussian
+from chargebit.kernels import Delta, Gaussian, Lorentzian
 from chargebit.numerics import integrate
 
 from conftest import make_system
@@ -39,10 +40,24 @@ class TestSegments:
 
 
 class TestSimulate:
-    def test_step_cap_enforced(self):
+    def test_dt_max_must_be_positive(self):
         sched = ProtocolSchedule((Segment(0.0, 1.0, 1.0),))
-        with pytest.raises(StepTooLarge):
-            simulate(SYM, sched, 0.2)
+        for dt_max in (0.0, -0.05, math.nan):
+            with pytest.raises(ValueError):
+                simulate(SYM, sched, dt_max)
+
+    @pytest.mark.parametrize("kernel", [Delta(), Gaussian(0.8),
+                                        Lorentzian(0.5)])
+    def test_dt_max_only_refines_the_table(self, kernel):
+        sys_ = make_system(1.0, 0.9, 5.0, 0.4, kernel)
+        sched = make_erasure_schedule(sys_, "zero", 10.0)
+        coarse = simulate(sys_, sched, 0.5)
+        fine = simulate(sys_, sched, 0.05)
+        span = sched.segments[0].mu_end - sched.segments[0].mu_start
+        assert abs(coarse.total_work - fine.total_work) <= 1e-10 * span
+        assert coarse.final_occupation == pytest.approx(
+            fine.final_occupation, abs=1e-11)
+        assert len(coarse.t) == len(fine.t) == 201
 
     def test_constant_level_exponential_relaxation(self):
         sched = ProtocolSchedule((Segment(3.0, 3.0, 6.0),),
@@ -52,6 +67,15 @@ class TestSimulate:
         exact = p_ss + (0.9 - p_ss) * np.exp(-traj.t)
         assert np.max(np.abs(traj.p - exact)) < 1e-7
         assert traj.total_work == 0.0
+
+    def test_long_coarse_steps_relax_exactly(self):
+        # steps of 10/Gamma over 2000/Gamma: past any single exponential
+        sched = ProtocolSchedule((Segment(3.0, 3.0, 2000.0),),
+                                 initial_occupation=0.9)
+        traj = simulate(SYM, sched, 1000.0)
+        p_ss = occupation(3.0, SYM)
+        exact = p_ss + (0.9 - p_ss) * np.exp(-traj.t)
+        assert np.max(np.abs(traj.p - exact)) < 1e-14
 
     def test_pure_quench_work(self):
         sched = ProtocolSchedule((Segment(1.0, 7.5, 0.0, INSTANTANEOUS),))
@@ -85,6 +109,120 @@ class TestSimulate:
             initial_occupation=first.final_occupation), 0.05)
         assert traj.total_work == pytest.approx(
             first.total_work + second.total_work, abs=1e-9)
+
+
+class TestExactRamps:
+    """Closed forms the exact integrator must reproduce."""
+
+    @staticmethod
+    def _piecewise_relaxation(t, rate, mu_start, p0, levels):
+        """p and work for p_ss constant between breakpoints in mu.
+
+        ``levels`` is [(mu_break, p_ss beyond it), ...] in ramp order; on each
+        piece p relaxes as c + (p_k - c) e^{-t} (Gamma = 1).
+        """
+        p = np.empty_like(t)
+        work = np.empty_like(t)
+        t_k, p_k, w_k = 0.0, p0, 0.0
+        c = levels[0][1]
+        edges = [((m - mu_start) / rate, nxt) for m, nxt in levels[1:]]
+        edges.append((math.inf, None))
+        j = 0
+        for i, ti in enumerate(t):
+            while ti > edges[j][0]:
+                dt = edges[j][0] - t_k
+                w_k += rate * (c * dt + (p_k - c) * -math.expm1(-dt))
+                p_k = c + (p_k - c) * math.exp(-dt)
+                t_k, c = edges[j][0], edges[j][1]
+                j += 1
+            dt = ti - t_k
+            p[i] = c + (p_k - c) * math.exp(-dt)
+            work[i] = w_k + rate * (c * dt + (p_k - c) * -math.expm1(-dt))
+        return p, work
+
+    def test_ramp_across_two_atoms(self):
+        # T = 0 leads at 0 and 1 without broadening: p_ss is 1, g_S, 0
+        sys_ = make_system(0.0, 0.0, 1.0, 0.3)
+        sched = ProtocolSchedule((Segment(-0.5, 1.6, 3.0),),
+                                 initial_occupation=0.9)
+        traj = simulate(sys_, sched, 0.05)
+        rate = 0.7
+        p, work = self._piecewise_relaxation(
+            traj.t, rate, -0.5, 0.9, [(-0.5, 1.0), (0.0, 0.3), (1.0, 0.0)])
+        assert np.max(np.abs(traj.p - p)) < 1e-12
+        assert np.max(np.abs(traj.work - work)) < 1e-12
+
+    def test_atoms_are_table_nodes_with_one_sided_limits(self):
+        # p_ss is constant between the atoms, so the table is the 201
+        # samples, the 2 atoms and one pass of midpoints, none split again
+        sys_ = make_system(0.0, 0.0, 1.0, 0.3)
+        seg = Segment(-0.5, 1.6, 3.0)
+        t_out = np.linspace(0.0, 3.0, 201)
+        t, pl, pr, ml, mr = _ramp_table(sys_, seg, 0.7, t_out, 0.05)
+        assert t.size == 203 + 202
+        at = np.searchsorted(t, [0.5 / 0.7, 1.5 / 0.7])
+        assert t[at] == pytest.approx([0.5 / 0.7, 1.5 / 0.7], abs=1e-15)
+        assert list(pl[at]) == [1.0, 0.3] and list(pr[at]) == [0.3, 0.0]
+        assert not np.any(ml) and not np.any(mr)
+
+    @pytest.mark.parametrize("tau_gamma", [0.5, 5.0])
+    def test_matches_tight_dop853(self, tau_gamma):
+        sys_ = make_system(1.0, 0.7, 4.0, 0.4)
+        ramp = make_erasure_schedule(sys_, "zero", tau_gamma).segments[0]
+        rate = (ramp.mu_end - ramp.mu_start) / ramp.duration
+        traj = simulate(sys_, ProtocolSchedule((ramp,)), 0.05)
+        ref = solve_ivp(
+            lambda t, y: [occupation(ramp.mu_start + rate * t, sys_) - y[0],
+                          rate * y[0]],
+            (0.0, ramp.duration), [0.5, 0.0], method="DOP853", rtol=1e-13,
+            atol=1e-15, t_eval=traj.t)
+        assert np.max(np.abs(traj.p - ref.y[0])) < 1e-11
+        span = ramp.mu_end - ramp.mu_start
+        assert np.max(np.abs(traj.work - ref.y[1])) < 1e-11 * span
+
+    def test_erasure_ramp_starting_on_an_atom(self):
+        # g_S < 1/2 puts mu_1/2 on the drain atom; p starts at its midpoint
+        # value p(0) = g_S + g_D/2 and relaxes to g_S, then to 0 past mu_S
+        sys_ = make_system(0.0, 0.0, 1.0, 0.3)
+        sched = make_erasure_schedule(sys_, "zero", 20.0)
+        ramp = sched.segments[0]
+        assert ramp.mu_start == 0.0
+        traj = simulate(sys_, sched, 0.05)
+        rate = ramp.mu_end / ramp.duration
+        p, work = self._piecewise_relaxation(
+            traj.t[:201], rate, 0.0, 0.65, [(0.0, 0.3), (1.0, 0.0)])
+        assert np.max(np.abs(traj.p[:201] - p)) < 1e-12
+        assert np.max(np.abs(traj.work[:200] - work[:200])) < 1e-12
+        quench = -ramp.mu_end * traj.final_occupation
+        assert traj.total_work == pytest.approx(work[-1] + quench, abs=1e-12)
+
+    def test_very_fast_ramp_is_a_quench(self):
+        sched = ProtocolSchedule((Segment(0.0, 5.0, 1e-9),),
+                                 initial_occupation=0.4)
+        traj = simulate(SYM, sched, 0.05)
+        assert traj.final_occupation == pytest.approx(0.4, abs=1e-8)
+        assert traj.total_work == pytest.approx(2.0, rel=1e-8)
+
+    @pytest.mark.parametrize("tau_gamma", [50.0, 100.0, 200.0, 400.0])
+    def test_slow_ramp_linear_response(self, tau_gamma):
+        """tau Gamma (W - W_qs) -> dmu (p(mu_1/2) - p(mu_far)).
+
+        The dissipation of a slow ramp is (v/Gamma) times the change of p
+        (Sivak & Crooks, PRL 108, 190602, 2012); W_qs is the quasistatic work
+        of the same ramp and quench.
+        """
+        biased = make_system(1.0, 1.0, 36.0, 0.35)
+        sched = make_erasure_schedule(biased, "zero", tau_gamma)
+        mu_half, mu_far = sched.segments[0].mu_start, sched.segments[0].mu_end
+        span = mu_far - mu_half
+        p_far = occupation(mu_far, biased)
+        w_qs = (integrate(lambda m: occupation(m, biased), mu_half, mu_far,
+                          breakpoints=[0.0, 36.0]).value
+                - span * p_far)
+        traj = simulate(biased, sched, 0.05)
+        excess = tau_gamma * (traj.total_work - w_qs)
+        predicted = span * (occupation(mu_half, biased) - p_far)
+        assert excess == pytest.approx(predicted, rel=1e-4)
 
 
 class TestErasureSchedules:
