@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys as _sys
 from dataclasses import dataclass
 
@@ -22,7 +21,6 @@ from . import dynamics, erasure, madgrid
 from .dot_model import DotSystem, TunnelRates, occupation, unbroadened_occupation
 from .kernels import Delta, Gaussian, Lorentzian
 from .leads import LeadParams
-from .numerics import DEFAULT_CONFIG, NumericsConfig
 from .units import broadening_energy_uev, thermal_energy_uev
 
 
@@ -141,19 +139,11 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _config_from_env() -> NumericsConfig:
-    rtol = os.environ.get("ERASURE_NUMERICS_RTOL")
-    if rtol is None:
-        return DEFAULT_CONFIG
-    return NumericsConfig(rel_tol=float(rtol))
-
-
-def analyze(spec: DeviceSpec, etas: tuple[float, ...] = (),
-            cfg: NumericsConfig = DEFAULT_CONFIG) -> dict:
+def analyze(spec: DeviceSpec, etas: tuple[float, ...] = ()) -> dict:
     """Full device report as an ordered key -> value mapping."""
     sys_ = build_system(spec)
     scales = erasure.energy_scales(sys_)
-    costs = erasure.erasure_costs(sys_, cfg)
+    costs = erasure.erasure_costs(sys_)
     report: dict = {
         "temperature_source_K": spec.temperature_source,
         "temperature_drain_K": spec.temperature_drain,
@@ -178,8 +168,7 @@ def analyze(spec: DeviceSpec, etas: tuple[float, ...] = (),
         report["w_one_ueV"] = "divergent (Lorentzian exact erasure)"
         report["w_bar_ueV"] = "divergent (Lorentzian exact erasure)"
         for eta in etas or (0.1, 0.01, 0.001):
-            report[f"w_eta_{eta:g}_ueV"] = erasure.eta_erasure_work(
-                sys_, eta, cfg)
+            report[f"w_eta_{eta:g}_ueV"] = erasure.eta_erasure_work(sys_, eta)
     else:
         report["w_zero_ueV"] = costs.w_zero
         report["w_one_ueV"] = costs.w_one
@@ -191,8 +180,7 @@ def analyze(spec: DeviceSpec, etas: tuple[float, ...] = (),
         report["bound_upper_ueV"] = bound.upper
         report["bound_satisfied"] = bound.satisfied
         for eta in etas:
-            report[f"w_eta_{eta:g}_ueV"] = erasure.eta_erasure_work(
-                sys_, eta, cfg)
+            report[f"w_eta_{eta:g}_ueV"] = erasure.eta_erasure_work(sys_, eta)
     return report
 
 
@@ -236,7 +224,7 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def sweep(spec: DeviceSpec, bias_max: float, width_max: float, points: int,
-          out: str, cfg: NumericsConfig = DEFAULT_CONFIG) -> None:
+          out: str) -> None:
     """Grid of (bias, broadening width) -> costs, scales and bound columns."""
     if bias_max < 0 or width_max < 0:
         raise ValidationError("sweep", "ranges must be non-negative")
@@ -249,7 +237,7 @@ def sweep(spec: DeviceSpec, bias_max: float, width_max: float, points: int,
         for w in widths:
             sys_ = build_system(spec, bias_uev=float(b), width_uev=float(w))
             scales = erasure.energy_scales(sys_)
-            costs = erasure.erasure_costs(sys_, cfg, mad_check=False)
+            costs = erasure.erasure_costs(sys_, mad_check=False)
             lower = max(scales.e_therm, scales.e_bias, scales.e_broad)
             upper = scales.e_therm + scales.e_bias + scales.e_broad
             rows.append([float(b), float(w), costs.w_bar, scales.e_therm,
@@ -259,33 +247,30 @@ def sweep(spec: DeviceSpec, bias_max: float, width_max: float, points: int,
 
 
 def occupation_curve(spec: DeviceSpec, mu_min: float, mu_max: float,
-                     points: int, out: str,
-                     cfg: NumericsConfig = DEFAULT_CONFIG) -> None:
+                     points: int, out: str) -> None:
     """CSV of unbroadened and broadened occupation over a gate range."""
     if points < 2:
         raise ValidationError("points", "need at least 2")
     sys_ = build_system(spec)
     mus = np.linspace(mu_min, mu_max, points)
     rows = [[float(mu), unbroadened_occupation(float(mu), sys_), float(p)]
-            for mu, p in zip(mus, occupation(mus, sys_, cfg))]
+            for mu, p in zip(mus, occupation(mus, sys_))]
     _write_csv(out, ["mu", "p_unbroadened", "p_broadened"], rows)
 
 
 def run_protocol(spec: DeviceSpec, target: str,
-                 duration_over_gamma: float, out: str,
-                 cfg: NumericsConfig = DEFAULT_CONFIG) -> None:
+                 duration_over_gamma: float, out: str) -> None:
     """Simulate a finite-time erasure protocol and compare to the optimum."""
     if duration_over_gamma < 0:
         raise ValidationError("duration", "must be non-negative")
     sys_ = build_system(spec)
-    gamma_tot = sys_.rates.total
     sched = dynamics.make_erasure_schedule(
-        sys_, target, duration_over_gamma / gamma_tot, cfg=cfg)
-    traj = dynamics.simulate(sys_, sched, 0.05 / gamma_tot)
+        sys_, target, duration_over_gamma / sys_.rates.total)
+    traj = dynamics.simulate(sys_, sched)
     _write_csv(out, ["t", "mu", "p", "work"],
                [[float(a), float(b), float(c), float(d)]
                 for a, b, c, d in zip(traj.t, traj.mu, traj.p, traj.work)])
-    costs = erasure.erasure_costs(sys_, cfg, mad_check=False)
+    costs = erasure.erasure_costs(sys_, mad_check=False)
     optimum = costs.w_zero if target == "zero" else costs.w_one
     print(f"total_work_ueV: {_fmt(traj.total_work)}")
     print(f"final_occupation: {_fmt(traj.final_occupation)}")
@@ -363,9 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_env()
         if args.command == "analyze":
-            report = analyze(load_config(args.config), tuple(args.eta), cfg)
+            report = analyze(load_config(args.config), tuple(args.eta))
             _print_report(report)
             failed = _failed_checks(report)
             for line in failed:
@@ -373,13 +357,13 @@ def main(argv: list[str] | None = None) -> int:
             return 1 if failed else 0
         elif args.command == "sweep":
             sweep(load_config(args.config), args.bias_max, args.width_max,
-                  args.points, args.out, cfg)
+                  args.points, args.out)
         elif args.command == "occupation":
             occupation_curve(load_config(args.config), args.mu_min,
-                             args.mu_max, args.points, args.out, cfg)
+                             args.mu_max, args.points, args.out)
         elif args.command == "protocol":
             run_protocol(load_config(args.config), args.target,
-                         args.duration, args.out, cfg)
+                         args.duration, args.out)
         elif args.command == "lemmas":
             ok, lines = run_lemma_suite(args.trials, args.seed)
             print("\n".join(lines))

@@ -7,17 +7,19 @@ leads' smoothed occupations. Lead i contributes
 
 with Y logistic of scale kT_i (the Fermi function is its upper tail) and K
 the cdf of the broadening kernel of width w; -dp_i/dmu is the same
-expectation of the kernel pdf. The expectation runs over s = Y/kT on fixed
-10-node Gauss-Legendre panels of width 2 covering |s| <= 40 (the logistic
-mass beyond is 4e-18). When the kernel is narrower than 2 kT its transition
-is sharper than a panel, so the panels next to the kernel centre
-s* = (mu - mu_i)/kT are replaced by panels graded geometrically down to the
-kernel width. T = 0 leads (p_i = K((mu_i - mu)/w)) and the delta kernel
-(p_i = Fermi function) are closed forms, evaluated with the ``math`` module
-for a float level. Every routine accepts a float level or an array of
-levels; node matrices are built in blocks of at most about 128 kB. The level
-where p crosses a target (1/2 for mu_1/2, eta for eta-erasure) is one
-safeguarded Newton solve on the same nodes.
+expectation of the kernel pdf. Each lead is evaluated in its own offset
+d = mu - mu_i; a caller that integrates over one lead passes d directly,
+so a lead whose kT is many decades below |mu_i| keeps its resolution. The
+expectation runs over s = Y/kT on fixed 10-node Gauss-Legendre panels of
+width 2 covering |s| <= 40 (the logistic mass beyond is 4e-18). When the
+kernel is narrower than 2 kT its transition is sharper than a panel, so the
+panels next to the kernel centre s* = d/kT are replaced by panels graded
+geometrically down to the kernel width. T = 0 leads (p_i = K(-d/w)) and
+the delta kernel (p_i = Fermi function) are closed forms, evaluated with
+the ``math`` module for a float level. Every routine accepts a float level
+or an array of levels; node matrices are built in blocks of at most about
+128 kB. The level where p crosses a target (1/2 for mu_1/2, eta for
+eta-erasure) is one safeguarded Newton solve on the same nodes.
 
 The integrals of p above a level and of 1 - p below it, which are the
 quasistatic erasure works, split into the unbroadened softplus closed forms
@@ -34,11 +36,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import BroadeningKernel, Delta
-from .leads import (LeadParams, fermi_derivative_density, fermi_occupation,
-                    occupied_weight_above, vacancy_weight_below)
-from .numerics import (DEFAULT_CONFIG, TAIL_CUTOFF_GAUSSIAN, NonConvergence,
-                       NumericsConfig, integrate)
+from .kernels import BroadeningKernel
+from .leads import (LeadParams, fermi_occupation, occupied_weight_above,
+                    vacancy_weight_below)
+from .numerics import TAIL_CUTOFF_GAUSSIAN, NonConvergence, integrate
 
 LEVEL_TOL = 1e-12  # |p - target| at which occupation_level stops
 
@@ -104,7 +105,7 @@ def dominant_scale(sys: DotSystem) -> float:
 
 def is_atomic(sys: DotSystem) -> bool:
     """True when the occupation is a pure double step (both T = 0, no kernel)."""
-    return (isinstance(sys.kernel, Delta)
+    return (sys.kernel.width == 0.0
             and sys.source.thermal_energy == 0.0
             and sys.drain.thermal_energy == 0.0)
 
@@ -178,32 +179,32 @@ def _lead_block(d: np.ndarray, kt: float, kernel: BroadeningKernel,
     return [(getattr(kernel, name)(xs) * weights).sum(axis=1) for name in names]
 
 
-def _lead_values(mu, lead: LeadParams, kernel: BroadeningKernel,
+def _lead_values(d, kt: float, kernel: BroadeningKernel,
                  names: tuple[str, ...]) -> list:
-    """[E_Y[kernel.<name>(Y - (mu - mu_lead))] for each name in names].
+    """[E_Y[kernel.<name>(Y - d)] for name in names], Y logistic of scale kt.
 
-    ``names`` are kernel method names, "cdf" for the lead's smoothed
-    occupation and "pdf" for its -d/dmu. ``mu`` is a float (floats are
-    returned) or a 1-D array.
+    ``d`` is the lead-local offset mu - mu_lead, a float (floats are
+    returned) or a 1-D array. ``names`` are kernel method names, "cdf" for
+    the lead's smoothed occupation and "pdf" for its -d/dmu.
     """
-    kt = lead.thermal_energy
-    scalar = isinstance(mu, float)
+    scalar = isinstance(d, float)
     if kt == 0.0:
-        if isinstance(kernel, Delta):
+        if kernel.width == 0.0:
             # an atom: step occupation, no density away from mu_lead
-            return [kernel.cdf(lead.chemical_potential - mu) if n == "cdf"
-                    else 0.0 * mu for n in names]
-        return [getattr(kernel, n)(lead.chemical_potential - mu)
-                for n in names]
-    if isinstance(kernel, Delta):
+            return [kernel.cdf(-d) if n == "cdf" else 0.0 * d for n in names]
+        return [getattr(kernel, n)(-d) for n in names]
+    if kernel.width == 0.0:
+        # the Fermi function and its density; exp of -|x| only
+        x = d / kt
         if scalar:
-            return [fermi_occupation(mu, lead) if n == "cdf"
-                    else fermi_derivative_density(mu, lead) for n in names]
-        x = (mu - lead.chemical_potential) / kt
-        e = np.exp(-np.abs(x))
-        return [np.where(x >= 0.0, e, 1.0) / (1.0 + e) if n == "cdf"
-                else e / (kt * (1.0 + e) ** 2) for n in names]
-    d = np.atleast_1d(mu - lead.chemical_potential)
+            e = math.exp(-abs(x))
+            up = e if x >= 0.0 else 1.0
+        else:
+            e = np.exp(-np.abs(x))
+            up = np.where(x >= 0.0, e, 1.0)
+        return [up / (1.0 + e) if n == "cdf" else e / (kt * (1.0 + e) ** 2)
+                for n in names]
+    d = np.atleast_1d(d)
     levels = _grading_levels(kernel.width / kt)
     nodes = _S.size + (2 * _GL_X.size * (levels + 1) if levels else 0)
     rows = max(1, _BLOCK_ELEMENTS // nodes)
@@ -222,22 +223,21 @@ def _combined(mu, sys: DotSystem, names: tuple[str, ...]) -> list:
         shape, mu = mu.shape, mu.ravel()
     totals = [0.0] * len(names)
     for gamma, lead in sys.weighted_leads():
-        for i, v in enumerate(_lead_values(mu, lead, sys.kernel, names)):
+        d = mu - lead.chemical_potential
+        for i, v in enumerate(_lead_values(d, lead.thermal_energy, sys.kernel,
+                                           names)):
             totals[i] = totals[i] + gamma * v
     if shape is not None:
         totals = [np.reshape(t, shape) for t in totals]
     return totals
 
 
-def occupation(mu, sys: DotSystem, cfg: NumericsConfig = DEFAULT_CONFIG):
+def occupation(mu, sys: DotSystem, _unread=None):
     """Broadened steady-state occupation p(mu) for a float or an array of mu.
 
-    ``cfg`` is accepted for a uniform call signature; the fixed panel rule
-    does not depend on it.
+    A third positional argument is accepted and not read: the fixed panel
+    rule has no tolerance to set.
     """
-    if isinstance(mu, float) and isinstance(sys.kernel, Delta):
-        # the hot path of Delta-kernel ramps, which call this once per step
-        return unbroadened_occupation(mu, sys)
     (p,) = _combined(mu, sys, ("cdf",))
     # the rule's roundoff can overshoot the probability range by ~1e-16
     if isinstance(p, float):
@@ -245,8 +245,7 @@ def occupation(mu, sys: DotSystem, cfg: NumericsConfig = DEFAULT_CONFIG):
     return np.clip(p, 0.0, 1.0)
 
 
-def occupation_derivative_density(mu, sys: DotSystem,
-                                  cfg: NumericsConfig = DEFAULT_CONFIG):
+def occupation_derivative_density(mu, sys: DotSystem):
     """-dp/dmu for a float or an array of mu: the kernel-pdf expectation.
 
     A T = 0 lead without broadening contributes an atom; its density part is
@@ -291,14 +290,12 @@ def occupation_level(sys: DotSystem, target: float, lo: float, hi: float,
     raise NonConvergence(f"level with p = {target} did not converge near {mu}")
 
 
-def half_occupation_level(sys: DotSystem,
-                          cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
+def half_occupation_level(sys: DotSystem) -> float:
     """The gate level mu_1/2 with p(mu_1/2) = 1/2, by occupation_level.
 
-    ``cfg`` is accepted for a uniform call signature; the solve does not
-    depend on it. For the all-atomic device this is the median of the
-    two-atom distribution; the degenerate gamma_S = 1/2 case has a whole
-    plateau at p = 1/2 and the midpoint is returned with a warning.
+    For the all-atomic device this is the median of the two-atom
+    distribution; the degenerate gamma_S = 1/2 case has a whole plateau at
+    p = 1/2 and the midpoint is returned with a warning.
     """
     mu_s = sys.source.chemical_potential
     mu_d = sys.drain.chemical_potential
@@ -320,8 +317,7 @@ def half_occupation_level(sys: DotSystem,
 
 # -- integrals of the occupation ----------------------------------------------
 
-def _broadening_excess(c: float, kt: float, kernel: BroadeningKernel,
-                       cfg: NumericsConfig) -> float:
+def _broadening_excess(c: float, kt: float, kernel: BroadeningKernel) -> float:
     """E_Y[E_U[(U - |c + Y|)^+]]: U the kernel, Y logistic of scale kT.
 
     What broadening adds to both integrals of occupation_tail_integrals for
@@ -331,7 +327,7 @@ def _broadening_excess(c: float, kt: float, kernel: BroadeningKernel,
     if kt == 0.0:
         return kernel.partial_expectation(abs(c))
     w = kernel.width
-    if w == 0.0 or math.isinf(kernel.partial_expectation(0.0)):
+    if w == 0.0 or math.isinf(kernel.mad):
         return kernel.partial_expectation(0.0)
     s_star = -c / kt
     reach = TAIL_CUTOFF_GAUSSIAN * w / kt
@@ -343,12 +339,11 @@ def _broadening_excess(c: float, kt: float, kernel: BroadeningKernel,
     def f(s):
         e = math.exp(-abs(s))
         return e / (1.0 + e) ** 2 * kernel.partial_expectation(abs(c + kt * s))
-    return integrate(f, lo, hi, cfg, breakpoints=[s_star, 0.0]).value
+    return integrate(f, lo, hi, breakpoints=[s_star, 0.0]).value
 
 
-def occupation_tail_integrals(mu: float, sys: DotSystem,
-                              cfg: NumericsConfig = DEFAULT_CONFIG
-                              ) -> tuple[float, float]:
+def occupation_tail_integrals(mu: float,
+                              sys: DotSystem) -> tuple[float, float]:
     """(integral of p over [mu, inf), integral of 1 - p over (-inf, mu]).
 
     Per lead these are kT*softplus(+-(mu_lead - mu)/kT) (exact ramps at
@@ -360,7 +355,7 @@ def occupation_tail_integrals(mu: float, sys: DotSystem,
         if gamma == 0.0:
             continue
         excess = _broadening_excess(lead.chemical_potential - mu,
-                                    lead.thermal_energy, sys.kernel, cfg)
+                                    lead.thermal_energy, sys.kernel)
         above += gamma * (occupied_weight_above(mu, lead) + excess)
         below += gamma * (vacancy_weight_below(mu, lead) + excess)
     return above, below

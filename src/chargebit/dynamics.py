@@ -27,8 +27,6 @@ import numpy as np
 
 from .dot_model import (DotSystem, _combined, dominant_scale,
                         half_occupation_level, occupation)
-from .kernels import Delta
-from .numerics import DEFAULT_CONFIG, NumericsConfig
 
 LINEAR = "linear"
 INSTANTANEOUS = "instantaneous"
@@ -85,12 +83,13 @@ class Trajectory:
 
 
 def simulate(sys: DotSystem, sched: ProtocolSchedule,
-             dt_max: float) -> Trajectory:
+             dt_max: float = math.inf) -> Trajectory:
     """Integrate the relaxation equation through a schedule, tracking work.
 
-    Each linear ramp is sampled at 201 equal times. ``dt_max`` is the
-    longest step of a ramp's p_ss table; the integration itself is exact
-    for the table's interpolant, so it sets no stability limit.
+    Each linear ramp is sampled at 201 equal times. ``dt_max`` caps the
+    steps of a ramp's p_ss table, which the table's own accuracy test
+    refines anyway; the integration is exact for the table's interpolant,
+    so it sets no stability limit.
     """
     if not dt_max > 0:
         raise ValueError("dt_max must be positive")
@@ -174,7 +173,7 @@ def _ramp_table(sys: DotSystem, seg: Segment, rate: float, t_out: np.ndarray,
     atoms = np.array([lead.chemical_potential
                       for _, lead in sys.weighted_leads()
                       if lead.thermal_energy == 0.0 and rate != 0.0
-                      and isinstance(sys.kernel, Delta)])
+                      and sys.kernel.width == 0.0])
     t_atoms = (atoms - seg.mu_start) / rate
     inside = (t_atoms >= 0.0) & (t_atoms <= seg.duration)
     atoms, t_atoms = atoms[inside], t_atoms[inside]
@@ -255,8 +254,7 @@ def _phi(x: np.ndarray) -> list[np.ndarray]:
 
 def make_erasure_schedule(sys: DotSystem, target: Literal["zero", "one"],
                           ramp_duration: float,
-                          cutoff_multiplier: float = 40.0,
-                          cfg: NumericsConfig = DEFAULT_CONFIG) -> ProtocolSchedule:
+                          cutoff_multiplier: float = 40.0) -> ProtocolSchedule:
     """Ramp away from mu_half past the far electrode, then quench back.
 
     The turning point sits ``cutoff_multiplier`` smoothing scales beyond the
@@ -264,7 +262,7 @@ def make_erasure_schedule(sys: DotSystem, target: Literal["zero", "one"],
     """
     if ramp_duration < 0:
         raise ValueError("ramp_duration must be non-negative")
-    mu_half = half_occupation_level(sys, cfg)
+    mu_half = half_occupation_level(sys)
     scale = dominant_scale(sys)
     if target == "zero":
         mu_far = max(sys.source.chemical_potential, mu_half) \
@@ -288,9 +286,8 @@ class ReversibilityReport:
 
 
 def reversibility_check(sys: DotSystem, ramp_duration: float,
-                        cutoff_multiplier: float = 40.0,
-                        dt_max: float | None = None,
-                        cfg: NumericsConfig = DEFAULT_CONFIG) -> ReversibilityReport:
+                        cutoff_multiplier: float = 40.0
+                        ) -> ReversibilityReport:
     """Erasure to zero followed immediately by its time-reverse.
 
     Net work tends to zero and the final occupation returns to 1/2 as the
@@ -298,14 +295,12 @@ def reversibility_check(sys: DotSystem, ramp_duration: float,
     the round trip.
     """
     forward = make_erasure_schedule(sys, "zero", ramp_duration,
-                                    cutoff_multiplier, cfg)
+                                    cutoff_multiplier)
     up, down = forward.segments
     reverse = (Segment(down.mu_end, down.mu_start, 0.0, INSTANTANEOUS),
                Segment(up.mu_end, up.mu_start, ramp_duration,
                        LINEAR if ramp_duration > 0 else INSTANTANEOUS))
     sched = ProtocolSchedule(forward.segments + reverse, STEADY_STATE)
-    if dt_max is None:
-        dt_max = 0.05 / sys.rates.total
-    traj = simulate(sys, sched, dt_max)
+    traj = simulate(sys, sched)
     return ReversibilityReport(traj.total_work,
                                abs(traj.final_occupation - 0.5))

@@ -6,11 +6,15 @@ lead they are the unbroadened softplus closed forms (exact ramps at T = 0)
 plus a common broadening excess, one adaptive integral of the kernel's
 closed-form partial expectation (see ``dot_model.occupation_tail_integrals``).
 The Lorentzian kernel makes both diverge and is reported as such;
-eta-erasure is the supported finite-cost alternative. The mean-absolute-
-deviation form of the average cost and eta-erasure integrate the
-fixed-panel occupation and its derivative with adaptive quadrature;
-eta-erasure finds its level with the solver of mu_1/2,
-``dot_model.occupation_level``.
+eta-erasure is the supported finite-cost alternative.
+
+The mean-absolute-deviation form of the average cost is the independent
+cross-check of W-bar: one adaptive integral per lead of |mu - mu_1/2| times
+that lead's fixed-panel -dp_i/dmu, taken in the lead's own offset
+mu - mu_i over its peak (45 kT_i plus 12 kernel widths each side), with the
+cusp and the lead's centre as breakpoints. eta-erasure integrates the
+fixed-panel occupation with adaptive quadrature and finds its level with
+the solver of mu_1/2, ``dot_model.occupation_level``.
 """
 
 from __future__ import annotations
@@ -18,13 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dot_model import (DotSystem, dominant_scale, half_occupation_level,
-                        occupation, occupation_derivative_density,
-                        occupation_level, occupation_tail_integrals)
-from .kernels import Delta, Lorentzian, kernel_mad
-from .leads import fermi_derivative_density
-from .numerics import (DEFAULT_CONFIG, TAIL_CUTOFF_EXPONENTIAL,
-                       TAIL_CUTOFF_GAUSSIAN, NumericsConfig, integrate)
+from .dot_model import (DotSystem, _lead_values, dominant_scale,
+                        half_occupation_level, occupation, occupation_level,
+                        occupation_tail_integrals)
+from .numerics import (TAIL_CUTOFF_EXPONENTIAL, TAIL_CUTOFF_GAUSSIAN,
+                       integrate)
 
 
 class DivergentInput(ValueError):
@@ -64,73 +66,51 @@ def energy_scales(sys: DotSystem) -> EnergyScales:
     e_therm = math.log(2.0) * (g_s * sys.source.thermal_energy
                                + g_d * sys.drain.thermal_energy)
     e_bias = 0.5 * min(g_s, g_d) * sys.bias
-    e_broad = 0.5 * kernel_mad(sys.kernel)
+    e_broad = 0.5 * sys.kernel.mad
     return EnergyScales(e_therm, e_bias, e_broad)
 
 
-def absolute_deviation_integral(sys: DotSystem, point: float,
-                                cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
-    """integral of |mu - point| * p'(mu) dmu, by direct quadrature over mu.
+def absolute_deviation_integral(sys: DotSystem, point: float) -> float:
+    """integral of |mu - point| * (-dp/dmu) dmu, lead by lead.
 
-    Independent of the softplus route used for W0/W1: the integrand is the
-    derivative-density cross-correlation evaluated pointwise.
+    Independent of the softplus route used for W0/W1: the integrand is each
+    lead's -dp_i/dmu evaluated pointwise. Lead i is integrated in its own
+    offset x = mu - mu_i over the support of its peak, where the weight is
+    |x + mu_i - point|; a T = 0 lead without broadening is an atom at mu_i.
     """
-    if isinstance(sys.kernel, Lorentzian):
+    kernel = sys.kernel
+    if math.isinf(kernel.mad):
         return math.inf
-    if isinstance(sys.kernel, Delta):
-        # atoms from T = 0 leads contribute exactly; thermal leads by quadrature
-        total = 0.0
-        for gamma, lead in sys.weighted_leads():
-            if lead.thermal_energy == 0.0:
-                total += gamma * abs(lead.chemical_potential - point)
-            else:
-                kt = lead.thermal_energy
-                reach = TAIL_CUTOFF_EXPONENTIAL * kt
-                lo = min(lead.chemical_potential, point) - reach
-                hi = max(lead.chemical_potential, point) + reach
-                f = lambda mu: (abs(mu - point)
-                                * fermi_derivative_density(mu, lead))
-                # bracket the thermal peak so it cannot hide between nodes
-                # when the interval is much wider than kT
-                total += gamma * integrate(
-                    f, lo, hi, cfg,
-                    breakpoints=[point, lead.chemical_potential,
-                                 lead.chemical_potential - reach,
-                                 lead.chemical_potential + reach]).value
-        return total
-    kt_max = max(sys.source.thermal_energy, sys.drain.thermal_energy)
-    sigma = sys.kernel.width
-    reach = TAIL_CUTOFF_EXPONENTIAL * kt_max + TAIL_CUTOFF_GAUSSIAN * sigma
-    lo = min(sys.drain.chemical_potential, point) - reach
-    hi = max(sys.source.chemical_potential, point) + reach
-    f = lambda mu: abs(mu - point) * occupation_derivative_density(mu, sys, cfg)
-    pts = [point]
-    for lead in (sys.source, sys.drain):
-        # each lead's smoothed peak has width ~ max(kT, sigma); bracket it
-        half_width = (TAIL_CUTOFF_EXPONENTIAL * lead.thermal_energy
-                      + TAIL_CUTOFF_GAUSSIAN * sigma)
-        pts.extend([lead.chemical_potential,
-                    lead.chemical_potential - half_width,
-                    lead.chemical_potential + half_width])
-    return integrate(f, lo, hi, cfg, breakpoints=pts).value
+    total = 0.0
+    for gamma, lead in sys.weighted_leads():
+        kt = lead.thermal_energy
+        c = lead.chemical_potential - point
+        if kt == 0.0 and kernel.width == 0.0:
+            total += gamma * abs(c)
+            continue
+        reach = (TAIL_CUTOFF_EXPONENTIAL * kt
+                 + TAIL_CUTOFF_GAUSSIAN * kernel.width)
+        f = lambda x: abs(x + c) * _lead_values(x, kt, kernel, ("pdf",))[0]
+        total += gamma * integrate(f, -reach, reach,
+                                   breakpoints=[-c, 0.0]).value
+    return total
 
 
-def erasure_costs(sys: DotSystem, cfg: NumericsConfig = DEFAULT_CONFIG,
-                  mad_check: bool = True) -> ErasureCosts:
+def erasure_costs(sys: DotSystem, mad_check: bool = True) -> ErasureCosts:
     """W0, W1 and their average for optimal (quasistatic) erasure.
 
     With ``mad_check`` the mean-absolute-deviation form of the average cost
     is also integrated directly and the discrepancy recorded; disable it in
     large parameter sweeps where only w_bar is needed.
     """
-    mu_half = half_occupation_level(sys, cfg)
-    w0, w1 = occupation_tail_integrals(mu_half, sys, cfg)
+    mu_half = half_occupation_level(sys)
+    w0, w1 = occupation_tail_integrals(mu_half, sys)
     w_bar = 0.5 * (w0 + w1)
     if math.isinf(w_bar):
         return ErasureCosts(w0, w1, w_bar, mu_half, True)
     discrepancy = None
     if mad_check:
-        mad = absolute_deviation_integral(sys, mu_half, cfg)
+        mad = absolute_deviation_integral(sys, mu_half)
         discrepancy = abs(w_bar - 0.5 * mad)
     return ErasureCosts(w0, w1, w_bar, mu_half, False, discrepancy)
 
@@ -154,8 +134,7 @@ def _lorentzian_eta_closed_form(scale: float, eta: float) -> float:
     return scale / (2.0 * math.pi) * math.log(sec * sec)
 
 
-def eta_erasure_work(sys: DotSystem, eta: float,
-                     cfg: NumericsConfig = DEFAULT_CONFIG) -> float:
+def eta_erasure_work(sys: DotSystem, eta: float) -> float:
     """Work to drive the occupation from 1/2 down to eta and reset the level.
 
     W = integral of p over [mu_half, mu_eta] minus (mu_eta - mu_half) times
@@ -168,23 +147,22 @@ def eta_erasure_work(sys: DotSystem, eta: float,
     """
     if not 0.0 < eta < 0.5:
         raise ValueError(f"eta must lie strictly in (0, 1/2), got {eta}")
-    mu_half = half_occupation_level(sys, cfg)
+    mu_half = half_occupation_level(sys)
     scale = dominant_scale(sys)
     hi = sys.source.chemical_potential + 60.0 * scale
-    while occupation(hi, sys, cfg) > eta:
+    while occupation(hi, sys) > eta:
         hi = mu_half + 2.0 * (hi - mu_half)
     mu_eta = occupation_level(sys, eta, mu_half, hi, mu_half)
     if mu_eta <= mu_half:
         return 0.0
-    raise_work = integrate(lambda mu: occupation(mu, sys, cfg),
-                           mu_half, mu_eta, cfg,
+    raise_work = integrate(lambda mu: occupation(mu, sys), mu_half, mu_eta,
                            breakpoints=[sys.source.chemical_potential]).value
-    reached = occupation(math.nextafter(mu_eta, math.inf), sys, cfg)
+    reached = occupation(math.nextafter(mu_eta, math.inf), sys)
     work = raise_work - (mu_eta - mu_half) * reached
-    if (isinstance(sys.kernel, Lorentzian) and sys.bias == 0.0
+    if (math.isinf(sys.kernel.mad) and sys.bias == 0.0
             and sys.source.thermal_energy == 0.0
             and sys.drain.thermal_energy == 0.0):
-        exact = _lorentzian_eta_closed_form(sys.kernel.scale, eta)
+        exact = _lorentzian_eta_closed_form(sys.kernel.width, eta)
         if abs(work - exact) > 1e-8 * max(abs(exact), 1e-300):
             raise ArithmeticError(
                 f"eta-erasure routes disagree: numeric {work}, exact {exact}")

@@ -7,7 +7,9 @@ deviation and the Lorentzian's half-width both equal that energy.
 Each kernel is a small frozen dataclass whose ``cdf``, ``pdf`` and
 ``partial_expectation`` methods take an energy offset that is either a float
 (evaluated with the ``math`` module, returning a float) or a numpy array
-(evaluated elementwise, returning an array of the same shape).
+(evaluated elementwise, returning an array of the same shape). Code outside
+this module reads a kernel's data, not its type: ``width == 0`` is no
+broadening and an infinite ``mad`` is a kernel without a mean.
 """
 
 from __future__ import annotations
@@ -70,9 +72,13 @@ class Gaussian:
         return ndtr(x / self.sigma)
 
     def pdf(self, x):
-        z = x / self.sigma
-        exp = math.exp if isinstance(x, float) else np.exp
-        return exp(-0.5 * z * z) / (self.sigma * _SQRT2PI)
+        if isinstance(x, float):
+            z = x / self.sigma
+            return math.exp(-0.5 * z * z) / (self.sigma * _SQRT2PI)
+        # |z| capped at 40, where the density has underflowed to 0 already,
+        # so that z*z cannot overflow
+        z = np.minimum(np.abs(x), 40.0 * self.sigma) / self.sigma
+        return np.exp(-0.5 * z * z) / (self.sigma * _SQRT2PI)
 
     def partial_expectation(self, a):
         """E[(X - a)^+] = sigma*(phi(z) - z*Phi(-z)), z = a/sigma, for a >= 0."""

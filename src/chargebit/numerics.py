@@ -1,7 +1,8 @@
-"""Adaptive quadrature and the tolerances its callers share.
+"""Adaptive quadrature at one fixed tolerance.
 
-Everything here is a pure function of its arguments; tolerances travel in a
-:class:`NumericsConfig` so callers can tighten or relax them uniformly.
+``integrate`` runs QUADPACK at the tolerances of ``DEFAULT_CONFIG``; no
+caller sets others. :class:`NumericsConfig` is the record of those
+tolerances, and building one validates its fields.
 """
 
 from __future__ import annotations
@@ -45,13 +46,13 @@ class QuadResult(NamedTuple):
 
 
 def integrate(f: Callable[[float], float], a: float, b: float,
-              cfg: NumericsConfig = DEFAULT_CONFIG,
               breakpoints: Sequence[float] = ()) -> QuadResult:
     """Adaptive quadrature of f over [a, b].
 
     ``breakpoints`` marks known kinks or near-discontinuities; intervals are
     pre-split there so the subdivision budget is spent where it matters.
     """
+    cfg = DEFAULT_CONFIG
     if not a < b:
         raise ValueError(f"integration interval is empty: [{a}, {b}]")
     # merge breakpoints that are (nearly) coincident with each other or the

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chargebit import erasure
 from chargebit.cli import (DeviceSpec, ParseError, ValidationError,
                            _failed_checks, analyze, build_system, load_config,
                            main, occupation_curve, parse_number,
@@ -262,11 +263,25 @@ class TestMainExitCodes:
         assert "machine-readable:" in out
         assert "check failed" not in err
 
-    def test_analyze_mad_cross_check_failure_exits_1(self, tmp_path, capsys):
-        # an integration window ~1e300 wide misses both peaks of the density
+    @pytest.mark.filterwarnings("error")
+    def test_huge_bias_passes_mad_check_silently(self, tmp_path, capsys):
+        # each lead's peak is integrated in its own offset, so a bias of
+        # 1e300 hides neither peak, and nothing overflows on the way
         path = tmp_path / "huge.cfg"
         path.write_text(DEVICE1.replace("bias        = 200", "bias = 1e300"))
-        assert main(["analyze", "--config", str(path)]) == 1
+        assert main(["analyze", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        report = dict(line.split(": ", 1) for line in
+                      out.split("machine-readable:\n")[1].splitlines())
+        gap = float(report["mad_form_discrepancy_ueV"])
+        assert gap <= 1e-8 * (1.0 + float(report["w_bar_ueV"]))
+
+    def test_analyze_mad_cross_check_failure_exits_1(self, device1_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.setattr(erasure, "absolute_deviation_integral",
+                            lambda sys_, point: 0.0)
+        assert main(["analyze", "--config", device1_path]) == 1
         out, err = capsys.readouterr()
         assert "machine-readable:" in out
         assert "check failed: mad_form_discrepancy_ueV" in err
@@ -306,8 +321,3 @@ class TestMainExitCodes:
                                   else line for line in DEVICE1.splitlines()))
         assert main(["analyze", "--config", str(path)]) == 2
         assert f"{field}: must be finite" in capsys.readouterr().err
-
-    def test_env_var_overrides_tolerance(self, device1_path, monkeypatch,
-                                         capsys):
-        monkeypatch.setenv("ERASURE_NUMERICS_RTOL", "1e-8")
-        assert main(["analyze", "--config", device1_path]) == 0

@@ -51,13 +51,13 @@ class TestSimulate:
     def test_dt_max_only_refines_the_table(self, kernel):
         sys_ = make_system(1.0, 0.9, 5.0, 0.4, kernel)
         sched = make_erasure_schedule(sys_, "zero", 10.0)
-        coarse = simulate(sys_, sched, 0.5)
         fine = simulate(sys_, sched, 0.05)
         span = sched.segments[0].mu_end - sched.segments[0].mu_start
-        assert abs(coarse.total_work - fine.total_work) <= 1e-10 * span
-        assert coarse.final_occupation == pytest.approx(
-            fine.final_occupation, abs=1e-11)
-        assert len(coarse.t) == len(fine.t) == 201
+        for coarse in (simulate(sys_, sched, 0.5), simulate(sys_, sched)):
+            assert abs(coarse.total_work - fine.total_work) <= 1e-10 * span
+            assert coarse.final_occupation == pytest.approx(
+                fine.final_occupation, abs=1e-11)
+            assert len(coarse.t) == len(fine.t) == 201
 
     def test_constant_level_exponential_relaxation(self):
         sched = ProtocolSchedule((Segment(3.0, 3.0, 6.0),),

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargebit import (DotSystem, LeadParams, TunnelRates, check_bound,
                        energy_scales, erasure_costs, eta_erasure_work)
@@ -206,3 +208,52 @@ class TestAbsoluteDeviationIntegral:
                 continue
             assert absolute_deviation_integral(
                 sys_, costs.mu_half + off) >= base - 1e-9
+
+
+def _mad_gap(sys_):
+    """(|W-bar - MAD/2|, the analyze gate's allowance 1e-8 (1 + W-bar))."""
+    costs = erasure_costs(sys_)
+    return costs.mad_discrepancy, 1e-8 * (1.0 + costs.w_bar)
+
+
+_TWELVE_DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+class TestMadGateTwelveDecades:
+    """W-bar = MAD/2 to the analyze gate when scales span 12 decades.
+
+    A lead with kT many decades below its chemical potential is a peak
+    narrower than the doubles around it resolve in absolute mu; the
+    cross-check integrates each lead in its own offset instead.
+    """
+
+    # draws (seed-index) from the 12-decade corpora of default_rng(1) and
+    # default_rng(2); integrating in absolute mu gave gaps of up to 1.0e-7
+    # of 1 + W-bar on them, or raised NonConvergence (seed2-16)
+    @pytest.mark.parametrize("kt_s, kt_d, bias, gamma_s", [
+        pytest.param(0.00034417662690987744, 4.506852141397688e-05,
+                     638262.2388645308, 0.37925917626246536, id="seed1-64"),
+        pytest.param(5.6481510548966954e-06, 0.02880426403485985,
+                     23323.71882040422, 0.3405148457619577, id="seed1-196"),
+        pytest.param(3.192577648770438e-06, 0.003579315634261619,
+                     133660.54413668695, 0.06154798417734943, id="seed2-16"),
+        pytest.param(1.8264270751876102e-06, 0.007396357630639522,
+                     2232.3702878743256, 0.363955780819548, id="seed2-54"),
+        pytest.param(3.0330557844269024e-06, 1.528722459859863e-06,
+                     50431.01519712513, 0.20892665913923997, id="seed2-94"),
+    ])
+    def test_delta_devices(self, kt_s, kt_d, bias, gamma_s):
+        gap, allowed = _mad_gap(make_system(kt_s, kt_d, bias, gamma_s))
+        assert gap <= allowed
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(kt_s=st.just(0.0) | _TWELVE_DECADES,
+           kt_d=st.just(0.0) | _TWELVE_DECADES, bias=_TWELVE_DECADES,
+           sigma=_TWELVE_DECADES, gamma_s=st.floats(0.05, 0.95),
+           gaussian=st.booleans())
+    def test_property(self, kt_s, kt_d, bias, sigma, gamma_s, gaussian):
+        sys_ = make_system(kt_s, kt_d, bias, gamma_s,
+                           Gaussian(sigma) if gaussian else Delta())
+        gap, allowed = _mad_gap(sys_)
+        assert gap <= allowed

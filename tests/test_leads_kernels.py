@@ -101,6 +101,15 @@ class TestKernelDensity:
         assert Gaussian(2.0).pdf(2.0) == pytest.approx(
             0.1209854, abs=1e-7)
 
+    @pytest.mark.filterwarnings("error")
+    def test_gaussian_array_far_tail_is_zero_without_overflow(self):
+        g = Gaussian(0.3)
+        x = np.array([-1e300, -12.0, -0.7, 0.0, 0.25, 11.9, 1e300])
+        dens = g.pdf(x)
+        assert dens[0] == dens[-1] == 0.0
+        for xi, di in zip(x[1:-1], dens[1:-1]):
+            assert di == pytest.approx(g.pdf(float(xi)), rel=1e-15)
+
     def test_delta_has_no_density(self):
         with pytest.raises(DeltaKernelError):
             Delta().pdf(0.0)
