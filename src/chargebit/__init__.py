@@ -18,7 +18,7 @@ from .erasure import (BoundReport, DivergentInput, EnergyScales, ErasureCosts,
                       eta_erasure_work)
 from .kernels import (BroadeningKernel, Delta, DeltaKernelError, Gaussian,
                       Lorentzian, kernel_mad)
-from .leads import LeadParams, ZeroTemperature, fermi_derivative_density, fermi_occupation
+from .leads import LeadParams
 from .madgrid import (GridPdf, LemmaReport, grid_cross_correlate, grid_mad,
                       grid_median, verify_lemma1, verify_lemma2)
 from .numerics import NonConvergence, NumericsConfig, integrate

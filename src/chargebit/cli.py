@@ -135,8 +135,8 @@ def build_system(spec: DeviceSpec, bias_uev: float | None = None,
         kernel=kernel)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _fmt(x) -> str:
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def analyze(spec: DeviceSpec, etas: tuple[float, ...] = ()) -> dict:
@@ -206,21 +206,18 @@ def _print_report(report: dict) -> None:
     print("device analysis")
     print("-" * (width + 26))
     for key, val in report.items():
-        shown = _fmt(val) if isinstance(val, float) else str(val)
-        print(f"{key:<{width}}  {shown}")
+        print(f"{key:<{width}}  {_fmt(val)}")
     print()
     print("machine-readable:")
     for key, val in report.items():
-        shown = _fmt(val) if isinstance(val, float) else str(val)
-        print(f"{key}: {shown}")
+        print(f"{key}: {_fmt(val)}")
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def sweep(spec: DeviceSpec, bias_max: float, width_max: float, points: int,
@@ -253,8 +250,8 @@ def occupation_curve(spec: DeviceSpec, mu_min: float, mu_max: float,
         raise ValidationError("points", "need at least 2")
     sys_ = build_system(spec)
     mus = np.linspace(mu_min, mu_max, points)
-    rows = [[float(mu), unbroadened_occupation(float(mu), sys_), float(p)]
-            for mu, p in zip(mus, occupation(mus, sys_))]
+    rows = [[float(mu), float(u), float(p)] for mu, u, p in
+            zip(mus, unbroadened_occupation(mus, sys_), occupation(mus, sys_))]
     _write_csv(out, ["mu", "p_unbroadened", "p_broadened"], rows)
 
 

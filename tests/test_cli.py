@@ -209,6 +209,23 @@ class TestOccupationCurve:
                              - rows["p_broadened"])) < 1e-12
 
 
+    def test_unbroadened_column_with_cold_lead(self, tmp_path):
+        # a T = 0 source at mu = 5 on the grid: its step is exactly 1/2 there
+        spec = DeviceSpec(temperature_source=0.0, temperature_drain=0.1,
+                          bias=5.0, rate_source=1e9, rate_drain=3e9,
+                          kernel="gaussian")
+        out = tmp_path / "occ.csv"
+        occupation_curve(spec, 0.0, 10.0, 11, str(out))
+        rows = np.genfromtxt(out, delimiter=",", names=True)
+        g_s, kt_d = 0.25, thermal_energy_uev(0.1)
+        for mu, p in zip(rows["mu"], rows["p_unbroadened"]):
+            f_s = 1.0 if mu < 5.0 else 0.5 if mu == 5.0 else 0.0
+            f_d = 1.0 / (1.0 + math.exp(mu / kt_d))
+            assert p == pytest.approx(g_s * f_s + (1.0 - g_s) * f_d,
+                                      rel=1e-15, abs=1e-300)
+        assert rows["mu"][5] == 5.0
+
+
 class TestProtocolCommand:
     T_K = 1.0 / 86.17333262
 

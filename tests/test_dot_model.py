@@ -16,7 +16,7 @@ from chargebit.dot_model import (LEVEL_TOL, AmbiguousMedianWarning, DotSystem,
                                  occupation_derivative_density,
                                  unbroadened_occupation)
 from chargebit.kernels import Delta, Gaussian, Lorentzian
-from chargebit.leads import LeadParams, fermi_occupation
+from chargebit.leads import LeadParams
 from chargebit.numerics import integrate
 
 from conftest import make_system
@@ -61,6 +61,19 @@ class TestUnbroadenedOccupation:
         sys_ = make_system(0.0, 0.0, 10.0, 0.3)
         for mu in (2.0, 5.0, 8.0):
             assert unbroadened_occupation(mu, sys_) == 0.3
+
+
+    def test_array_equals_float_calls(self):
+        # a T = 0 source and a warm drain; the grid hits both potentials
+        sys_ = make_system(0.0, 0.4, 3.0, 0.3, Gaussian(0.5))
+        mus = np.array([-2.0, 0.0, 1e-300, 1.5, 3.0, np.nextafter(3.0, 4.0),
+                        9.0])
+        values = unbroadened_occupation(mus, sys_)
+        assert values.shape == mus.shape
+        for mu, value in zip(mus, values):
+            assert value == unbroadened_occupation(float(mu), sys_)
+        assert values[4] == pytest.approx(
+            0.3 * 0.5 + 0.7 / (1.0 + math.exp(3.0 / 0.4)), rel=1e-15)
 
 
 class TestOccupation:
@@ -178,6 +191,18 @@ class TestHalfOccupationLevel:
         assert half_occupation_level(sys_) == 0.0
         sys2 = make_system(0.0, 0.0, 10.0, 0.7)
         assert half_occupation_level(sys2) == 10.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_float_inputs_solve_silently(self):
+        # seed-1 corpus device 212: -dp/dmu is subnormal at a Newton iterate,
+        # which overflowed numpy's scalar divide when the inputs stayed
+        # numpy floats
+        values = (0.0002425899939734757, 5.29848629617983,
+                  4469.557103470103, 0.5987801454672194)
+        plain = half_occupation_level(make_system(*values))
+        assert half_occupation_level(
+            make_system(*map(np.float64, values))) == plain
+        assert plain == pytest.approx(4469.5567, abs=1e-4)
 
 
 _TWELVE_DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)

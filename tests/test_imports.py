@@ -9,6 +9,10 @@ No module but ``kernels.py`` tests a kernel's type. Code elsewhere reads
 the kernel's data instead (``width == 0`` for no broadening, an infinite
 ``mad`` for a kernel without a mean), so a new kernel needs no edits
 outside its own class.
+
+``kernels.py`` calls no ``isinstance`` at all, so each kernel method keeps
+one body: numpy for ``cdf`` and ``pdf``, ``math`` for the scalar-only
+``partial_expectation``.
 """
 
 import ast
@@ -74,3 +78,22 @@ def test_guard_flags_a_kernel_type_test():
               "isinstance(k, (int, kernels.Lorentzian))\n"
               "isinstance(k, Gaussian | Delta)\n")
     assert _kernel_type_tests(source) == ["line 1", "line 3", "line 4"]
+
+
+def _isinstance_calls(source: str) -> list[str]:
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"]
+
+
+def test_kernels_call_no_isinstance():
+    assert _isinstance_calls((PACKAGE / "kernels.py").read_text(
+        encoding="utf-8")) == []
+
+
+def test_guard_flags_an_isinstance_call():
+    source = ("def cdf(self, x):\n"
+              "    if isinstance(x, float):\n"
+              "        return 0.5\n"
+              "    return type(x)\n")
+    assert _isinstance_calls(source) == ["line 2"]

@@ -1,4 +1,8 @@
-"""Electrode distributions and broadening kernels."""
+"""Electrode distributions and broadening kernels.
+
+The Fermi function and its density are the occupation and -dp/dmu of a
+one-lead device without broadening.
+"""
 
 import math
 
@@ -6,38 +10,49 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from chargebit.dot_model import (DotSystem, TunnelRates,
+                                 occupation_derivative_density,
+                                 unbroadened_occupation)
 from chargebit.kernels import (Delta, DeltaKernelError, Gaussian, Lorentzian,
                                kernel_mad)
-from chargebit.leads import (LeadParams, ZeroTemperature,
-                             fermi_derivative_density, fermi_occupation,
-                             occupied_weight_above, vacancy_weight_below)
+from chargebit.leads import LeadParams, softplus_ramp
 from chargebit.numerics import integrate
+
+
+def _fermi(energy, lead):
+    return unbroadened_occupation(
+        energy, DotSystem(lead, lead, TunnelRates(1.0, 0.0), Delta()))
+
+
+def _fermi_density(energy, lead):
+    return occupation_derivative_density(
+        energy, DotSystem(lead, lead, TunnelRates(1.0, 0.0), Delta()))
 
 
 class TestFermiOccupation:
     def test_half_at_chemical_potential(self):
         lead = LeadParams(0.7, 3.0)
-        assert fermi_occupation(3.0, lead) == pytest.approx(0.5)
+        assert _fermi(3.0, lead) == pytest.approx(0.5)
 
     def test_quarter_at_ln3(self):
         lead = LeadParams(1.0, 0.0)
-        assert fermi_occupation(math.log(3.0), lead) == pytest.approx(0.25)
+        assert _fermi(math.log(3.0), lead) == pytest.approx(0.25)
 
     def test_zero_temperature_step(self):
         lead = LeadParams(0.0, 1.0)
-        assert fermi_occupation(0.5, lead) == 1.0
-        assert fermi_occupation(1.5, lead) == 0.0
-        assert fermi_occupation(1.0, lead) == 0.5
+        assert _fermi(0.5, lead) == 1.0
+        assert _fermi(1.5, lead) == 0.0
+        assert _fermi(1.0, lead) == 0.5
 
     def test_extreme_arguments_stable(self):
         lead = LeadParams(1.0, 0.0)
-        assert fermi_occupation(1e6, lead) == 0.0
-        assert fermi_occupation(-1e6, lead) == 1.0
+        assert _fermi(1e6, lead) == 0.0
+        assert _fermi(-1e6, lead) == 1.0
 
     def test_monotone_non_increasing(self, rng):
         lead = LeadParams(0.3, 1.2)
         grid = np.sort(rng.uniform(-20, 20, 200))
-        vals = [fermi_occupation(e, lead) for e in grid]
+        vals = [_fermi(e, lead) for e in grid]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_negative_temperature_rejected(self):
@@ -48,44 +63,63 @@ class TestFermiOccupation:
 class TestFermiDerivativeDensity:
     def test_peak_value(self):
         lead = LeadParams(2.0, 1.0)
-        assert fermi_derivative_density(1.0, lead) == pytest.approx(
-            0.25 / 2.0)
+        assert _fermi_density(1.0, lead) == pytest.approx(0.25 / 2.0)
 
     def test_symmetric_about_mu(self, rng):
         lead = LeadParams(0.8, -2.0)
         for x in rng.uniform(0, 10, 25):
-            assert fermi_derivative_density(-2.0 + x, lead) == pytest.approx(
-                fermi_derivative_density(-2.0 - x, lead), rel=1e-12)
+            assert _fermi_density(-2.0 + x, lead) == pytest.approx(
+                _fermi_density(-2.0 - x, lead), rel=1e-12)
 
     def test_normalises(self):
         lead = LeadParams(1.3, 0.5)
-        val = integrate(lambda e: fermi_derivative_density(e, lead),
+        val = integrate(lambda e: _fermi_density(e, lead),
                         0.5 - 60 * 1.3, 0.5 + 60 * 1.3,
                         breakpoints=[0.5]).value
         assert val == pytest.approx(1.0, abs=1e-10)
 
-    def test_zero_temperature_raises(self):
-        with pytest.raises(ZeroTemperature):
-            fermi_derivative_density(0.0, LeadParams(0.0, 0.0))
-
     def test_mad_about_mu_is_2ln2_kt(self):
         lead = LeadParams(0.9, 4.0)
         # the MAD about a point is the occupied weight above it plus the
-        # vacancy weight below it
-        closed = (occupied_weight_above(4.0, lead)
-                  + vacancy_weight_below(4.0, lead))
+        # vacancy weight below it, the ramp at +-(mu - point)
+        closed = softplus_ramp(0.0, 0.9) + softplus_ramp(-0.0, 0.9)
         assert closed == pytest.approx(2.0 * math.log(2.0) * 0.9, rel=1e-12)
         numeric = integrate(
-            lambda e: abs(e - 4.0) * fermi_derivative_density(e, lead),
+            lambda e: abs(e - 4.0) * _fermi_density(e, lead),
             4.0 - 60 * 0.9, 4.0 + 60 * 0.9, breakpoints=[4.0]).value
         assert numeric == pytest.approx(2.0 * math.log(2.0) * 0.9, rel=1e-9)
 
     def test_weight_primitives_reduce_at_zero_temperature(self):
-        lead = LeadParams(0.0, 2.0)
-        assert occupied_weight_above(0.5, lead) == 1.5
-        assert occupied_weight_above(3.0, lead) == 0.0
-        assert vacancy_weight_below(3.0, lead) == 1.0
-        assert vacancy_weight_below(1.0, lead) == 0.0
+        # a lead at mu = 2: occupied weight above a level is the ramp at
+        # 2 - level, vacancy weight below it the ramp at level - 2
+        assert softplus_ramp(2.0 - 0.5, 0.0) == 1.5
+        assert softplus_ramp(2.0 - 3.0, 0.0) == 0.0
+        assert softplus_ramp(3.0 - 2.0, 0.0) == 1.0
+        assert softplus_ramp(1.0 - 2.0, 0.0) == 0.0
+
+
+class TestNonFiniteInputs:
+    BUILDERS = {
+        "thermal_energy": lambda v: LeadParams(v, 0.0),
+        "chemical_potential": lambda v: LeadParams(1.0, v),
+        "rate_source": lambda v: TunnelRates(v, 1.0),
+        "rate_drain": lambda v: TunnelRates(1.0, v),
+        "sigma": Gaussian,
+        "scale": Lorentzian,
+    }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", list(BUILDERS))
+    def test_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            self.BUILDERS[field](value)
+
+    @pytest.mark.parametrize("field", list(BUILDERS))
+    def test_stored_as_python_float(self, field):
+        record = self.BUILDERS[field](np.float64(0.5))
+        assert type(getattr(record, field)) is float
+        assert getattr(record, field) == 0.5
 
 
 class TestKernelDensity:
