@@ -17,7 +17,7 @@ from .erasure import (BoundReport, DivergentInput, EnergyScales, ErasureCosts,
                       check_bound, energy_scales, erasure_costs,
                       eta_erasure_work)
 from .kernels import (BroadeningKernel, Delta, DeltaKernelError, Gaussian,
-                      Lorentzian, kernel_mad)
+                      Lorentzian)
 from .leads import LeadParams
 from .madgrid import (GridPdf, LemmaReport, grid_cross_correlate, grid_mad,
                       grid_median, verify_lemma1, verify_lemma2)

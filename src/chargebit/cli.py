@@ -98,6 +98,8 @@ def load_config(path: str) -> DeviceSpec:
         val = val.strip()
         if key not in _SPEC_FIELDS:
             raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ParseError(f"{path}:{lineno}: repeated key {key!r}")
         if key == "kernel":
             values[key] = val.lower()
         else:

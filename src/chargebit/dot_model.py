@@ -15,10 +15,11 @@ width 2 covering |s| <= 40 (the logistic mass beyond is 4e-18). When the
 kernel is narrower than 2 kT its transition is sharper than a panel, so the
 panels next to the kernel centre s* = d/kT are replaced by panels graded
 geometrically down to the kernel width. T = 0 leads (p_i = K(-d/w)) and
-the delta kernel (p_i = Fermi function) are closed forms. Every routine
-takes a float level or an array of levels and, but for the Fermi closed form
-in ``math``, evaluates a float as a one-element array. Node matrices are
-built in blocks of at most about 128 kB. The level where p crosses a target
+the delta kernel (p_i = Fermi function) are closed forms. The per-lead
+core takes and returns arrays only; the public routines take a float level
+or an array of levels, and ``_combined`` is the one place where a float
+becomes a one-element array and back. Node matrices are built in blocks of
+at most about 128 kB. The level where p crosses a target
 (1/2 for mu_1/2, eta for eta-erasure) is one safeguarded Newton solve.
 
 The integrals of p above a level and of 1 - p below it, which are the
@@ -174,60 +175,53 @@ def _lead_block(d: np.ndarray, kt: float, kernel: BroadeningKernel,
     return [(getattr(kernel, name)(xs) * weights).sum(axis=1) for name in names]
 
 
-def _lead_values(d, kt: float, kernel: BroadeningKernel,
-                 names: tuple[str, ...]) -> list:
+def _lead_values(d: np.ndarray, kt: float, kernel: BroadeningKernel,
+                 names: tuple[str, ...]) -> list[np.ndarray]:
     """[E_Y[kernel.<name>(Y - d)] for name in names], Y logistic of scale kt.
 
-    ``d`` is the lead-local offset mu - mu_lead, a float (floats are
-    returned) or a 1-D array. A float is evaluated as a one-element array,
-    except by the Fermi closed form. ``names`` are kernel method names,
-    "cdf" for the lead's smoothed occupation and "pdf" for its -d/dmu.
+    ``d`` is a 1-D array of lead-local offsets mu - mu_lead; each result has
+    its shape. ``names`` are kernel method names, "cdf" for the lead's
+    smoothed occupation and "pdf" for its -d/dmu.
     """
-    scalar = isinstance(d, float)
     if kernel.width == 0.0 and kt > 0.0:
-        # the Fermi closed form, exp of -|x| only. The one scalar path: math
-        # is ~10x faster than numpy for the per-point Delta Newton/MAD calls
+        # the Fermi closed form, exp of -|x| only
         x = d / kt
-        if scalar:
-            e = math.exp(-abs(x))
-            up = e if x >= 0.0 else 1.0
-        else:
-            e = np.exp(-np.abs(x))
-            up = np.where(x >= 0.0, e, 1.0)
+        e = np.exp(-np.abs(x))
+        up = np.where(x >= 0.0, e, 1.0)
         return [up / (1.0 + e) if n == "cdf" else e / (kt * (1.0 + e) ** 2)
                 for n in names]
-    d = np.atleast_1d(d)
     if kt == 0.0:
         # the kernel itself; without one an atom: a step occupation and no
         # density away from mu_lead
-        out = [0.0 * d if n == "pdf" and kernel.width == 0.0
-               else getattr(kernel, n)(-d) for n in names]
-    else:
-        levels = _grading_levels(kernel.width / kt)
-        nodes = _S.size + (2 * _GL_X.size * (levels + 1) if levels else 0)
-        rows = max(1, _BLOCK_ELEMENTS // nodes)
-        blocks = [_lead_block(d[lo:lo + rows], kt, kernel, names)
-                  for lo in range(0, d.size, rows)]
-        out = [np.concatenate(parts) for parts in zip(*blocks)]
-    return [float(v[0]) for v in out] if scalar else out
+        return [0.0 * d if n == "pdf" and kernel.width == 0.0
+                else getattr(kernel, n)(-d) for n in names]
+    levels = _grading_levels(kernel.width / kt)
+    nodes = _S.size + (2 * _GL_X.size * (levels + 1) if levels else 0)
+    rows = max(1, _BLOCK_ELEMENTS // nodes)
+    # at least one block, so that no levels give empty results
+    blocks = [_lead_block(d[lo:lo + rows], kt, kernel, names)
+              for lo in range(0, d.size or 1, rows)]
+    return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
 def _combined(mu, sys: DotSystem, names: tuple[str, ...]) -> list:
-    """Rate-weighted sums over the leads of _lead_values, float or array."""
-    if isinstance(mu, (float, int)):
-        mu, shape = float(mu), None
-    else:
-        mu = np.asarray(mu, dtype=float)
-        shape, mu = mu.shape, mu.ravel()
+    """Rate-weighted sums over the leads of _lead_values.
+
+    A float level is evaluated as a one-element array and returned as a
+    float; an array of levels gives arrays of its shape.
+    """
+    scalar = isinstance(mu, (float, int))
+    mu = np.asarray(mu, dtype=float)
+    flat = mu.ravel()
     totals = [0.0] * len(names)
     for gamma, lead in sys.weighted_leads():
-        d = mu - lead.chemical_potential
+        d = flat - lead.chemical_potential
         for i, v in enumerate(_lead_values(d, lead.thermal_energy, sys.kernel,
                                            names)):
             totals[i] = totals[i] + gamma * v
-    if shape is not None:
-        totals = [np.reshape(t, shape) for t in totals]
-    return totals
+    if scalar:
+        return [float(t[0]) for t in totals]
+    return [np.reshape(t, mu.shape) for t in totals]
 
 
 def occupation(mu, sys: DotSystem, _unread=None):

@@ -9,10 +9,11 @@ The Lorentzian kernel makes both diverge and is reported as such;
 eta-erasure is the supported finite-cost alternative.
 
 The mean-absolute-deviation form of the average cost is the independent
-cross-check of W-bar: one adaptive integral per lead of |mu - mu_1/2| times
-that lead's fixed-panel -dp_i/dmu, taken in the lead's own offset
-mu - mu_i over its peak (45 kT_i plus 12 kernel widths each side), with the
-cusp and the lead's centre as breakpoints. eta-erasure integrates the
+cross-check of W-bar: per lead, |mu - mu_1/2| times that lead's -dp_i/dmu,
+evaluated in one array call on the fixed Gauss-Legendre panels of the
+lead's own offset mu - mu_i. The panels are 2 max(kT_i, w) wide over its
+peak (45 kT_i plus 12 kernel widths each side), with the cusp and the
+lead's centre as panel edges. eta-erasure integrates the
 fixed-panel occupation with adaptive quadrature and finds its level with
 the solver of mu_1/2, ``dot_model.occupation_level``.
 """
@@ -22,11 +23,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dot_model import (DotSystem, _lead_values, dominant_scale,
+import numpy as np
+
+from .dot_model import (DotSystem, _lead_values, _panel_rule, dominant_scale,
                         half_occupation_level, occupation, occupation_level,
                         occupation_tail_integrals)
 from .numerics import (TAIL_CUTOFF_EXPONENTIAL, TAIL_CUTOFF_GAUSSIAN,
                        integrate)
+
+
+# MAD-oracle panel width, in units of the lead's widest scale max(kT_i, w)
+_MAD_PANEL = 2.0
 
 
 class DivergentInput(ValueError):
@@ -90,9 +97,12 @@ def absolute_deviation_integral(sys: DotSystem, point: float) -> float:
             continue
         reach = (TAIL_CUTOFF_EXPONENTIAL * kt
                  + TAIL_CUTOFF_GAUSSIAN * kernel.width)
-        f = lambda x: abs(x + c) * _lead_values(x, kt, kernel, ("pdf",))[0]
-        total += gamma * integrate(f, -reach, reach,
-                                   breakpoints=[-c, 0.0]).value
+        panels = math.ceil(2.0 * reach / (_MAD_PANEL * max(kt, kernel.width)))
+        edges = np.linspace(-reach, reach, panels + 1)
+        x, weights = _panel_rule(
+            np.union1d(edges, [e for e in (-c, 0.0) if -reach < e < reach]))
+        (dens,) = _lead_values(x, kt, kernel, ("pdf",))
+        total += gamma * float(np.abs(x + c) * dens @ weights)
     return total
 
 

@@ -113,8 +113,3 @@ class Lorentzian:
 
 
 BroadeningKernel = Union[Delta, Gaussian, Lorentzian]
-
-
-def kernel_mad(k: BroadeningKernel) -> float:
-    """Mean absolute deviation about the (zero) median; inf if divergent."""
-    return k.mad

@@ -217,24 +217,21 @@ def _bump(xs: np.ndarray, kind: str, centre: float, width: float) -> np.ndarray:
     return np.exp(-0.5 * z * z) / (width * math.sqrt(2.0 * math.pi))
 
 
-def random_grid_pdf(rng: np.random.Generator, lo: float = GRID_LO,
-                    hi: float = GRID_HI, step: float = GRID_STEP) -> GridPdf:
+def random_grid_pdf(rng: np.random.Generator) -> GridPdf:
     """Mixture of 1-4 uniform/triangular/Gaussian bumps, normalised."""
-    xs = np.arange(lo, hi + 0.5 * step, step)
+    xs = np.arange(GRID_LO, GRID_HI + 0.5 * GRID_STEP, GRID_STEP)
     vals = np.zeros_like(xs)
     for _ in range(rng.integers(1, 5)):
         kind = rng.choice(["uniform", "triangle", "gaussian"])
         centre = rng.uniform(-3.0, 3.0)
         width = rng.uniform(0.05, 1.0)
         vals += rng.uniform(0.2, 1.0) * _bump(xs, kind, centre, width)
-    return GridPdf.from_samples(lo, step, vals)
+    return GridPdf.from_samples(GRID_LO, GRID_STEP, vals)
 
 
-def random_symmetric_grid_pdf(rng: np.random.Generator, lo: float = GRID_LO,
-                              hi: float = GRID_HI,
-                              step: float = GRID_STEP) -> GridPdf:
+def random_symmetric_grid_pdf(rng: np.random.Generator) -> GridPdf:
     """Single symmetric bump centred exactly on a grid point."""
-    xs = np.arange(lo, hi + 0.5 * step, step)
+    xs = np.arange(GRID_LO, GRID_HI + 0.5 * GRID_STEP, GRID_STEP)
     kind = rng.choice(["triangle", "gaussian"])
     centre_idx = rng.integers(xs.size // 4, 3 * xs.size // 4)
     centre = xs[centre_idx]
@@ -245,4 +242,4 @@ def random_symmetric_grid_pdf(rng: np.random.Generator, lo: float = GRID_LO,
     sym = np.zeros_like(vals)
     seg = vals[centre_idx - n:centre_idx + n + 1]
     sym[centre_idx - n:centre_idx + n + 1] = 0.5 * (seg + seg[::-1])
-    return GridPdf.from_samples(lo, step, sym)
+    return GridPdf.from_samples(GRID_LO, GRID_STEP, sym)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from chargebit import (DotSystem, TunnelRates, check_bound, energy_scales,
-                       erasure_costs, eta_erasure_work, kernel_mad)
+                       erasure_costs, eta_erasure_work)
 from chargebit.cli import DeviceSpec, run_lemma_suite, sweep
 from chargebit.dynamics import make_erasure_schedule, simulate
 from chargebit.erasure import absolute_deviation_integral
@@ -99,8 +99,8 @@ def test_criterion_07_gaussian_kernel_mad():
             lambda x: x * math.exp(-0.5 * (x / sigma) ** 2)
             / (sigma * math.sqrt(2.0 * math.pi)),
             0.0, 12.0 * sigma).value
-        assert kernel_mad(kernel) == pytest.approx(numeric, rel=1e-9)
-        assert kernel_mad(kernel) == pytest.approx(
+        assert kernel.mad == pytest.approx(numeric, rel=1e-9)
+        assert kernel.mad == pytest.approx(
             sigma * math.sqrt(2.0 / math.pi), rel=1e-12)
     print("criterion 7 PASS: Gaussian kernel MAD matches sigma*sqrt(2/pi) "
           "and its quadrature evaluation")

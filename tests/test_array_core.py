@@ -189,6 +189,13 @@ class TestShapes:
 
     @pytest.mark.parametrize("sigma", [0.3, 1e-5],
                              ids=["uniform-panels", "graded-panels"])
+    def test_no_levels_give_empty_arrays(self, sigma):
+        sys_ = make_system(0.5, 0.2, 3.0, 0.4, Gaussian(sigma))
+        for fn in (occupation, occupation_derivative_density):
+            assert fn(np.empty((0, 4)), sys_).shape == (0, 4)
+
+    @pytest.mark.parametrize("sigma", [0.3, 1e-5],
+                             ids=["uniform-panels", "graded-panels"])
     def test_blocks_match_single_levels(self, sigma):
         # 10k levels span many node-matrix blocks of at most ~128 kB
         sys_ = make_system(0.5, 0.2, 3.0, 0.4, Gaussian(sigma))

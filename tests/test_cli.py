@@ -323,6 +323,15 @@ class TestMainExitCodes:
         path.write_text("bias = fast\n")
         assert main(["analyze", "--config", str(path)]) == 2
 
+    def test_repeated_key_exits_2_naming_line_and_key(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "twice.cfg"
+        path.write_text(DEVICE1 + "bias = 5\n")
+        assert main(["analyze", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{path}:8: repeated key 'bias'" in err
+
     def test_lemmas_success_exit_0(self, capsys):
         assert main(["lemmas", "--trials", "3", "--seed", "1"]) == 0
 

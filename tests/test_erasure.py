@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from chargebit import (DotSystem, LeadParams, TunnelRates, check_bound,
                        energy_scales, erasure_costs, eta_erasure_work)
-from chargebit.dot_model import occupation
+from chargebit.dot_model import _lead_values, half_occupation_level, occupation
 from chargebit.erasure import DivergentInput, absolute_deviation_integral
 from chargebit.kernels import Delta, Gaussian, Lorentzian
 from chargebit.numerics import integrate
@@ -257,3 +258,52 @@ class TestMadGateTwelveDecades:
                            Gaussian(sigma) if gaussian else Delta())
         gap, allowed = _mad_gap(sys_)
         assert gap <= allowed
+
+
+def _reference_lead_mad(lead, kernel, point):
+    """integral of |mu - point| * (-dp_i/dmu) for one lead, by tight QUADPACK.
+
+    The same pointwise integrand as the panel oracle, in the lead's offset
+    x = mu - mu_i over the same window, split at the cusp and the lead's
+    centre; only the quadrature differs.
+    """
+    kt, c = lead.thermal_energy, lead.chemical_potential - point
+    if kt == 0.0 and kernel.width == 0.0:
+        return abs(c)
+    reach = 45.0 * kt + 12.0 * kernel.width
+
+    def f(x):
+        (dens,) = _lead_values(np.array([x]), kt, kernel, ("pdf",))
+        return abs(x + c) * dens[0]
+    pts = [p for p in (-c, 0.0) if -reach < p < reach]
+    return quad(f, -reach, reach, points=pts or None, epsabs=0.0,
+                epsrel=1e-13, limit=2000)[0]
+
+
+class TestPanelMadOracle:
+    """The fixed-panel MAD oracle against tight adaptive quadrature, lead by
+    lead, at mu_1/2 and at points whose cusp falls inside or outside the
+    lead's window."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(kt_s=st.just(0.0) | _TWELVE_DECADES,
+           kt_d=st.just(0.0) | _TWELVE_DECADES, bias=_TWELVE_DECADES,
+           sigma=_TWELVE_DECADES, gamma_s=st.floats(0.05, 0.95),
+           gaussian=st.booleans())
+    def test_matches_quadpack(self, kt_s, kt_d, bias, sigma, gamma_s,
+                              gaussian):
+        sys_ = make_system(kt_s, kt_d, bias, gamma_s,
+                           Gaussian(sigma) if gaussian else Delta())
+        mu_half = half_occupation_level(sys_)
+        for rates, lead in ((TunnelRates(1.0, 0.0), sys_.source),
+                            (TunnelRates(0.0, 1.0), sys_.drain)):
+            one_lead = DotSystem(sys_.source, sys_.drain, rates, sys_.kernel)
+            reach = 45.0 * lead.thermal_energy + 12.0 * sys_.kernel.width
+            mu_i = lead.chemical_potential
+            # mu_1/2; a cusp inside the window, off the lead's centre; one
+            # far outside it
+            for point in (mu_half, mu_i + 0.3 * reach, mu_i - 3.0 * reach):
+                ref = _reference_lead_mad(lead, sys_.kernel, point)
+                got = absolute_deviation_integral(one_lead, point)
+                assert abs(got - ref) <= 1e-10 * ref, (point, got, ref)

@@ -13,6 +13,11 @@ outside its own class.
 ``kernels.py`` calls no ``isinstance`` at all, so each kernel method keeps
 one body: numpy for ``cdf`` and ``pdf``, ``math`` for the scalar-only
 ``partial_expectation``.
+
+The array core of ``dot_model`` (``_lead_values`` and ``_lead_block``)
+calls no ``isinstance`` either: it takes and returns arrays only, so no
+float fork beside the numpy path can return. ``_combined`` is the one
+place where a float level becomes a one-element array and back.
 """
 
 import ast
@@ -80,15 +85,15 @@ def test_guard_flags_a_kernel_type_test():
     assert _kernel_type_tests(source) == ["line 1", "line 3", "line 4"]
 
 
-def _isinstance_calls(source: str) -> list[str]:
-    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+def _isinstance_calls(tree: ast.AST) -> list[str]:
+    return [f"line {node.lineno}" for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "isinstance"]
 
 
 def test_kernels_call_no_isinstance():
-    assert _isinstance_calls((PACKAGE / "kernels.py").read_text(
-        encoding="utf-8")) == []
+    assert _isinstance_calls(ast.parse((PACKAGE / "kernels.py").read_text(
+        encoding="utf-8"))) == []
 
 
 def test_guard_flags_an_isinstance_call():
@@ -96,4 +101,33 @@ def test_guard_flags_an_isinstance_call():
               "    if isinstance(x, float):\n"
               "        return 0.5\n"
               "    return type(x)\n")
-    assert _isinstance_calls(source) == ["line 2"]
+    assert _isinstance_calls(ast.parse(source)) == ["line 2"]
+
+
+ARRAY_CORE = {"_lead_values", "_lead_block"}
+
+
+def _array_core_isinstance_calls(source: str) -> list[str]:
+    """isinstance calls inside the array-core functions, which must exist."""
+    found = {node.name: node for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef) and node.name in ARRAY_CORE}
+    assert set(found) == ARRAY_CORE
+    return [f"{name} {hit}" for name, node in sorted(found.items())
+            for hit in _isinstance_calls(node)]
+
+
+def test_array_core_calls_no_isinstance():
+    assert _array_core_isinstance_calls((PACKAGE / "dot_model.py").read_text(
+        encoding="utf-8")) == []
+
+
+def test_guard_flags_an_isinstance_call_in_the_array_core():
+    source = ("def _lead_values(d, kt, kernel, names):\n"
+              "    scalar = isinstance(d, float)\n"
+              "def _lead_block(d, kt, kernel, names):\n"
+              "    return d\n"
+              "def _combined(mu, sys, names):\n"
+              "    return isinstance(mu, float)\n")
+    assert _array_core_isinstance_calls(source) == ["_lead_values line 2"]
+    with pytest.raises(AssertionError):
+        _array_core_isinstance_calls("def _lead_block(d):\n    return d\n")

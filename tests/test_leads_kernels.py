@@ -13,8 +13,7 @@ from scipy.special import ndtr
 from chargebit.dot_model import (DotSystem, TunnelRates,
                                  occupation_derivative_density,
                                  unbroadened_occupation)
-from chargebit.kernels import (Delta, DeltaKernelError, Gaussian, Lorentzian,
-                               kernel_mad)
+from chargebit.kernels import Delta, DeltaKernelError, Gaussian, Lorentzian
 from chargebit.leads import LeadParams, softplus_ramp
 from chargebit.numerics import integrate
 
@@ -170,14 +169,14 @@ class TestKernelDensity:
 
 class TestKernelMad:
     def test_delta(self):
-        assert kernel_mad(Delta()) == 0.0
+        assert Delta().mad == 0.0
 
     def test_gaussian(self):
-        assert kernel_mad(Gaussian(1.0)) == pytest.approx(
+        assert Gaussian(1.0).mad == pytest.approx(
             math.sqrt(2.0 / math.pi), rel=1e-12)
 
     def test_lorentzian_diverges(self):
-        assert math.isinf(kernel_mad(Lorentzian(1.0)))
+        assert math.isinf(Lorentzian(1.0).mad)
 
     def test_width(self):
         assert Delta().width == 0.0
