@@ -26,10 +26,15 @@ The integrals of p above a level and of 1 - p below it, which are the
 quasistatic erasure works, split into the unbroadened softplus closed forms
 and a broadening excess E_Y[E_U[(U - |mu_i - mu + Y|)^+]] per lead: a single
 adaptive integral over s of the kernel's closed-form partial expectation.
+The integral of p over a window (the eta raise work) is per lead the Fermi
+integral over it plus the excess at its lower end less that at its upper.
+A level solve that stops at adjacent doubles logs at INFO on this module's
+logger.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -38,11 +43,13 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import BroadeningKernel, Delta
-from .leads import LeadParams, softplus_ramp
+from .leads import LeadParams, fermi_integral, softplus_ramp
 from .numerics import TAIL_CUTOFF_GAUSSIAN, NonConvergence, integrate
 from .units import store_finite
 
 LEVEL_TOL = 1e-12  # |p - target| at which occupation_level stops
+
+_log = logging.getLogger(__name__)
 
 
 class PureStep(ValueError):
@@ -264,7 +271,8 @@ def occupation_level(sys: DotSystem, target: float, lo: float, hi: float,
     step would leave it or would be longer than half the step before last.
     It stops once |p - target| <= LEVEL_TOL. When p jumps across the target
     at the atom of a T = 0 lead, the bracket shrinks to adjacent doubles and
-    its end beyond the target, hi, is returned.
+    its end beyond the target, hi, is returned and logged at INFO with its
+    |p - target|.
     """
     mu = mu0
     step = prev_step = hi - lo
@@ -282,6 +290,10 @@ def occupation_level(sys: DotSystem, target: float, lo: float, hi: float,
         if not lo < nxt < hi or abs(nxt - mu) > 0.5 * prev_step:
             nxt = 0.5 * (lo + hi)
             if not lo < nxt < hi:
+                (p_hi,) = _combined(hi, sys, ("cdf",))
+                _log.info("level with p = %r stopped at adjacent doubles: "
+                          "returning %r, |p - target| = %.3g",
+                          target, hi, abs(p_hi - target))
                 return hi
         prev_step, step = step, abs(nxt - mu)
         mu = nxt
@@ -357,3 +369,21 @@ def occupation_tail_integrals(mu: float,
         above += gamma * (softplus_ramp(c, kt) + excess)
         below += gamma * (softplus_ramp(-c, kt) + excess)
     return above, below
+
+
+def occupation_integral(lo: float, hi: float, sys: DotSystem) -> float:
+    """integral of p over [lo, hi] for a kernel with a mean.
+
+    Per lead the same closed forms as occupation_tail_integrals: the Fermi
+    integral over the window, taken without the cancellation of two
+    softplus ramps, plus the broadening excess at lo less that at hi.
+    """
+    total = 0.0
+    for gamma, lead in sys.weighted_leads():
+        if gamma == 0.0:
+            continue
+        mu_i, kt = lead.chemical_potential, lead.thermal_energy
+        total += gamma * (fermi_integral(mu_i, lo, hi, kt)
+                          + _broadening_excess(mu_i - lo, kt, sys.kernel)
+                          - _broadening_excess(mu_i - hi, kt, sys.kernel))
+    return total

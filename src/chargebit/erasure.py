@@ -13,9 +13,17 @@ cross-check of W-bar: per lead, |mu - mu_1/2| times that lead's -dp_i/dmu,
 evaluated in one array call on the fixed Gauss-Legendre panels of the
 lead's own offset mu - mu_i. The panels are 2 max(kT_i, w) wide over its
 peak (45 kT_i plus 12 kernel widths each side), with the cusp and the
-lead's centre as panel edges. eta-erasure integrates the
-fixed-panel occupation with adaptive quadrature and finds its level with
-the solver of mu_1/2, ``dot_model.occupation_level``.
+lead's centre as panel edges.
+
+eta-erasure finds its level mu_eta with the solver of mu_1/2,
+``dot_model.occupation_level``. For a kernel with a finite mean its raise
+work, the integral of p over [mu_1/2, mu_eta], is built per lead from the
+closed forms of W0, ``dot_model.occupation_integral``: the Fermi integral
+over the window plus the broadening excess at either end. No quadrature
+runs over mu, where an adaptive rule misses the sharp step of a lead whose
+kT is far below the window. The Lorentzian, whose broadening excess
+diverges, integrates the fixed-panel occupation over mu with adaptive
+quadrature.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dot_model import (DotSystem, _lead_values, _panel_rule, dominant_scale,
-                        half_occupation_level, occupation, occupation_level,
+                        half_occupation_level, occupation,
+                        occupation_integral, occupation_level,
                         occupation_tail_integrals)
 from .numerics import (TAIL_CUTOFF_EXPONENTIAL, TAIL_CUTOFF_GAUSSIAN,
                        integrate)
@@ -165,12 +174,14 @@ def eta_erasure_work(sys: DotSystem, eta: float) -> float:
     mu_eta = occupation_level(sys, eta, mu_half, hi, mu_half)
     if mu_eta <= mu_half:
         return 0.0
-    raise_work = integrate(lambda mu: occupation(mu, sys), mu_half, mu_eta,
-                           breakpoints=[sys.source.chemical_potential]).value
     reached = occupation(math.nextafter(mu_eta, math.inf), sys)
-    work = raise_work - (mu_eta - mu_half) * reached
-    if (math.isinf(sys.kernel.mad) and sys.bias == 0.0
-            and sys.source.thermal_energy == 0.0
+    if not math.isinf(sys.kernel.mad):
+        return (occupation_integral(mu_half, mu_eta, sys)
+                - (mu_eta - mu_half) * reached)
+    work = (integrate(lambda mu: occupation(mu, sys), mu_half, mu_eta,
+                      breakpoints=[sys.source.chemical_potential]).value
+            - (mu_eta - mu_half) * reached)
+    if (sys.bias == 0.0 and sys.source.thermal_energy == 0.0
             and sys.drain.thermal_energy == 0.0):
         exact = _lorentzian_eta_closed_form(sys.kernel.width, eta)
         if abs(work - exact) > 1e-8 * max(abs(exact), 1e-300):

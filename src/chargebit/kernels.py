@@ -11,6 +11,11 @@ array of the same shape) or a float (returning a 0-d numpy value).
 calls it. Code outside this module reads a kernel's data, not its type:
 ``width == 0`` is no broadening and an infinite ``mad`` is a kernel without
 a mean.
+
+The Gaussian ``cdf`` imports ``scipy.special.ndtr`` on its first call, not
+at module level: scipy.special takes about 0.2 s to import, and a run with
+the Delta or Lorentzian kernel never needs it. After the first call the
+import is a ``sys.modules`` lookup.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .units import store_finite
 
@@ -69,6 +73,7 @@ class Gaussian:
         return self.sigma * math.sqrt(2.0 / math.pi)
 
     def cdf(self, x):
+        from scipy.special import ndtr
         return ndtr(x / self.sigma)
 
     def pdf(self, x):

@@ -1,4 +1,4 @@
-"""Electrode parameters and the integral of a lead's Fermi step.
+"""Electrode parameters and the integrals of a lead's Fermi step.
 
 Temperatures are stored as thermal energies (k_B * T) so the core never sees
 kelvin; T = 0 is an exact ramp, not a tiny epsilon. The Fermi function is
@@ -35,3 +35,26 @@ def softplus_ramp(d: float, kt: float) -> float:
         return max(d, 0.0)
     z = d / kt
     return kt * (max(z, 0.0) + math.log1p(math.exp(-abs(z))))
+
+
+def fermi_integral(mu_lead: float, lo: float, hi: float, kt: float) -> float:
+    """Integral of the lead's occupation f over [lo, hi], lo <= hi.
+
+    It equals softplus_ramp(mu_lead - lo) - softplus_ramp(mu_lead - hi),
+    but that difference of two ramps cancels when the window is narrow next
+    to kT, or lies far below mu_lead where both ramps are nearly linear. A
+    lead above hi is more than half full on the window, so the window width
+    less the integral of 1 - f (the mirrored lead's f) is taken. Otherwise
+    the result is kT*log1p(f(hi)*expm1(width/kT)) for windows narrower than
+    700 kT, where expm1 cannot overflow, and the ramp difference for wider
+    ones, which then cannot cancel.
+    """
+    if mu_lead > hi:
+        return (hi - lo) - fermi_integral(-mu_lead, -hi, -lo, kt)
+    if kt == 0.0:
+        return max(mu_lead - lo, 0.0)
+    d = (hi - lo) / kt
+    if d < 700.0:
+        e = math.exp((mu_lead - hi) / kt)
+        return kt * math.log1p(e / (1.0 + e) * math.expm1(d))
+    return softplus_ramp(mu_lead - lo, kt) - softplus_ramp(mu_lead - hi, kt)

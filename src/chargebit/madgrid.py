@@ -85,8 +85,14 @@ def grid_median(f: GridPdf) -> float:
 
 
 def grid_mad(f: GridPdf) -> float:
-    """Mean absolute deviation about the grid median."""
-    return f.step * float(np.abs(f.xs - grid_median(f)).dot(f.densities))
+    """Mean absolute deviation about the grid median.
+
+    The weighted sum is an ``einsum``, not ``ndarray.dot``: a threaded BLAS
+    ``ddot`` on the 16k-point correlation grids stalls for milliseconds on
+    about one call in ten on a 2-core machine.
+    """
+    return f.step * float(np.einsum("i,i->", np.abs(f.xs - grid_median(f)),
+                                    f.densities))
 
 
 def _fft_size(n: int) -> int:

@@ -3,14 +3,22 @@
 ``integrate`` runs QUADPACK at the tolerances of ``DEFAULT_CONFIG``; no
 caller sets others. :class:`NumericsConfig` is the record of those
 tolerances, and building one validates its fields.
+
+``integrate`` imports ``scipy.integrate.quad`` when it is called, not at
+module level: scipy.integrate takes about 0.3 s to import, and only the
+broadening excess of W0/W1 and the Lorentzian eta raise work call it.
+After the first call the import is a ``sys.modules`` lookup. A result that
+QUADPACK flagged but that meets the loosened tolerance is accepted and
+logged as a WARNING on this module's logger; no handler is configured here.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from scipy import integrate as _sciint
+_log = logging.getLogger(__name__)
 
 
 class NonConvergence(RuntimeError):
@@ -52,6 +60,8 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     ``breakpoints`` marks known kinks or near-discontinuities; intervals are
     pre-split there so the subdivision budget is spent where it matters.
     """
+    from scipy.integrate import quad
+
     cfg = DEFAULT_CONFIG
     if not a < b:
         raise ValueError(f"integration interval is empty: [{a}, {b}]")
@@ -62,7 +72,7 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     for p in sorted({p for p in breakpoints if a + eps < p < b - eps}):
         if not pts or p - pts[-1] > eps:
             pts.append(p)
-    out = _sciint.quad(
+    out = quad(
         f, a, b,
         points=pts if pts else None,
         epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
@@ -76,4 +86,6 @@ def integrate(f: Callable[[float], float], a: float, b: float,
         if abserr > 100.0 * max(cfg.abs_tol, cfg.rel_tol * abs(value)):
             raise NonConvergence(
                 f"quadrature on [{a}, {b}] did not converge: {out[3]}")
+        _log.warning("quadrature on [%r, %r] accepted with abserr %.3g: %s",
+                     a, b, abserr, out[3])
     return QuadResult(value, abserr)

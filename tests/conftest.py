@@ -1,5 +1,7 @@
 """Shared fixtures and builders for the test suite."""
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,23 @@ def random_system(rng, kernel=None):
     if kernel is None:
         kernel = Gaussian(10.0 ** rng.uniform(-1, 2))
     return make_system(kt_s, kt_d, bias, gamma_s, kernel)
+
+
+def decimal_ramp(c: Decimal, kt: Decimal) -> Decimal:
+    """Integral of a Fermi step at c over [0, inf), kT ln(1 + e^(c/kT)), at
+    the precision of the current decimal context; max(c, 0) at T = 0."""
+    if kt == 0:
+        return max(c, Decimal(0))
+    z = c / kt
+    return kt * (max(z, Decimal(0)) + (1 + (-abs(z)).exp()).ln())
+
+
+def decimal_fermi(x: Decimal, kt: Decimal) -> Decimal:
+    """The Fermi occupation at x = mu - mu_lead; 1/2 at x = 0 when T = 0."""
+    if kt == 0:
+        return Decimal(1 if x < 0 else 0 if x > 0 else 0.5)
+    e = (-abs(x) / kt).exp()
+    return e / (1 + e) if x > 0 else 1 / (1 + e)
 
 
 @pytest.fixture

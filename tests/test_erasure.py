@@ -1,6 +1,9 @@
 """Erasure work costs, energy scales, the two-sided bound and eta-erasure."""
 
+import decimal
 import math
+from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,16 +12,19 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from chargebit import (DotSystem, LeadParams, TunnelRates, check_bound,
-                       energy_scales, erasure_costs, eta_erasure_work)
+                       energy_scales, erasure, erasure_costs,
+                       eta_erasure_work)
 from chargebit.dot_model import _lead_values, half_occupation_level, occupation
 from chargebit.erasure import DivergentInput, absolute_deviation_integral
 from chargebit.kernels import Delta, Gaussian, Lorentzian
 from chargebit.numerics import integrate
 from chargebit.units import broadening_energy_uev, thermal_energy_uev
 
-from conftest import make_system, random_system
+from conftest import (decimal_fermi, decimal_ramp, make_system,
+                      random_system)
 
 LN2 = math.log(2.0)
+_TWELVE_DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
 
 
 class TestErasureCosts:
@@ -135,6 +141,51 @@ class TestCheckBound:
         assert report.margin_upper == pytest.approx(report.upper - report.w_bar)
 
 
+def _delta_eta_work(sys_, mu_half, mu_eta):
+    """The unbroadened eta work at given levels in 50-digit decimals.
+
+    Per lead the softplus closed form of the raise work,
+    kT [softplus((mu_i - mu_half)/kT) - softplus((mu_i - mu_eta)/kT)] (ramps
+    at T = 0), less (mu_eta - mu_half) times its occupation just above
+    mu_eta. The digits spare the reference the cancellation of the two
+    ramps.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        lo, hi = Decimal(mu_half), Decimal(mu_eta)
+        above = Decimal(math.nextafter(mu_eta, math.inf))
+        total = Decimal(0)
+        for gamma, lead in sys_.weighted_leads():
+            kt = Decimal(lead.thermal_energy)
+            mu_i = Decimal(lead.chemical_potential)
+            total += Decimal(gamma) * (
+                decimal_ramp(mu_i - lo, kt) - decimal_ramp(mu_i - hi, kt)
+                - (hi - lo) * decimal_fermi(above - mu_i, kt))
+        return float(total)
+
+
+def _check_delta_eta_work(sys_, eta):
+    """eta_erasure_work against _delta_eta_work at the code's own mu_1/2
+    and mu_eta, to 1e-9 relative plus 1e-13 of the levels' magnitude."""
+    real = erasure.occupation_level
+    levels = []
+
+    def record(*args):
+        levels.append(real(*args))
+        return levels[-1]
+    with mock.patch.object(erasure, "occupation_level", record):
+        work = eta_erasure_work(sys_, eta)
+    mu_half = half_occupation_level(sys_)
+    (mu_eta,) = levels
+    if mu_eta <= mu_half:
+        assert work == 0.0
+        return
+    expected = _delta_eta_work(sys_, mu_half, mu_eta)
+    assert abs(work - expected) <= (
+        1e-9 * abs(expected) + 1e-13 * (abs(mu_half) + abs(mu_eta))), (
+            work, expected)
+
+
 class TestEtaErasure:
     def test_lorentzian_quarter(self):
         sys_ = make_system(0.0, 0.0, 0.0, 0.5, Lorentzian(1.0))
@@ -188,6 +239,48 @@ class TestEtaErasure:
         with pytest.raises(ValueError):
             eta_erasure_work(sys_, 0.5)
 
+    # a lead whose kT is far below the window [mu_1/2, mu_eta]: adaptive
+    # quadrature over mu missed its step by 1.7e-3 and 1.0e-3 relative. The
+    # references are the softplus closed form at 40 digits (Delta) and a
+    # nested quadrature at 40 digits (Gaussian), both by mpmath.
+    @pytest.mark.parametrize("sys_, expected", [
+        pytest.param(DotSystem(LeadParams(0.002768855724460147,
+                                          104.18071817894695),
+                               LeadParams(94.38067633765615, 0.0),
+                               TunnelRates(0.8789717095546369, 1.0), Delta()),
+                     0.53590353830634693, id="delta"),
+        pytest.param(DotSystem(LeadParams(1886.4123810427527,
+                                          0.06177498053249975),
+                               LeadParams(0.13923985156617974, 0.0),
+                               TunnelRates(0.48268901327232366, 1.0),
+                               Gaussian(0.06083561220976206)),
+                     46.94541615467975, id="gaussian"),
+    ])
+    def test_narrow_lead_in_a_wide_window(self, sys_, expected):
+        assert eta_erasure_work(sys_, 0.1) == pytest.approx(expected,
+                                                            rel=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(kt_s=st.just(0.0) | _TWELVE_DECADES,
+           kt_d=st.just(0.0) | _TWELVE_DECADES, bias=_TWELVE_DECADES,
+           gamma_s=st.floats(0.05, 0.95), eta=st.floats(1e-3, 0.45))
+    def test_delta_softplus_twelve_decades(self, kt_s, kt_d, bias, gamma_s,
+                                           eta):
+        _check_delta_eta_work(make_system(kt_s, kt_d, bias, gamma_s), eta)
+
+    # a lead held full (or empty) across a narrow window far from it, or one
+    # whose kT dwarfs the window: a difference of the two levels' softplus
+    # tails cancels there, to 1e-4 relative on the first device
+    @pytest.mark.parametrize("kt_s, kt_d, bias, gamma_s, eta", [
+        (1e-6, 1e-6, 1e6, 0.06, 0.3),
+        (0.0, 1e-3, 1e6, 0.2, 0.3),
+        (1e-6, 1e-6, 1e6, 0.7, 0.1),
+        (1e6, 0.1, 1.0, 0.5, 0.375),
+    ])
+    def test_delta_far_or_wide_lead(self, kt_s, kt_d, bias, gamma_s, eta):
+        _check_delta_eta_work(make_system(kt_s, kt_d, bias, gamma_s), eta)
+
 
 class TestAbsoluteDeviationIntegral:
     def test_lorentzian_diverges(self):
@@ -215,9 +308,6 @@ def _mad_gap(sys_):
     """(|W-bar - MAD/2|, the analyze gate's allowance 1e-8 (1 + W-bar))."""
     costs = erasure_costs(sys_)
     return costs.mad_discrepancy, 1e-8 * (1.0 + costs.w_bar)
-
-
-_TWELVE_DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
 
 
 class TestMadGateTwelveDecades:

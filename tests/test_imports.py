@@ -18,11 +18,20 @@ The array core of ``dot_model`` (``_lead_values`` and ``_lead_block``)
 calls no ``isinstance`` either: it takes and returns arrays only, so no
 float fork beside the numpy path can return. ``_combined`` is the one
 place where a float level becomes a one-element array and back.
+
+No module imports scipy at module level: ``import chargebit.cli`` loads
+numpy and the package only, and scipy is imported inside the functions
+that call it. Commands that never reach those functions run without it.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
+import numpy as np
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "chargebit"
@@ -131,3 +140,91 @@ def test_guard_flags_an_isinstance_call_in_the_array_core():
     assert _array_core_isinstance_calls(source) == ["_lead_values line 2"]
     with pytest.raises(AssertionError):
         _array_core_isinstance_calls("def _lead_block(d):\n    return d\n")
+
+
+def _module_level_scipy_imports(source: str) -> list[str]:
+    """scipy imports that run on import: any outside a function body."""
+    hits = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                hits.append(f"line {child.lineno}")
+            visit(child)
+    visit(ast.parse(source))
+    return hits
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    assert _module_level_scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_flags_a_module_level_scipy_import():
+    source = ("from scipy.special import ndtr\n"
+              "def cdf(x):\n"
+              "    from scipy.special import ndtr\n"
+              "    return ndtr(x)\n"
+              "try:\n"
+              "    import scipy.integrate as si\n"
+              "except ImportError:\n"
+              "    pass\n"
+              "import scipyish\n")
+    assert _module_level_scipy_imports(source) == ["line 1", "line 6"]
+
+
+_DELTA_DEVICE = """\
+temperature_source = 40m
+temperature_drain  = 40m
+bias        = 200
+rate_source = 6.3G
+rate_drain  = 250G
+kernel      = delta
+"""
+
+
+def test_delta_commands_and_lemmas_run_without_scipy(tmp_path):
+    config = tmp_path / "delta.cfg"
+    config.write_text(_DELTA_DEVICE)
+    script = textwrap.dedent(f"""\
+        import sys
+        import chargebit.cli as cli
+        assert not [m for m in sys.modules if m.startswith("scipy")]
+        cfg, out = {str(config)!r}, {str(tmp_path / "out.csv")!r}
+        for argv in (["analyze", "--config", cfg, "--eta", "0.1"],
+                     ["protocol", "--config", cfg, "--target", "zero",
+                      "--duration", "20", "--out", out],
+                     ["occupation", "--config", cfg, "--mu-min", "-100",
+                      "--mu-max", "300", "--points", "50", "--out", out],
+                     ["lemmas", "--trials", "3", "--seed", "1"]):
+            assert cli.main(argv) == 0, argv
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+        assert not loaded, loaded
+        """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_gaussian_cdf_is_scipy_ndtr_bit_for_bit():
+    from scipy.special import ndtr
+
+    from chargebit.kernels import Gaussian
+
+    kernel = Gaussian(0.37)
+    x = np.linspace(-20.0, 20.0, 1001)
+    assert np.array_equal(kernel.cdf(x), ndtr(x / 0.37))
+    assert kernel.cdf(1.3) == ndtr(1.3 / 0.37)

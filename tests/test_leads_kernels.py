@@ -4,18 +4,24 @@ The Fermi function and its density are the occupation and -dp/dmu of a
 one-lead device without broadening.
 """
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from chargebit.dot_model import (DotSystem, TunnelRates,
                                  occupation_derivative_density,
                                  unbroadened_occupation)
 from chargebit.kernels import Delta, DeltaKernelError, Gaussian, Lorentzian
-from chargebit.leads import LeadParams, softplus_ramp
+from chargebit.leads import LeadParams, fermi_integral, softplus_ramp
 from chargebit.numerics import integrate
+
+from conftest import decimal_ramp
 
 
 def _fermi(energy, lead):
@@ -95,6 +101,42 @@ class TestFermiDerivativeDensity:
         assert softplus_ramp(2.0 - 3.0, 0.0) == 0.0
         assert softplus_ramp(3.0 - 2.0, 0.0) == 1.0
         assert softplus_ramp(1.0 - 2.0, 0.0) == 0.0
+
+
+_SIGNED_DECADES = st.builds(lambda sign, e: sign * 10.0 ** e,
+                            st.sampled_from((-1.0, 1.0)),
+                            st.floats(-6.0, 6.0))
+
+
+class TestFermiIntegral:
+    """The integral of f over a window against the difference of two
+    softplus ramps in 50-digit decimals."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(mu=_SIGNED_DECADES, lo=_SIGNED_DECADES,
+           width=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e),
+           kt=st.just(0.0) | st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e))
+    def test_matches_decimal_ramps(self, mu, lo, width, kt):
+        hi = lo + width
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            exact = float(decimal_ramp(Decimal(mu) - Decimal(lo), Decimal(kt))
+                          - decimal_ramp(Decimal(mu) - Decimal(hi),
+                                         Decimal(kt)))
+        got = fermi_integral(mu, lo, hi, kt)
+        assert abs(got - exact) <= 1e-14 * exact + 1e-15 * (
+            abs(mu) + abs(lo) + abs(hi)), (got, exact)
+
+    def test_half_filled_window_is_half_its_width(self):
+        # a window centred on the lead: f - 1/2 is odd about mu_lead
+        assert fermi_integral(3.0, 3.0 - 1e-9, 3.0 + 1e-9, 5.0) == (
+            pytest.approx(1e-9, rel=1e-12))
+
+    def test_zero_temperature_is_the_occupied_part(self):
+        assert fermi_integral(2.0, 0.5, 3.0, 0.0) == 1.5
+        assert fermi_integral(2.0, 2.5, 3.0, 0.0) == 0.0
+        assert fermi_integral(2.0, -1.0, 1.0, 0.0) == 2.0
 
 
 class TestNonFiniteInputs:
