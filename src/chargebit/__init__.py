@@ -12,7 +12,7 @@ from .dot_model import (AmbiguousMedianWarning, DotSystem, PureStep,
                         TunnelRates, half_occupation_level, occupation,
                         occupation_derivative_density, unbroadened_occupation)
 from .dynamics import (ProtocolSchedule, Segment, Trajectory,
-                       make_erasure_schedule, reversibility_check, simulate)
+                       make_erasure_schedule, simulate)
 from .erasure import (BoundReport, DivergentInput, EnergyScales, ErasureCosts,
                       check_bound, energy_scales, erasure_costs,
                       eta_erasure_work)

@@ -4,8 +4,8 @@ Config files are flat ``key = value`` text in laboratory units (kelvin, Hz,
 micro-eV); everything is converted to micro-eV at the boundary and the drain
 chemical potential is the global zero of energy. Exit codes: 0 success
 (divergent results included), 1 property violation (a lemma-suite violation,
-or an ``analyze`` report whose MAD cross-check or energy-scale bound fails),
-2 input error.
+or an ``analyze`` report whose MAD cross-check or energy-scale bound fails)
+or numerical failure (a quadrature that did not converge), 2 input error.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from . import dynamics, erasure, madgrid
 from .dot_model import DotSystem, TunnelRates, occupation, unbroadened_occupation
 from .kernels import Delta, Gaussian, Lorentzian
 from .leads import LeadParams
+from .numerics import NonConvergence
 from .units import broadening_energy_uev, thermal_energy_uev
 
 
@@ -161,28 +162,21 @@ def analyze(spec: DeviceSpec, etas: tuple[float, ...] = ()) -> dict:
         "e_therm_ueV": scales.e_therm,
         "e_bias_ueV": scales.e_bias,
     }
-    if math.isfinite(scales.e_broad):
-        report["e_broad_ueV"] = scales.e_broad
-    else:
-        report["e_broad_ueV"] = "divergent (Lorentzian exact erasure)"
-    if costs.divergent:
-        report["w_zero_ueV"] = "divergent (Lorentzian exact erasure)"
-        report["w_one_ueV"] = "divergent (Lorentzian exact erasure)"
-        report["w_bar_ueV"] = "divergent (Lorentzian exact erasure)"
-        for eta in etas or (0.1, 0.01, 0.001):
-            report[f"w_eta_{eta:g}_ueV"] = erasure.eta_erasure_work(sys_, eta)
-    else:
-        report["w_zero_ueV"] = costs.w_zero
-        report["w_one_ueV"] = costs.w_one
-        report["w_bar_ueV"] = costs.w_bar
+    for key, value in (("e_broad_ueV", scales.e_broad),
+                       ("w_zero_ueV", costs.w_zero),
+                       ("w_one_ueV", costs.w_one),
+                       ("w_bar_ueV", costs.w_bar)):
+        report[key] = ("divergent (Lorentzian exact erasure)"
+                       if math.isinf(value) else value)
+    if not costs.divergent:
         if costs.mad_discrepancy is not None:
             report["mad_form_discrepancy_ueV"] = costs.mad_discrepancy
         bound = erasure.check_bound(costs, scales)
         report["bound_lower_ueV"] = bound.lower
         report["bound_upper_ueV"] = bound.upper
         report["bound_satisfied"] = bound.satisfied
-        for eta in etas:
-            report[f"w_eta_{eta:g}_ueV"] = erasure.eta_erasure_work(sys_, eta)
+    for eta in etas or ((0.1, 0.01, 0.001) if costs.divergent else ()):
+        report[f"w_eta_{eta:g}_ueV"] = erasure.eta_erasure_work(sys_, eta)
     return report
 
 
@@ -284,23 +278,16 @@ def run_lemma_suite(trials: int, seed: int) -> tuple[bool, list[str]]:
         raise ValidationError("trials", "must be >= 1")
     rng = np.random.default_rng(seed)
     lines = [f"lemma suite: trials={trials} seed={seed}"]
-    ok = True
     for i in range(trials):
-        f = madgrid.random_grid_pdf(rng)
-        g = madgrid.random_grid_pdf(rng)
-        rep = madgrid.verify_lemma1(f, g)
-        if not rep.ok:
-            ok = False
-            lines.append(f"lemma1 VIOLATION at trial {i} (seed {seed}): "
-                         f"{rep.values}")
-        fs = madgrid.random_symmetric_grid_pdf(rng)
-        gs = madgrid.random_symmetric_grid_pdf(rng)
-        p_f = float(rng.uniform(0.05, 0.95))
-        rep2 = madgrid.verify_lemma2(fs, gs, p_f)
-        if not rep2.ok:
-            ok = False
-            lines.append(f"lemma2 VIOLATION at trial {i} (seed {seed}): "
-                         f"{rep2.values}")
+        f, g = madgrid.random_grid_pdf(rng), madgrid.random_grid_pdf(rng)
+        reports = (madgrid.verify_lemma1(f, g), madgrid.verify_lemma2(
+            madgrid.random_symmetric_grid_pdf(rng),
+            madgrid.random_symmetric_grid_pdf(rng),
+            float(rng.uniform(0.05, 0.95))))
+        lines += [f"lemma{n} VIOLATION at trial {i} (seed {seed}): "
+                  f"{rep.values}"
+                  for n, rep in enumerate(reports, start=1) if not rep.ok]
+    ok = len(lines) == 1
     lines.append("all sandwich inequalities held" if ok
                  else "violations found")
     return ok, lines
@@ -370,6 +357,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
+    except NonConvergence as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 1
     return 0
 
 

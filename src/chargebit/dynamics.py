@@ -108,7 +108,7 @@ def simulate(sys: DotSystem, sched: ProtocolSchedule,
     t = 0.0
     work = 0.0
     for seg in sched.segments:
-        if seg.shape == INSTANTANEOUS or seg.duration == 0.0:
+        if seg.duration == 0.0:
             work += (seg.mu_end - seg.mu_start) * p
             # quench happens "at" the current time; update the last sample
             mus[-1] = seg.mu_end
@@ -132,14 +132,14 @@ def simulate(sys: DotSystem, sched: ProtocolSchedule,
 def _exact_ramp(sys: DotSystem, seg: Segment, rate: float, t_out: np.ndarray,
                 dt_max: float, p0: float) -> tuple[np.ndarray, np.ndarray]:
     """p and the cumulative work of one linear ramp at the times t_out."""
-    t, pl, pr, ml, mr = _ramp_table(sys, seg, rate, t_out, dt_max)
+    t, q, m = _ramp_table(sys, seg, rate, t_out, dt_max)
     h = np.diff(t)
     x = sys.rates.total * h
     # Hermite cubic of step k in u = (t - t_k)/h: q0 + c1 u + c2 u^2 + c3 u^3
-    q0, q1 = pr[:-1], pl[1:]
-    c1 = h * mr[:-1]
-    c2 = 3.0 * (q1 - q0) - 2.0 * c1 - h * ml[1:]
-    c3 = 2.0 * (q0 - q1) + c1 + h * ml[1:]
+    q0, q1 = q[:-1], q[1:]
+    c1 = h * m[:-1]
+    c2 = 3.0 * (q1 - q0) - 2.0 * c1 - h * m[1:]
+    c3 = 2.0 * (q0 - q1) + c1 + h * m[1:]
     f1, f2, f3, f4, f5 = _phi(x)
     # dp/du = x (q - p): p_{k+1} = e^{-x} p_k + x int_0^1 e^{-x(1-u)} q du,
     # and int_0^1 u^j e^{-x(1-u)} du = j! phi_{j+1}(-x)
@@ -154,7 +154,7 @@ def _exact_ramp(sys: DotSystem, seg: Segment, rate: float, t_out: np.ndarray,
 
 def _ramp_table(sys: DotSystem, seg: Segment, rate: float, t_out: np.ndarray,
                 dt_max: float) -> tuple[np.ndarray, ...]:
-    """Times t and p_ss with dp_ss/dt on each side of them, for one ramp.
+    """Times t, p_ss and dp_ss/dt for one ramp, one value per node.
 
     The output samples, split into equal steps no longer than dt_max, are
     refined by bisection: each pass evaluates the midpoints of the steps
@@ -163,47 +163,49 @@ def _ramp_table(sys: DotSystem, seg: Segment, rate: float, t_out: np.ndarray,
     midpoint by more than 16 _TABLE_TOL; the cubic's error falls as the
     fourth power of the step, so its own midpoint error is then about
     _TABLE_TOL. A T = 0 lead without broadening has a step in p_ss at its
-    chemical potential; that level is a node whose two sides carry the two
-    one-sided limits.
+    chemical potential. That atom is two nodes at the same time: the first
+    holds the limit of p_ss from before it, the second the limit from after
+    it. The zero-length step between them changes neither p nor the work.
     """
     sub = max(1, math.ceil((t_out[1] - t_out[0]) / dt_max))
     t = np.append(t_out[:-1, None] + np.outer(np.diff(t_out),
                                               np.arange(sub) / sub),
                   t_out[-1])
-    atoms = np.array([lead.chemical_potential
-                      for _, lead in sys.weighted_leads()
-                      if lead.thermal_energy == 0.0 and rate != 0.0
-                      and sys.kernel.width == 0.0])
+    # both leads' atoms coincide at zero bias
+    atoms = np.unique([lead.chemical_potential
+                       for _, lead in sys.weighted_leads()
+                       if lead.thermal_energy == 0.0 and rate != 0.0
+                       and sys.kernel.width == 0.0])
     t_atoms = (atoms - seg.mu_start) / rate
     inside = (t_atoms >= 0.0) & (t_atoms <= seg.duration)
     atoms, t_atoms = atoms[inside], t_atoms[inside]
-    t = np.union1d(t, t_atoms)
+    t = np.setdiff1d(t, t_atoms)
+    mu = np.concatenate((seg.mu_start + rate * t,
+                         np.nextafter(atoms, seg.mu_start),
+                         np.nextafter(atoms, seg.mu_end)))
+    t = np.concatenate((t, t_atoms, t_atoms))
+    order = np.argsort(t, kind="stable")
+    t, mu = t[order], mu[order]
 
     def steady(mu):
         p, dens = _combined(mu, sys, ("cdf", "pdf"))
         return np.clip(p, 0.0, 1.0), -rate * dens
 
-    pl, ml = steady(seg.mu_start + rate * t)
-    pr, mr = pl.copy(), ml.copy()
-    if atoms.size:
-        at = np.searchsorted(t, t_atoms)
-        pl[at], ml[at] = steady(np.nextafter(atoms, seg.mu_start))
-        pr[at], mr[at] = steady(np.nextafter(atoms, seg.mu_end))
-    table = np.stack((t, pl, pr, ml, mr))
+    table = np.stack((t, *steady(mu)))
     k = np.arange(t.size - 1)
     while k.size:
-        t, pl, pr, ml, mr = table
+        t, q, m = table
         mid = 0.5 * (t[k] + t[k + 1])
-        # a step of adjacent doubles cannot be split further
+        # a step of adjacent doubles cannot be split further, and the step
+        # across an atom has no length
         split = (t[k] < mid) & (mid < t[k + 1])
         k, mid = k[split], mid[split]
-        p_mid, m_mid = steady(seg.mu_start + rate * mid)
-        guess = (0.5 * (pr[k] + pl[k + 1])
-                 + 0.125 * (t[k + 1] - t[k]) * (mr[k] - ml[k + 1]))
-        table = np.insert(table, k + 1,
-                          np.stack((mid, p_mid, p_mid, m_mid, m_mid)), axis=1)
+        q_mid, m_mid = steady(seg.mu_start + rate * mid)
+        guess = (0.5 * (q[k] + q[k + 1])
+                 + 0.125 * (t[k + 1] - t[k]) * (m[k] - m[k + 1]))
+        table = np.insert(table, k + 1, np.stack((mid, q_mid, m_mid)), axis=1)
         new = (k + 1 + np.arange(k.size))[
-            np.abs(guess - p_mid) > 16.0 * _TABLE_TOL]
+            np.abs(guess - q_mid) > 16.0 * _TABLE_TOL]
         k = np.sort(np.concatenate((new - 1, new)))
     return tuple(table)
 
@@ -277,30 +279,3 @@ def make_erasure_schedule(sys: DotSystem, target: Literal["zero", "one"],
         segments=(Segment(mu_half, mu_far, ramp_duration, shape),
                   Segment(mu_far, mu_half, 0.0, INSTANTANEOUS)),
         initial_occupation=STEADY_STATE)
-
-
-@dataclass(frozen=True)
-class ReversibilityReport:
-    net_work: float
-    p_error: float  # |final p - 1/2|
-
-
-def reversibility_check(sys: DotSystem, ramp_duration: float,
-                        cutoff_multiplier: float = 40.0
-                        ) -> ReversibilityReport:
-    """Erasure to zero followed immediately by its time-reverse.
-
-    Net work tends to zero and the final occupation returns to 1/2 as the
-    ramp duration grows; at finite speed the net work is the dissipation of
-    the round trip.
-    """
-    forward = make_erasure_schedule(sys, "zero", ramp_duration,
-                                    cutoff_multiplier)
-    up, down = forward.segments
-    reverse = (Segment(down.mu_end, down.mu_start, 0.0, INSTANTANEOUS),
-               Segment(up.mu_end, up.mu_start, ramp_duration,
-                       LINEAR if ramp_duration > 0 else INSTANTANEOUS))
-    sched = ProtocolSchedule(forward.segments + reverse, STEADY_STATE)
-    traj = simulate(sys, sched)
-    return ReversibilityReport(traj.total_work,
-                               abs(traj.final_occupation - 0.5))

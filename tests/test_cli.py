@@ -11,6 +11,7 @@ from chargebit.cli import (DeviceSpec, ParseError, ValidationError,
                            main, occupation_curve, parse_number,
                            run_lemma_suite, sweep)
 from chargebit.kernels import Delta, Gaussian
+from chargebit.numerics import NonConvergence
 from chargebit.units import broadening_energy_uev, thermal_energy_uev
 
 DEVICE1 = """\
@@ -317,6 +318,18 @@ class TestMainExitCodes:
         path.write_text(DEVICE1.replace("gaussian", "lorentzian"))
         assert main(["analyze", "--config", str(path)]) == 0
         assert "divergent" in capsys.readouterr().out
+
+    def test_non_convergence_exits_1_with_an_error_line(self, tmp_path,
+                                                         monkeypatch, capsys):
+        def fail(sys_, eta):
+            raise NonConvergence("quadrature did not converge")
+        monkeypatch.setattr(erasure, "eta_erasure_work", fail)
+        path = tmp_path / "l.cfg"
+        path.write_text(DEVICE1.replace("gaussian", "lorentzian"))
+        assert main(["analyze", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: quadrature did not converge\n"
+        assert "Traceback" not in out + err
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

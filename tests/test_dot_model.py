@@ -230,6 +230,28 @@ class TestHalfOccupationTwelveDecades:
         assert abs(occupation(mu, sys_) - 0.5) <= tol
 
 
+class TestMonotoneTwelveDecades:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(kt_s=st.just(0.0) | _TWELVE_DECADES,
+           kt_d=st.just(0.0) | _TWELVE_DECADES, bias=_TWELVE_DECADES,
+           width=_TWELVE_DECADES, gamma_s=st.floats(0.05, 0.95),
+           kernel=st.sampled_from([Delta, Gaussian, Lorentzian]))
+    def test_occupation_non_increasing(self, kt_s, kt_d, bias, width,
+                                       gamma_s, kernel):
+        """p never rises with mu, from far below the drain to far above the
+        source, and on each lead's own scale around its chemical potential."""
+        sys_ = make_system(kt_s, kt_d, bias, gamma_s,
+                           Delta() if kernel is Delta else kernel(width))
+        s = dominant_scale(sys_)
+        mus = [np.linspace(-20.0 * s, bias + 20.0 * s, 300)]
+        for mu_i, kt in ((bias, kt_s), (0.0, kt_d)):
+            reach = 5.0 * max(kt, sys_.kernel.width)
+            mus.append(np.linspace(mu_i - reach, mu_i + reach, 100))
+        p = occupation(np.unique(np.concatenate(mus)), sys_)
+        assert np.all(np.diff(p) <= 4.0 * sys.float_info.epsilon)
+
+
 class TestDominantScale:
     def test_fallback_unit(self):
         assert dominant_scale(make_system(0.0, 0.0, 5.0, 0.5)) == 1.0

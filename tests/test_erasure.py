@@ -304,9 +304,8 @@ class TestAbsoluteDeviationIntegral:
                 sys_, costs.mu_half + off) >= base - 1e-9
 
 
-def _mad_gap(sys_):
+def _mad_gap(costs):
     """(|W-bar - MAD/2|, the analyze gate's allowance 1e-8 (1 + W-bar))."""
-    costs = erasure_costs(sys_)
     return costs.mad_discrepancy, 1e-8 * (1.0 + costs.w_bar)
 
 
@@ -334,7 +333,8 @@ class TestMadGateTwelveDecades:
                      50431.01519712513, 0.20892665913923997, id="seed2-94"),
     ])
     def test_delta_devices(self, kt_s, kt_d, bias, gamma_s):
-        gap, allowed = _mad_gap(make_system(kt_s, kt_d, bias, gamma_s))
+        gap, allowed = _mad_gap(erasure_costs(make_system(kt_s, kt_d, bias,
+                                                          gamma_s)))
         assert gap <= allowed
 
     @settings(max_examples=100, deadline=None, derandomize=True,
@@ -346,8 +346,10 @@ class TestMadGateTwelveDecades:
     def test_property(self, kt_s, kt_d, bias, sigma, gamma_s, gaussian):
         sys_ = make_system(kt_s, kt_d, bias, gamma_s,
                            Gaussian(sigma) if gaussian else Delta())
-        gap, allowed = _mad_gap(sys_)
+        costs = erasure_costs(sys_)
+        gap, allowed = _mad_gap(costs)
         assert gap <= allowed
+        assert check_bound(costs, energy_scales(sys_)).satisfied
 
 
 def _reference_lead_mad(lead, kernel, point):
