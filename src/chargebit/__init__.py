@@ -21,7 +21,7 @@ from .kernels import (BroadeningKernel, Delta, DeltaKernelError, Gaussian,
 from .leads import LeadParams
 from .madgrid import (GridPdf, LemmaReport, grid_cross_correlate, grid_mad,
                       grid_median, verify_lemma1, verify_lemma2)
-from .numerics import NonConvergence, NumericsConfig, integrate
+from .numerics import NonConvergence
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

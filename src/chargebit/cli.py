@@ -354,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
             ok, lines = run_lemma_suite(args.trials, args.seed)
             print("\n".join(lines))
             return 0 if ok else 1
-    except (ParseError, ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     except NonConvergence as exc:

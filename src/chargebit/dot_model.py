@@ -304,8 +304,8 @@ def half_occupation_level(sys: DotSystem) -> float:
     """The gate level mu_1/2 with p(mu_1/2) = 1/2, by occupation_level.
 
     For the all-atomic device this is the median of the two-atom
-    distribution; the degenerate gamma_S = 1/2 case has a whole plateau at
-    p = 1/2 and the midpoint is returned with a warning.
+    distribution. With gamma_S = 1/2 and a bias, p is 1/2 on the whole bias
+    window, and the midpoint is returned with a warning.
     """
     mu_s = sys.source.chemical_potential
     mu_d = sys.drain.chemical_potential
@@ -313,7 +313,7 @@ def half_occupation_level(sys: DotSystem) -> float:
     if is_atomic(sys):
         if g_s < 0.5:
             return mu_d
-        if g_s > 0.5:
+        if g_s > 0.5 or mu_s == mu_d:
             return mu_s
         warnings.warn("p = 1/2 on the whole bias window; returning midpoint",
                       AmbiguousMedianWarning, stacklevel=2)
@@ -334,11 +334,9 @@ def _broadening_excess(c: float, kt: float, kernel: BroadeningKernel) -> float:
     a lead at c = mu_lead - mu: 0 without a kernel, infinite for a kernel
     without a mean.
     """
-    if kt == 0.0:
-        return kernel.partial_expectation(abs(c))
     w = kernel.width
-    if w == 0.0 or math.isinf(kernel.mad):
-        return kernel.partial_expectation(0.0)
+    if kt == 0.0 or w == 0.0 or math.isinf(kernel.mad):
+        return kernel.partial_expectation(abs(c))
     s_star = -c / kt
     reach = TAIL_CUTOFF_GAUSSIAN * w / kt
     lo = max(-_WINDOW, s_star - reach)

@@ -134,15 +134,15 @@ def erasure_costs(sys: DotSystem, mad_check: bool = True) -> ErasureCosts:
     return ErasureCosts(w0, w1, w_bar, mu_half, False, discrepancy)
 
 
-def check_bound(costs: ErasureCosts, scales: EnergyScales,
-                slack_rel: float = 1e-9) -> BoundReport:
-    """Two-sided sandwich max(scales) <= w_bar <= sum(scales), with slack."""
+def check_bound(costs: ErasureCosts, scales: EnergyScales) -> BoundReport:
+    """max(scales) <= w_bar <= sum(scales), each side with a fixed slack of
+    1e-9 times sum(scales)."""
     values = (costs.w_bar, scales.e_therm, scales.e_bias, scales.e_broad)
     if costs.divergent or any(not math.isfinite(v) for v in values):
         raise DivergentInput("bound check requires finite costs and scales")
     lower = max(scales.e_therm, scales.e_bias, scales.e_broad)
     upper = scales.e_therm + scales.e_bias + scales.e_broad
-    slack = slack_rel * upper
+    slack = 1e-9 * upper
     satisfied = (lower - slack <= costs.w_bar <= upper + slack)
     return BoundReport(lower, upper, costs.w_bar, satisfied,
                        costs.w_bar - lower, upper - costs.w_bar)

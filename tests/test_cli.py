@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from chargebit import erasure
+from chargebit import NonConvergence, erasure, madgrid
 from chargebit.cli import (DeviceSpec, ParseError, ValidationError,
                            _failed_checks, analyze, build_system, load_config,
                            main, occupation_curve, parse_number,
                            run_lemma_suite, sweep)
 from chargebit.kernels import Delta, Gaussian
-from chargebit.numerics import NonConvergence
 from chargebit.units import broadening_energy_uev, thermal_energy_uev
 
 DEVICE1 = """\
@@ -330,6 +329,67 @@ class TestMainExitCodes:
         out, err = capsys.readouterr()
         assert err == "error: quadrature did not converge\n"
         assert "Traceback" not in out + err
+
+    def test_lorentzian_without_source_rate_exits_0(self, tmp_path, capsys):
+        path = tmp_path / "l.cfg"
+        path.write_text(DEVICE1.replace("gaussian", "lorentzian")
+                        .replace("rate_source = 6.3G", "rate_source = 0"))
+        assert main(["analyze", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "w_zero_ueV: divergent (Lorentzian exact erasure)" in out
+        assert err == ""
+
+    def test_lemma_violation_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(madgrid, "verify_lemma1", lambda f, g:
+                            madgrid.LemmaReport(False, True, {"d_f": 1.0}))
+        assert main(["lemmas", "--trials", "1", "--seed", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "lemma1 VIOLATION at trial 0 (seed 1): {'d_f': 1.0}"
+        assert lines[-1] == "violations found"
+
+    @pytest.mark.parametrize("config, argv, message", [
+        pytest.param(DEVICE1.replace("6.3G", "0").replace("250G", "0"),
+                     ["analyze", "--config", "{cfg}"],
+                     "rate_source: total rate must be > 0",
+                     id="zero-total-rate"),
+        pytest.param(DEVICE1.replace("= gaussian", "= cauchy"),
+                     ["analyze", "--config", "{cfg}"],
+                     "kernel: must be one of delta, gaussian, lorentzian",
+                     id="unknown-kernel"),
+        pytest.param(None, ["analyze", "--config", "{cfg}"],
+                     "cannot read {cfg}", id="unreadable-path"),
+        pytest.param(DEVICE1 + "bias 200\n", ["analyze", "--config", "{cfg}"],
+                     "{cfg}:8: expected 'key = value'", id="line-without-="),
+        pytest.param(DEVICE1, ["sweep", "--config", "{cfg}", "--bias-max",
+                               "-1", "--width-max", "1", "--points", "3",
+                               "--out", "{out}"],
+                     "sweep: ranges must be non-negative",
+                     id="sweep-negative-range"),
+        pytest.param(DEVICE1, ["sweep", "--config", "{cfg}", "--bias-max",
+                               "1", "--width-max", "1", "--points", "1",
+                               "--out", "{out}"],
+                     "points: need at least 2 per axis", id="sweep-points-1"),
+        pytest.param(DEVICE1, ["occupation", "--config", "{cfg}", "--mu-min",
+                               "0", "--mu-max", "1", "--points", "1",
+                               "--out", "{out}"],
+                     "points: need at least 2", id="occupation-points-1"),
+        pytest.param(DEVICE1, ["protocol", "--config", "{cfg}", "--target",
+                               "zero", "--duration", "-1", "--out", "{out}"],
+                     "duration: must be non-negative", id="negative-duration"),
+        pytest.param(None, ["lemmas", "--trials", "0", "--seed", "1"],
+                     "trials: must be >= 1", id="zero-trials"),
+    ])
+    def test_input_error_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                  config, argv, message):
+        cfg, out = tmp_path / "device.cfg", tmp_path / "out.csv"
+        if config is not None:
+            cfg.write_text(config)
+        assert main([a.format(cfg=cfg, out=out) for a in argv]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        (line,) = stderr.splitlines()
+        assert line.startswith(f"error: {message.format(cfg=cfg)}")
+        assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

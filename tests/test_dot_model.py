@@ -17,9 +17,8 @@ from chargebit.dot_model import (LEVEL_TOL, AmbiguousMedianWarning, DotSystem,
                                  unbroadened_occupation)
 from chargebit.kernels import Delta, Gaussian, Lorentzian
 from chargebit.leads import LeadParams
-from chargebit.numerics import integrate
 
-from conftest import make_system
+from conftest import make_system, reference_quad
 
 
 class TestTunnelRates:
@@ -139,9 +138,9 @@ class TestOccupationDerivativeDensity:
 
     def test_normalises(self):
         sys_ = make_system(0.6, 0.3, 3.0, 0.45, Gaussian(0.7))
-        val = integrate(
+        val = reference_quad(
             lambda m: occupation_derivative_density(m, sys_),
-            -40.0, 43.0, breakpoints=[0.0, 3.0]).value
+            -40.0, 43.0, points=[0.0, 3.0])
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_finite_difference(self, rng):
@@ -173,6 +172,13 @@ class TestHalfOccupationLevel:
         mu_half = half_occupation_level(sys_)
         assert abs(mu_half - 0.0) <= 3.0  # within 3 kT of the drain
         assert occupation(mu_half, sys_) == pytest.approx(0.5, abs=1e-9)
+
+    def test_zero_bias_atomic_median_is_silent(self):
+        # both atoms sit at mu = 0, so the median is unique
+        sys_ = make_system(0.0, 0.0, 0.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert half_occupation_level(sys_) == 0.0
 
     def test_atomic_plateau_midpoint_warns(self):
         sys_ = make_system(0.0, 0.0, 10.0, 0.5)

@@ -12,9 +12,8 @@ from chargebit.dynamics import (INSTANTANEOUS, LINEAR, ProtocolSchedule,
                                 simulate)
 from chargebit.erasure import erasure_costs
 from chargebit.kernels import Delta, Gaussian, Lorentzian
-from chargebit.numerics import integrate
 
-from conftest import make_system
+from conftest import make_system, reference_quad
 
 SYM = make_system(1.0, 1.0, 0.0, 0.5)  # total rate exactly 1
 
@@ -233,8 +232,8 @@ class TestExactRamps:
         mu_half, mu_far = sched.segments[0].mu_start, sched.segments[0].mu_end
         span = mu_far - mu_half
         p_far = occupation(mu_far, biased)
-        w_qs = (integrate(lambda m: occupation(m, biased), mu_half, mu_far,
-                          breakpoints=[0.0, 36.0]).value
+        w_qs = (reference_quad(lambda m: occupation(m, biased), mu_half,
+                               mu_far, points=[0.0, 36.0])
                 - span * p_far)
         traj = simulate(biased, sched, 0.05)
         excess = tau_gamma * (traj.total_work - w_qs)
@@ -271,7 +270,7 @@ class TestErasureSchedules:
     def test_quasistatic_convergence_is_monotone(self):
         sched0 = make_erasure_schedule(SYM, "zero", 1.0)
         mu_half, mu_hi = sched0.segments[0].mu_start, sched0.segments[0].mu_end
-        limit = (integrate(lambda m: occupation(m, SYM), mu_half, mu_hi).value
+        limit = (reference_quad(lambda m: occupation(m, SYM), mu_half, mu_hi)
                  + (mu_half - mu_hi) * occupation(mu_hi, SYM))
         errors = []
         for duration in (20.0, 50.0, 100.0, 200.0):

@@ -17,11 +17,10 @@ from chargebit import (DotSystem, LeadParams, TunnelRates, check_bound,
 from chargebit.dot_model import _lead_values, half_occupation_level, occupation
 from chargebit.erasure import DivergentInput, absolute_deviation_integral
 from chargebit.kernels import Delta, Gaussian, Lorentzian
-from chargebit.numerics import integrate
 from chargebit.units import broadening_energy_uev, thermal_energy_uev
 
 from conftest import (decimal_fermi, decimal_ramp, make_system,
-                      random_system)
+                      random_system, reference_quad)
 
 LN2 = math.log(2.0)
 _TWELVE_DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
@@ -73,11 +72,11 @@ class TestErasureCosts:
             reach = 45.0 * 0.8 + 20.0
             hi = sys_.source.chemical_potential + reach
             lo = sys_.drain.chemical_potential - reach
-            w0 = integrate(lambda m: occupation(m, sys_), costs.mu_half, hi,
-                           breakpoints=[sys_.source.chemical_potential]).value
-            w1 = integrate(lambda m: 1.0 - occupation(m, sys_), lo,
-                           costs.mu_half,
-                           breakpoints=[sys_.drain.chemical_potential]).value
+            w0 = reference_quad(lambda m: occupation(m, sys_), costs.mu_half,
+                                hi, points=[sys_.source.chemical_potential])
+            w1 = reference_quad(lambda m: 1.0 - occupation(m, sys_), lo,
+                                costs.mu_half,
+                                points=[sys_.drain.chemical_potential])
             assert costs.w_zero == pytest.approx(w0, rel=1e-8)
             assert costs.w_one == pytest.approx(w1, rel=1e-8)
 
@@ -89,6 +88,24 @@ class TestErasureCosts:
             w = erasure_costs(sys_, mad_check=False).w_bar
             assert w >= prev - 1e-9
             prev = w
+
+    @pytest.mark.parametrize("kernel", [Delta(), Gaussian(0.7),
+                                        Lorentzian(0.7)],
+                             ids=["delta", "gaussian", "lorentzian"])
+    def test_lead_without_rate_drops_out(self, kernel):
+        # with rates (0, R) the biased source carries no weight: the device
+        # is its drain alone, as is the zero-bias device with rates R/2, R/2
+        silent = DotSystem(LeadParams(0.9, 20.0), LeadParams(0.9, 0.0),
+                           TunnelRates(0.0, 250.0), kernel)
+        split = DotSystem(LeadParams(0.9, 0.0), LeadParams(0.9, 0.0),
+                          TunnelRates(125.0, 125.0), kernel)
+        got, want = erasure_costs(silent), erasure_costs(split)
+        assert got.divergent == want.divergent == math.isinf(kernel.mad)
+        assert got.mu_half == pytest.approx(want.mu_half, abs=1e-12)
+        for name in ("w_zero", "w_one", "w_bar"):
+            value = getattr(got, name)
+            assert not math.isnan(value)
+            assert value == pytest.approx(getattr(want, name), rel=1e-12)
 
 
 class TestEnergyScales:

@@ -22,6 +22,11 @@ place where a float level becomes a one-element array and back.
 No module imports scipy at module level: ``import chargebit.cli`` loads
 numpy and the package only, and scipy is imported inside the functions
 that call it. Commands that never reach those functions run without it.
+
+The adaptive quadrature of ``chargebit.numerics`` is internal: the package
+does not export it, and only its own tests (``test_numerics.py`` and
+``test_logging.py``) import that module. The other tests take their
+quadrature oracle from scipy directly.
 """
 
 import ast
@@ -36,6 +41,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "chargebit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -181,6 +187,48 @@ def test_guard_flags_a_module_level_scipy_import():
               "    pass\n"
               "import scipyish\n")
     assert _module_level_scipy_imports(source) == ["line 1", "line 6"]
+
+
+def _numerics_imports(source: str) -> list[str]:
+    """Imports of chargebit.numerics, however spelled."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names]
+        else:
+            continue
+        if any(n.split(".")[:2] == ["chargebit", "numerics"] for n in names):
+            hits.append(f"line {node.lineno}")
+    return hits
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in TEST_MODULES
+             if p.name not in ("test_numerics.py", "test_logging.py")],
+    ids=lambda p: p.name)
+def test_quadrature_is_imported_only_by_its_own_tests(path):
+    assert _numerics_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_flags_an_import_of_numerics():
+    source = ("from chargebit.numerics import integrate\n"
+              "from chargebit import numerics, erasure\n"
+              "import chargebit.numerics as n\n"
+              "from chargebit import NonConvergence\n"
+              "import chargebit.numerical\n"
+              "def f():\n"
+              "    from chargebit.numerics import NumericsConfig\n")
+    assert _numerics_imports(source) == ["line 1", "line 2", "line 3",
+                                         "line 7"]
+
+
+def test_quadrature_is_not_exported():
+    import chargebit
+
+    assert {"integrate", "NumericsConfig"}.isdisjoint(chargebit.__all__)
 
 
 _DELTA_DEVICE = """\

@@ -19,9 +19,8 @@ from chargebit.dot_model import (DotSystem, TunnelRates,
                                  unbroadened_occupation)
 from chargebit.kernels import Delta, DeltaKernelError, Gaussian, Lorentzian
 from chargebit.leads import LeadParams, fermi_integral, softplus_ramp
-from chargebit.numerics import integrate
 
-from conftest import decimal_ramp
+from conftest import decimal_ramp, reference_quad
 
 
 def _fermi(energy, lead):
@@ -78,9 +77,8 @@ class TestFermiDerivativeDensity:
 
     def test_normalises(self):
         lead = LeadParams(1.3, 0.5)
-        val = integrate(lambda e: _fermi_density(e, lead),
-                        0.5 - 60 * 1.3, 0.5 + 60 * 1.3,
-                        breakpoints=[0.5]).value
+        val = reference_quad(lambda e: _fermi_density(e, lead),
+                             0.5 - 60 * 1.3, 0.5 + 60 * 1.3, points=[0.5])
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_mad_about_mu_is_2ln2_kt(self):
@@ -89,9 +87,9 @@ class TestFermiDerivativeDensity:
         # vacancy weight below it, the ramp at +-(mu - point)
         closed = softplus_ramp(0.0, 0.9) + softplus_ramp(-0.0, 0.9)
         assert closed == pytest.approx(2.0 * math.log(2.0) * 0.9, rel=1e-12)
-        numeric = integrate(
+        numeric = reference_quad(
             lambda e: abs(e - 4.0) * _fermi_density(e, lead),
-            4.0 - 60 * 0.9, 4.0 + 60 * 0.9, breakpoints=[4.0]).value
+            4.0 - 60 * 0.9, 4.0 + 60 * 0.9, points=[4.0])
         assert numeric == pytest.approx(2.0 * math.log(2.0) * 0.9, rel=1e-9)
 
     def test_weight_primitives_reduce_at_zero_temperature(self):
@@ -191,7 +189,7 @@ class TestKernelDensity:
 
     def test_normalisation(self):
         g = Gaussian(1.7)
-        val = integrate(g.pdf, -12 * 1.7, 12 * 1.7).value
+        val = reference_quad(g.pdf, -12 * 1.7, 12 * 1.7)
         assert val == pytest.approx(1.0, abs=1e-10)
         lz = Lorentzian(0.4)
         # analytic CDF difference over a wide window
