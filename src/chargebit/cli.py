@@ -13,12 +13,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys as _sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics, erasure, madgrid
-from .dot_model import DotSystem, TunnelRates, occupation, unbroadened_occupation
+from .dot_model import (AmbiguousMedianWarning, DotSystem, TunnelRates,
+                        occupation, unbroadened_occupation)
 from .kernels import Delta, Gaussian, Lorentzian
 from .leads import LeadParams
 from .numerics import NonConvergence
@@ -226,15 +228,32 @@ def sweep(spec: DeviceSpec, bias_max: float, width_max: float, points: int,
     biases = np.linspace(0.0, bias_max, points)
     widths = np.linspace(0.0, width_max, points)
     rows = []
-    for b in biases:
-        for w in widths:
-            sys_ = build_system(spec, bias_uev=float(b), width_uev=float(w))
-            scales = erasure.energy_scales(sys_)
-            costs = erasure.erasure_costs(sys_, mad_check=False)
-            lower = max(scales.e_therm, scales.e_bias, scales.e_broad)
-            upper = scales.e_therm + scales.e_bias + scales.e_broad
-            rows.append([float(b), float(w), costs.w_bar, scales.e_therm,
-                         scales.e_bias, scales.e_broad, lower, upper])
+    # the default filter shows a warning once per source line, so the
+    # plateau-midpoint warnings are recorded and reported once, with a count
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", AmbiguousMedianWarning)
+        for b in biases:
+            for w in widths:
+                sys_ = build_system(spec, bias_uev=float(b),
+                                    width_uev=float(w))
+                scales = erasure.energy_scales(sys_)
+                costs = erasure.erasure_costs(sys_, mad_check=False)
+                lower = max(scales.e_therm, scales.e_bias, scales.e_broad)
+                upper = scales.e_therm + scales.e_bias + scales.e_broad
+                rows.append([float(b), float(w), costs.w_bar,
+                             scales.e_therm, scales.e_bias, scales.e_broad,
+                             lower, upper])
+    midpoints = 0
+    for rec in caught:
+        if issubclass(rec.category, AmbiguousMedianWarning):
+            midpoints += 1
+        else:
+            warnings.warn_explicit(rec.message, rec.category, rec.filename,
+                                   rec.lineno)
+    if midpoints:
+        warnings.warn(f"{midpoints} of {len(rows)} sweep cells have p = 1/2 "
+                      "on the whole bias window; their mu_1/2 is its "
+                      "midpoint", AmbiguousMedianWarning, stacklevel=2)
     _write_csv(out, ["bias", "hbar_gamma_tot", "w_bar", "e_therm", "e_bias",
                      "e_broad", "bound_lower", "bound_upper"], rows)
 

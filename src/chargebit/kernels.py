@@ -7,10 +7,12 @@ deviation and the Lorentzian's half-width both equal that energy.
 Each kernel is a small frozen dataclass. Its ``cdf`` and ``pdf`` have one
 numpy body each: they take a numpy array of energy offsets (returning an
 array of the same shape) or a float (returning a 0-d numpy value).
-``partial_expectation`` is scalar-only, for the one adaptive integrand that
-calls it. Code outside this module reads a kernel's data, not its type:
-``width == 0`` is no broadening and an infinite ``mad`` is a kernel without
-a mean.
+``partial_expectation`` and ``antiderivative`` (with ``cdf_integral``, its
+difference over a window) are the scalar methods for adaptive integrands:
+the W0/W1 broadening excess and the eta raise work. Only a kernel without a
+mean, the Lorentzian, needs ``antiderivative``. Code outside this module
+reads a kernel's data, not its type: ``width == 0`` is no broadening and an
+infinite ``mad`` is a kernel without a mean.
 
 The Gaussian ``cdf`` imports ``scipy.special.ndtr`` on its first call, not
 at module level: scipy.special takes about 0.2 s to import, and a run with
@@ -115,6 +117,39 @@ class Lorentzian:
     def partial_expectation(self, a: float) -> float:
         """E[(X - a)^+] diverges: the Lorentzian has no mean."""
         return math.inf
+
+    def antiderivative(self, x: float) -> float:
+        """A(x) = integral of the cdf over [0, x] = x*K(x) - (w/pi)*ln
+        hypot(1, x/w); the lower tail, about -(w/pi)*(1 + ln|x/w|), is a sum
+        of two terms of one sign."""
+        u = x / self.scale
+        log_hypot = (0.5 * math.log1p(u * u) if abs(u) < 1.0
+                     else math.log(math.hypot(1.0, u)))
+        return (x * math.atan2(1.0, -u) - self.scale * log_hypot) / math.pi
+
+    def cdf_integral(self, x0: float, x1: float, width: float) -> float:
+        """A(x1) - A(x0), the integral of the cdf over [x0, x1].
+
+        ``width`` is x1 - x0 as the caller computed it, free of the rounding
+        of the two ends. Across 0 the two antiderivatives have opposite
+        signs and are subtracted as they are. With both ends on one side of
+        0 and the nearer end at least half as far out as the other, they
+        would cancel; there the difference is taken term by term, in units
+        of w (u = x1/w, v = x0/w, t = width/w): t*K(u) + v*(K(u) - K(v)) -
+        ln((1 + u^2)/(1 + v^2))/(2 pi), with K(u) - K(v) = atan(t/(1 + u*v))/pi
+        and the log ratio through log1p.
+        """
+        u = x1 / self.scale
+        v = x0 / self.scale
+        if v < 0.0 < u or 0.5 * v < u <= 0.0:
+            return self.antiderivative(x1) - self.antiderivative(x0)
+        t = width / self.scale
+        ratio = t * (u + v) / (1.0 + v * v)
+        log_ratio = (math.log1p(ratio) if abs(ratio) <= 0.5 else
+                     2.0 * math.log(math.hypot(1.0, u) / math.hypot(1.0, v)))
+        return self.scale * (t * math.atan2(1.0, -u) / math.pi
+                             + v * math.atan(t / (1.0 + u * v)) / math.pi
+                             - log_ratio / (2.0 * math.pi))
 
 
 BroadeningKernel = Union[Delta, Gaussian, Lorentzian]

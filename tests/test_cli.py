@@ -1,6 +1,7 @@
 """Config parsing, unit conversion, reports, CSV emission and exit codes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from chargebit.cli import (DeviceSpec, ParseError, ValidationError,
                            _failed_checks, analyze, build_system, load_config,
                            main, occupation_curve, parse_number,
                            run_lemma_suite, sweep)
+from chargebit.dot_model import AmbiguousMedianWarning
 from chargebit.kernels import Delta, Gaussian
 from chargebit.units import broadening_energy_uev, thermal_energy_uev
 
@@ -142,6 +144,34 @@ kernel      = lorentzian
         assert works[0] < works[1] < works[2]
 
 
+class TestTwelveDecadeLorentzian:
+    # corpus device 65 in lab units: kT_S 5.0e-6 ueV against kT_D 48 ueV,
+    # bias 3.6e-6 ueV, hbar*Gamma 6.6e-6 ueV; integrating p over mu
+    # adaptively did not converge at eta 0.001 and analyze exited 1
+    CONFIG = """\
+temperature_source = 5.830375238900487e-08
+temperature_drain  = 0.5555892203433286
+bias        = 3.6174157479544307e-06
+rate_source = 1226.663519135763
+rate_drain  = 8832.221855320044
+kernel      = lorentzian
+"""
+
+    def test_analyze_reports_three_finite_eta_works(self, tmp_path, capsys):
+        path = tmp_path / "device65.cfg"
+        path.write_text(self.CONFIG)
+        assert main(["analyze", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        lines = dict(line.split(": ", 1) for line in
+                     out.split("machine-readable:\n")[1].splitlines()
+                     if ": " in line)
+        works = {k: float(v) for k, v in lines.items()
+                 if k.startswith("w_eta_")}
+        assert len(works) == 3
+        assert all(math.isfinite(w) and w > 0.0 for w in works.values())
+        assert err == ""
+
+
 class TestSweep:
     def test_landauer_corner_and_bounds(self, device1_path, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -168,6 +198,23 @@ class TestSweep:
         # the thermal scale still contributes ~ln2*kT on top of the
         # bias-dominated estimate, hence the few-percent headroom
         assert row["w_bar"][0] == pytest.approx(0.5 * 0.35 * 36.0, rel=0.06)
+
+    def test_plateau_midpoints_reported_once_with_their_count(self,
+                                                              tmp_path):
+        # both leads at T = 0 and equal rates: each biased cell without
+        # broadening has p = 1/2 on its whole bias window
+        spec = DeviceSpec(temperature_source=0.0, temperature_drain=0.0,
+                          bias=100.0, rate_source=1e9, rate_drain=1e9,
+                          kernel="gaussian")
+        # under the default filter, as on the command line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            sweep(spec, bias_max=100.0, width_max=10.0, points=4,
+                  out=str(tmp_path / "sweep.csv"))
+        messages = [str(w.message) for w in caught
+                    if issubclass(w.category, AmbiguousMedianWarning)]
+        assert len(messages) == 1
+        assert messages[0].startswith("3 of 16 sweep cells ")
 
     def test_deterministic_output(self, device1_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

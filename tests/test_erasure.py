@@ -1,6 +1,7 @@
 """Erasure work costs, energy scales, the two-sided bound and eta-erasure."""
 
 import decimal
+import logging
 import math
 from decimal import Decimal
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from chargebit import (DotSystem, LeadParams, TunnelRates, check_bound,
-                       energy_scales, erasure, erasure_costs,
+                       dot_model, energy_scales, erasure, erasure_costs,
                        eta_erasure_work)
 from chargebit.dot_model import _lead_values, half_occupation_level, occupation
 from chargebit.erasure import DivergentInput, absolute_deviation_integral
@@ -181,9 +182,8 @@ def _delta_eta_work(sys_, mu_half, mu_eta):
         return float(total)
 
 
-def _check_delta_eta_work(sys_, eta):
-    """eta_erasure_work against _delta_eta_work at the code's own mu_1/2
-    and mu_eta, to 1e-9 relative plus 1e-13 of the levels' magnitude."""
+def _eta_work_and_levels(sys_, eta):
+    """(eta_erasure_work, mu_1/2, mu_eta), the levels the code itself used."""
     real = erasure.occupation_level
     levels = []
 
@@ -192,15 +192,25 @@ def _check_delta_eta_work(sys_, eta):
         return levels[-1]
     with mock.patch.object(erasure, "occupation_level", record):
         work = eta_erasure_work(sys_, eta)
-    mu_half = half_occupation_level(sys_)
     (mu_eta,) = levels
+    return work, half_occupation_level(sys_), mu_eta
+
+
+def _eta_work_tolerance(expected, mu_half, mu_eta):
+    """1e-9 relative plus 1e-13 of the levels' magnitude."""
+    return 1e-9 * abs(expected) + 1e-13 * (abs(mu_half) + abs(mu_eta))
+
+
+def _check_delta_eta_work(sys_, eta):
+    """eta_erasure_work against _delta_eta_work at the code's own mu_1/2
+    and mu_eta, to _eta_work_tolerance."""
+    work, mu_half, mu_eta = _eta_work_and_levels(sys_, eta)
     if mu_eta <= mu_half:
         assert work == 0.0
         return
     expected = _delta_eta_work(sys_, mu_half, mu_eta)
-    assert abs(work - expected) <= (
-        1e-9 * abs(expected) + 1e-13 * (abs(mu_half) + abs(mu_eta))), (
-            work, expected)
+    assert abs(work - expected) <= _eta_work_tolerance(
+        expected, mu_half, mu_eta), (work, expected)
 
 
 class TestEtaErasure:
@@ -297,6 +307,103 @@ class TestEtaErasure:
     ])
     def test_delta_far_or_wide_lead(self, kt_s, kt_d, bias, gamma_s, eta):
         _check_delta_eta_work(make_system(kt_s, kt_d, bias, gamma_s), eta)
+
+
+# Lorentzian devices of the 12-decade corpus: default_rng(1), 300 draws of
+# kT_S, kT_D, bias, w = 10**U(-6, 6) each, then gamma_S = U(0.05, 0.95);
+# device i takes the Lorentzian kernel when i % 3 == 2. Integrating p over mu
+# adaptively raised NonConvergence on devices 65 and 167 at eta 0.001 and
+# on 161 at 0.01, and was 5.4e-6 off on 236 at eta 0.01.
+_CORPUS_LORENTZIAN = {
+    65: (5.024228647611836e-06, 47.87697468473212, 3.6174157479544307e-06,
+         6.620878626553347e-06, 0.121948255047307),
+    161: (8.470046305034738e-06, 159333.1200082609, 263529.70374223497,
+          0.6822547691128151, 0.09809846283499678),
+    167: (115845.40183182998, 0.09499134631498969, 2.5699924056065144e-06,
+          0.000148607586199253, 0.30900405324745284),
+    236: (0.4193015741717245, 838594.0086626075, 253.71932185895957,
+          4.888988101100683e-06, 0.8685964334645372),
+    # a window 7e-4 kT_D wide, 4 kT_D above the drain, with w = 5e-8 kT_D
+    158: (0.12470290671089845, 426.04995425631625, 1770.9960306254436,
+          2.031545837200645e-05, 0.9013376907983857),
+    # a window 1e6 wide whose lower end sits 0.08 kT_D above the drain
+    284: (443025.72478280705, 1.8721880203105022e-05, 319.3753472358052,
+          0.0002833515206699626, 0.9032920605262569),
+}
+
+
+def _corpus_device(index):
+    kt_s, kt_d, bias, w, gamma_s = _CORPUS_LORENTZIAN[index]
+    return make_system(kt_s, kt_d, bias, gamma_s, Lorentzian(w))
+
+
+class TestLorentzianEtaTwelveDecades:
+    # The references are mpmath at 60 digits, at the code's own mu_1/2 and
+    # mu_eta: per lead gamma_i*(E_Y[A(Y - (mu_1/2 - mu_i)) - A(Y - (mu_eta -
+    # mu_i))] - (mu_eta - mu_1/2)*E_Y[K(Y - (mu_eta+ - mu_i))]), with A the
+    # antiderivative of the Lorentzian cdf K, Y = kT_i*s, mu_eta+ the next
+    # double above mu_eta, and each expectation one tanh-sinh quadrature
+    # over s in (-inf, inf) split at 0 and at each kernel centre +- (w/kT)*8^k
+    # up to 50. Changing that grading to 3^k moves no value by more than
+    # 1e-53 relative.
+    @pytest.mark.parametrize("index, eta, expected", [
+        (65, 0.1, 14.23332073236564255401),
+        (65, 0.01, 26.52026165174135208273),
+        (65, 0.001, 28.76650217295138278824),
+        (161, 0.1, 60629.90170939521319255),
+        (161, 0.01, 98798.83127690361645712),
+        (161, 0.001, 105999.8379980538281086),
+        (167, 0.1, 2275.959329757446790038),
+        (167, 0.01, 19698.53481444946410345),
+        (167, 0.001, 24032.58633841853088102),
+        (236, 0.1, 0.1918719125155914885594),
+        (236, 0.01, 46708.95203927990040919),
+        (236, 0.001, 71438.38123008846988339),
+    ])
+    def test_matches_mpmath(self, index, eta, expected):
+        work, mu_half, mu_eta = _eta_work_and_levels(_corpus_device(index),
+                                                     eta)
+        assert abs(work - expected) <= _eta_work_tolerance(
+            expected, mu_half, mu_eta), (work, expected)
+
+    # QUADPACK flagged roundoff on these when the integrand rebuilt one end
+    # of the window from the other (284) or when no breakpoints graded down
+    # to a kernel far narrower than kT (158)
+    @pytest.mark.parametrize("index", [158, 284])
+    def test_no_quadrature_near_miss(self, index, caplog):
+        with caplog.at_level(logging.WARNING, logger="chargebit"):
+            for eta in (0.1, 0.01, 0.001):
+                eta_erasure_work(_corpus_device(index), eta)
+        assert caplog.records == []
+
+    def test_device_236_to_1e_12(self):
+        assert eta_erasure_work(_corpus_device(236), 0.01) == pytest.approx(
+            46708.95203927990040919, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(kt_s=st.just(0.0) | _TWELVE_DECADES,
+           kt_d=st.just(0.0) | _TWELVE_DECADES, bias=_TWELVE_DECADES,
+           w=_TWELVE_DECADES, gamma_s=st.floats(0.05, 0.95))
+    def test_property(self, kt_s, kt_d, bias, w, gamma_s):
+        sys_ = make_system(kt_s, kt_d, bias, gamma_s, Lorentzian(w))
+        works = [eta_erasure_work(sys_, eta) for eta in (0.1, 0.01, 0.001)]
+        assert 0.0 <= works[0] <= works[1] <= works[2], works
+
+    def test_work_counts_stay_off_the_occupation(self):
+        # device-1 rates (6.3 GHz, 250 GHz) at 40 mK and a 200 ueV bias: the
+        # raise work integrates the kernel's antiderivative over each lead's
+        # thermal variable, so p(mu) is evaluated only by the two level
+        # solves; integrating p over mu took 97-263 evaluations
+        sys_ = DotSystem(LeadParams(thermal_energy_uev(0.04), 200.0),
+                         LeadParams(thermal_energy_uev(0.04), 0.0),
+                         TunnelRates(6.3e9, 250e9),
+                         Lorentzian(broadening_energy_uev(256.3e9)))
+        for eta in (0.1, 0.01, 0.001):
+            with mock.patch.object(dot_model, "_combined",
+                                   wraps=dot_model._combined) as spy:
+                eta_erasure_work(sys_, eta)
+            assert 0 < spy.call_count <= 20, (eta, spy.call_count)
 
 
 class TestAbsoluteDeviationIntegral:

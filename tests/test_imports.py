@@ -12,7 +12,8 @@ outside its own class.
 
 ``kernels.py`` calls no ``isinstance`` at all, so each kernel method keeps
 one body: numpy for ``cdf`` and ``pdf``, ``math`` for the scalar-only
-``partial_expectation``.
+``partial_expectation``, ``antiderivative`` and ``cdf_integral`` of the
+adaptive integrands.
 
 The array core of ``dot_model`` (``_lead_values`` and ``_lead_block``)
 calls no ``isinstance`` either: it takes and returns arrays only, so no

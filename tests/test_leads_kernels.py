@@ -222,3 +222,48 @@ class TestKernelMad:
         assert Delta().width == 0.0
         assert Gaussian(2.5).width == 2.5
         assert Lorentzian(0.3).width == 0.3
+
+
+class TestLorentzianAntiderivative:
+    """A(x) = integral of the Lorentzian cdf over [0, x], and its
+    differences over a window, which the eta raise work takes per lead."""
+
+    W = 0.37
+
+    @pytest.mark.parametrize("u", [sign * 10.0 ** e for sign in (-1.0, 1.0)
+                                   for e in range(-6, 13)])
+    def test_derivative_is_the_cdf(self, u):
+        kernel, x = Lorentzian(self.W), u * self.W
+        h = 1e-3 * abs(x)
+        slope = (kernel.antiderivative(x + h)
+                 - kernel.antiderivative(x - h)) / (2.0 * h)
+        assert slope == pytest.approx(float(kernel.cdf(x)), rel=1e-6)
+
+    def test_lower_tail_does_not_cancel(self):
+        kernel, x = Lorentzian(self.W), -1e12 * self.W
+        tail = -self.W / math.pi * (1.0 + math.log(abs(x / self.W)))
+        assert kernel.antiderivative(x) == pytest.approx(tail, rel=1e-12)
+        assert kernel.antiderivative(0.0) == 0.0
+
+    # a window far narrower than its distance from the centre: the integral
+    # is width * K(midpoint) to (width/x)^2, while the two antiderivatives
+    # agree to all but a few of their digits
+    @pytest.mark.parametrize("u", [-1e12, -1e6, -3.0, -1e-3, 0.0, 1e-3, 3.0,
+                                   1e6, 1e12])
+    @pytest.mark.parametrize("t", [1e-9, 1e-4])
+    def test_narrow_window_is_width_times_cdf(self, u, t):
+        kernel = Lorentzian(self.W)
+        x0, width = u * self.W, t * max(1.0, abs(u)) * self.W
+        got = kernel.cdf_integral(x0, x0 + width, width)
+        expected = width * float(kernel.cdf(x0 + 0.5 * width))
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("x0, x1, x2", [
+        (-1e9, -4e8, -1.0), (-5.0, 0.2, 7.0), (-2e6, 3.0, 1e6),
+        (0.5, 3e3, 1e10)])
+    def test_windows_add_up(self, x0, x1, x2):
+        kernel = Lorentzian(self.W)
+        left = kernel.cdf_integral(x0, x1, x1 - x0)
+        right = kernel.cdf_integral(x1, x2, x2 - x1)
+        assert left + right == pytest.approx(
+            kernel.cdf_integral(x0, x2, x2 - x0), rel=1e-13)
