@@ -312,6 +312,18 @@ def run_lemma_suite(trials: int, seed: int) -> tuple[bool, list[str]]:
     return ok, lines
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the numeric range and duration flags."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chargebit",
@@ -325,22 +337,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="bias/width grid of costs and bounds")
     p.add_argument("--config", required=True)
-    p.add_argument("--bias-max", type=float, required=True)
-    p.add_argument("--width-max", type=float, required=True)
+    p.add_argument("--bias-max", type=_finite_float, required=True)
+    p.add_argument("--width-max", type=_finite_float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("occupation", help="occupation curve CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--mu-min", type=float, required=True)
-    p.add_argument("--mu-max", type=float, required=True)
+    p.add_argument("--mu-min", type=_finite_float, required=True)
+    p.add_argument("--mu-max", type=_finite_float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("protocol", help="finite-time erasure trajectory")
     p.add_argument("--config", required=True)
     p.add_argument("--target", choices=("zero", "one"), required=True)
-    p.add_argument("--duration", type=float, required=True,
+    p.add_argument("--duration", type=_finite_float, required=True,
                    help="ramp duration in units of 1/Gamma_tot")
     p.add_argument("--out", required=True)
 

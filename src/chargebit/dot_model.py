@@ -9,18 +9,27 @@ with Y logistic of scale kT_i (the Fermi function is its upper tail) and K
 the cdf of the broadening kernel of width w; -dp_i/dmu is the same
 expectation of the kernel pdf. Each lead is evaluated in its own offset
 d = mu - mu_i; a caller that integrates over one lead passes d directly,
-so a lead whose kT is many decades below |mu_i| keeps its resolution. The
-expectation runs over s = Y/kT on fixed 10-node Gauss-Legendre panels of
-width 2 covering |s| <= 40 (the logistic mass beyond is 4e-18). When the
-kernel is narrower than 2 kT its transition is sharper than a panel, so the
-panels next to the kernel centre s* = d/kT are replaced by panels graded
-geometrically down to the kernel width. T = 0 leads (p_i = K(-d/w)) and
-the delta kernel (p_i = Fermi function) are closed forms. The per-lead
+so a lead whose kT is many decades below |mu_i| keeps its resolution.
+
+The convolution can be integrated over either of its two distributions,
+and each lead takes the narrower one's. A Gaussian lead with sigma < 2 kT_i
+is p_i = E_U[F(U - d)], U the kernel and F the logistic cdf of scale kT_i,
+and -dp_i/dmu = E_U[F'(U - d)]: each one exp per node, where the kernel
+cdf would be scipy's ndtr. The sum runs over u = U/sigma on fixed 10-node
+Gauss-Legendre panels of width 2 covering |u| <= 12. Every other lead (a
+wider Gaussian, any Lorentzian) integrates over s = Y/kT on the same panels
+covering |s| <= 40 (the logistic mass beyond is 4e-18). When the inner
+distribution is narrower than 2 outer scales its transition is sharper
+than a panel, so the three panels about its centre are replaced by panels
+graded geometrically down to its width: at most 3 levels for a Gaussian,
+whose inner width is then over half the outer. T = 0 leads (p_i = K(-d/w))
+and the delta kernel (p_i = Fermi function) are closed forms. The per-lead
 core takes and returns arrays only; the public routines take a float level
 or an array of levels, and ``_combined`` is the one place where a float
-becomes a one-element array and back. Node matrices are built in blocks of
-at most about 128 kB. The level where p crosses a target
-(1/2 for mu_1/2, eta for eta-erasure) is one safeguarded Newton solve.
+becomes a one-element array and back, and where a NaN or infinite level is
+rejected. Node matrices are built in blocks of at most about 128 kB. The
+level where p crosses a target (1/2 for mu_1/2, eta for eta-erasure) is one
+safeguarded Newton solve.
 
 The integrals of p above a level and of 1 - p below it, which are the
 quasistatic erasure works, split into the unbroadened softplus closed forms
@@ -39,10 +48,11 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .kernels import BroadeningKernel, Delta
+from .kernels import BroadeningKernel, Delta, Gaussian
 from .leads import LeadParams, fermi_integral, softplus_ramp
 from .numerics import TAIL_CUTOFF_GAUSSIAN, NonConvergence, integrate
 from .units import store_finite
@@ -119,17 +129,11 @@ def is_atomic(sys: DotSystem) -> bool:
             and sys.drain.thermal_energy == 0.0)
 
 
-# -- the fixed-panel rule over s = Y/kT ---------------------------------------
+# -- the fixed-panel rules -----------------------------------------------------
 
-_WINDOW = 40.0
-_PANELS = 40  # of width 2 on [-_WINDOW, _WINDOW]
+_WINDOW = 40.0  # the thermal rule's cut, in units of kT
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _BLOCK_ELEMENTS = 1 << 14  # 128 kB of float64 per node matrix, cache-sized
-
-
-def _logistic_density(s):
-    e = np.exp(-np.abs(s))
-    return e / (1.0 + e) ** 2
 
 
 def _panel_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,14 +143,49 @@ def _panel_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             (half[:, None] * _GL_W).ravel())
 
 
-_S, _S_W = _panel_rule(np.linspace(-_WINDOW, _WINDOW, _PANELS + 1))
-_S_LW = _S_W * _logistic_density(_S)
-_S_PANEL = np.repeat(np.arange(_PANELS), _GL_X.size)
+class _Rule(NamedTuple):
+    """Panels of width 2 on [-window, window] for a standard density: the
+    nodes in panel order, their weights times the density, and the density
+    itself for the graded panels that replace three of them."""
+    window: float
+    panels: int
+    nodes: np.ndarray
+    weights: np.ndarray
+    density: Callable[[np.ndarray], np.ndarray]
+
+
+def _fixed_rule(window: float, density) -> _Rule:
+    panels = round(window)  # of width 2
+    nodes, weights = _panel_rule(np.linspace(-window, window, panels + 1))
+    return _Rule(window, panels, nodes, weights * density(nodes), density)
+
+
+@dataclass(frozen=True)
+class _Thermal:
+    """A lead's thermal distribution, logistic of scale kT: the inner
+    distribution when a lead is integrated over its kernel. Its cdf at -d is
+    the Fermi function of the offset d."""
+    width: float  # kT
+
+    def cdf(self, x):
+        # the exponent is capped where the cdf is below 1e-304 anyway, so
+        # that it cannot overflow; no np.where, which cost half the time
+        return 1.0 / (1.0 + np.exp(np.minimum(x / -self.width, 700.0)))
+
+    def pdf(self, x):
+        e = np.exp(-np.abs(x) / self.width)
+        return e / (self.width * (1.0 + e) ** 2)
+
+
+# over s = Y/kT, and over u = U/sigma for a Gaussian kernel U
+_THERMAL_RULE = _fixed_rule(_WINDOW, _Thermal(1.0).pdf)
+_NORMAL_RULE = _fixed_rule(TAIL_CUTOFF_GAUSSIAN, Gaussian(1.0).pdf)
 
 
 def _grading_levels(ratio: float) -> int:
-    """Halvings from a 4-wide region down to a kernel of width ratio*kT; 0
-    when the kernel is at least a panel wide and needs no grading."""
+    """Halvings from a 4-wide region down to an inner distribution of width
+    ratio times the outer scale; 0 when it is at least a panel wide and
+    needs no grading."""
     return 0 if ratio >= 2.0 else math.ceil(math.log2(4.0 / ratio))
 
 
@@ -156,30 +195,40 @@ def _graded_rule(levels: int) -> tuple[np.ndarray, np.ndarray]:
     return _panel_rule(np.concatenate(([0.0], 2.0 ** -np.arange(levels, -1, -1))))
 
 
-def _lead_block(d: np.ndarray, kt: float, kernel: BroadeningKernel,
+def _lead_block(d: np.ndarray, scale: float, outer: _Rule, inner,
                 names: tuple[str, ...]) -> list[np.ndarray]:
-    """E_Y[kernel.<name>(Y - d)] for a block of offsets d = mu - mu_lead."""
-    xs = kt * _S - d[:, None]
-    weights = _S_LW
-    levels = _grading_levels(kernel.width / kt)
-    if levels:
-        # replace the three panels around the kernel centre by panels graded
-        # geometrically from it, down to the kernel width
-        t, tw = _graded_rule(levels)
-        c = np.clip(d / kt, -_WINDOW, _WINDOW)
-        panel = np.clip(np.floor(0.5 * (c + _WINDOW)), 0, _PANELS - 1)
-        a = 2.0 * np.maximum(panel - 1, 0) - _WINDOW
-        b = 2.0 * (np.minimum(panel + 1, _PANELS - 1) + 1) - _WINDOW
-        right, left = (b - c)[:, None], (c - a)[:, None]
-        offsets = np.concatenate((right * t, -left * t), axis=1)
-        near_w = (np.concatenate((right * tw, left * tw), axis=1)
-                  * _logistic_density(c[:, None] + offsets))
-        far_w = np.where(np.abs(_S_PANEL - panel[:, None]) <= 1, 0.0, _S_LW)
-        # kt*(c + offset) - d, keeping the small offset exact near s*
-        xs = np.concatenate(
-            (xs, kt * offsets + (kt * c - d)[:, None]), axis=1)
-        weights = np.concatenate((far_w, near_w), axis=1)
-    return [(getattr(kernel, name)(xs) * weights).sum(axis=1) for name in names]
+    """E_V[inner.<name>(scale*V - d)] for a block of offsets d = mu - mu_lead,
+    V of the outer rule's standard density."""
+    xs = scale * outer.nodes - d[:, None]
+    values = [getattr(inner, name)(xs) for name in names]
+    levels = _grading_levels(inner.width / scale)
+    if not levels:
+        return [v @ outer.weights for v in values]
+    # replace the three panels about the inner centre c = d/scale (the three
+    # at the end of the window when c is in an end panel) by panels graded
+    # geometrically from it, down to the inner width
+    t, tw = _graded_rule(levels)
+    window = outer.window
+    c = np.minimum(np.maximum(d / scale, -window), window)
+    first = np.minimum(np.maximum(np.floor(0.5 * (c + window)) - 1.0, 0.0),
+                       outer.panels - 3.0)
+    a = 2.0 * first - window
+    right, left = (a + 6.0 - c)[:, None], (c - a)[:, None]
+    offsets = np.concatenate((right * t, -left * t), axis=1)
+    near_w = (np.concatenate((right * tw, left * tw), axis=1)
+              * outer.density(c[:, None] + offsets))
+    # scale*(c + offset) - d, keeping the small offset exact near the centre
+    near_x = scale * offsets + (scale * c - d)[:, None]
+    # the node columns of the three replaced panels, which are consecutive
+    rows = np.arange(d.size)[:, None]
+    cols = (first.astype(int)[:, None] * _GL_X.size
+            + np.arange(3 * _GL_X.size))
+    out = []
+    for name, v in zip(names, values):
+        v[rows, cols] = 0.0
+        out.append(v @ outer.weights
+                   + (getattr(inner, name)(near_x) * near_w).sum(axis=1))
+    return out
 
 
 def _lead_values(d: np.ndarray, kt: float, kernel: BroadeningKernel,
@@ -187,26 +236,35 @@ def _lead_values(d: np.ndarray, kt: float, kernel: BroadeningKernel,
     """[E_Y[kernel.<name>(Y - d)] for name in names], Y logistic of scale kt.
 
     ``d`` is a 1-D array of lead-local offsets mu - mu_lead; each result has
-    its shape. ``names`` are kernel method names, "cdf" for the lead's
-    smoothed occupation and "pdf" for its -d/dmu.
+    its shape. ``names`` are "cdf" for the lead's smoothed occupation and
+    "pdf" for its -d/dmu. The expectation runs over the narrower of the two
+    distributions: over the kernel's (the Gaussian's) when it has a mean and
+    sigma < 2 kt, of the thermal cdf and pdf; otherwise over the thermal
+    one, of the kernel's.
     """
-    if kernel.width == 0.0 and kt > 0.0:
-        # the Fermi closed form, exp of -|x| only
-        x = d / kt
-        e = np.exp(-np.abs(x))
-        up = np.where(x >= 0.0, e, 1.0)
-        return [up / (1.0 + e) if n == "cdf" else e / (kt * (1.0 + e) ** 2)
-                for n in names]
     if kt == 0.0:
         # the kernel itself; without one an atom: a step occupation and no
         # density away from mu_lead
         return [0.0 * d if n == "pdf" and kernel.width == 0.0
                 else getattr(kernel, n)(-d) for n in names]
-    levels = _grading_levels(kernel.width / kt)
-    nodes = _S.size + (2 * _GL_X.size * (levels + 1) if levels else 0)
+    if kernel.width == 0.0:
+        # the Fermi closed form, both names from one exp of -|x|: it is all
+        # a Delta ramp computes, and _Thermal's one exp per name made those
+        # ramps about a tenth slower
+        x = d / kt
+        e = np.exp(-np.abs(x))
+        up = np.where(x >= 0.0, e, 1.0)
+        return [up / (1.0 + e) if n == "cdf" else e / (kt * (1.0 + e) ** 2)
+                for n in names]
+    if math.isfinite(kernel.mad) and kernel.width < 2.0 * kt:
+        scale, outer, inner = kernel.width, _NORMAL_RULE, _Thermal(kt)
+    else:
+        scale, outer, inner = kt, _THERMAL_RULE, kernel
+    levels = _grading_levels(inner.width / scale)
+    nodes = outer.nodes.size + (2 * _GL_X.size * (levels + 1) if levels else 0)
     rows = max(1, _BLOCK_ELEMENTS // nodes)
     # at least one block, so that no levels give empty results
-    blocks = [_lead_block(d[lo:lo + rows], kt, kernel, names)
+    blocks = [_lead_block(d[lo:lo + rows], scale, outer, inner, names)
               for lo in range(0, d.size or 1, rows)]
     return [np.concatenate(parts) for parts in zip(*blocks)]
 
@@ -215,11 +273,15 @@ def _combined(mu, sys: DotSystem, names: tuple[str, ...]) -> list:
     """Rate-weighted sums over the leads of _lead_values.
 
     A float level is evaluated as a one-element array and returned as a
-    float; an array of levels gives arrays of its shape.
+    float; an array of levels gives arrays of its shape. A NaN or infinite
+    level is a ValueError.
     """
     scalar = isinstance(mu, (float, int))
     mu = np.asarray(mu, dtype=float)
     flat = mu.ravel()
+    if not (math.isfinite(flat[0]) if scalar else np.isfinite(flat).all()):
+        raise ValueError(
+            f"mu must be finite, got {flat[~np.isfinite(flat)][0]}")
     totals = [0.0] * len(names)
     for gamma, lead in sys.weighted_leads():
         d = flat - lead.chemical_potential

@@ -17,7 +17,9 @@ infinite ``mad`` is a kernel without a mean.
 The Gaussian ``cdf`` imports ``scipy.special.ndtr`` on its first call, not
 at module level: scipy.special takes about 0.2 s to import, and a run with
 the Delta or Lorentzian kernel never needs it. After the first call the
-import is a ``sys.modules`` lookup.
+import is a ``sys.modules`` lookup. ``dot_model`` reaches it only for a lead
+with sigma >= 2 kT and for a T = 0 lead: a warmer lead integrates over the
+Gaussian instead, of the thermal cdf, and never evaluates ``ndtr``.
 """
 
 from __future__ import annotations

@@ -110,8 +110,10 @@ def test_zero_temperature_leads(kernel):
     _assert_core_matches(make_system(0.0, 0.0, 5.0, 0.45, kernel))
 
 
-@pytest.mark.parametrize("ratio", [1e-6, 1e-4, 1e-2, 0.5, 1.99, 2.0, 10.0,
-                                   1e3, 1e6])
+# a Gaussian lead is integrated over its kernel for sigma < 2 kT and over its
+# thermal variable above: 1.999, 2 and 2.001 sit at the switch
+@pytest.mark.parametrize("ratio", [1e-6, 1e-4, 1e-2, 0.25, 0.5, 1.0, 1.99,
+                                   1.999, 2.0, 2.001, 4.0, 10.0, 1e3, 1e6])
 @pytest.mark.parametrize("kernel_type", [Gaussian, Lorentzian])
 def test_width_ratio_range(ratio, kernel_type):
     kt = 0.7
@@ -186,6 +188,17 @@ class TestShapes:
             assert isinstance(out, np.ndarray) and out.shape == (3, 4)
             assert out[1, 2] == pytest.approx(fn(float(mus[1, 2]), sys_),
                                               abs=1e-15)
+
+    @pytest.mark.parametrize("kernel", [Delta(), Gaussian(0.3),
+                                        Lorentzian(2.0)])
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, np.float64(-math.inf),
+                                    np.array([0.5, math.nan]),
+                                    np.array([[1.0], [-math.inf]])])
+    def test_non_finite_levels_raise_naming_mu(self, kernel, mu):
+        sys_ = make_system(0.5, 0.0, 3.0, 0.4, kernel)
+        for fn in (occupation, occupation_derivative_density):
+            with pytest.raises(ValueError, match="mu must be finite"):
+                fn(mu, sys_)
 
     @pytest.mark.parametrize("sigma", [0.3, 1e-5],
                              ids=["uniform-panels", "graded-panels"])

@@ -438,6 +438,43 @@ class TestMainExitCodes:
         assert line.startswith(f"error: {message.format(cfg=cfg)}")
         assert not out.exists()
 
+    COMMANDS = {
+        "sweep": ["--bias-max", "1", "--width-max", "1", "--points", "3"],
+        "occupation": ["--mu-min", "0", "--mu-max", "1", "--points", "3"],
+        "protocol": ["--target", "zero", "--duration", "1"],
+    }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+    @pytest.mark.parametrize("command, flag", [
+        ("sweep", "--bias-max"), ("sweep", "--width-max"),
+        ("occupation", "--mu-min"), ("occupation", "--mu-max"),
+        ("protocol", "--duration")])
+    def test_non_finite_flag_exits_2_naming_it(self, device1_path, tmp_path,
+                                               capsys, command, flag, value):
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", device1_path, "--out", str(out)]
+        argv += self.COMMANDS[command]
+        argv[argv.index(flag) + 1] = value
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert (f"argument {flag}: must be a finite number, got {value!r}"
+                in stderr)
+        assert "Warning" not in stderr
+        assert not out.exists()
+
+    def test_non_numeric_flag_exits_2_naming_it(self, device1_path, tmp_path,
+                                                capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["occupation", "--config", device1_path, "--mu-min", "low",
+                  "--mu-max", "1", "--points", "3",
+                  "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert ("argument --mu-min: must be a finite number, got 'low'"
+                in capsys.readouterr().err)
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("bias = fast\n")

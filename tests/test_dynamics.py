@@ -291,3 +291,45 @@ class TestErasureSchedules:
         traj = simulate(sys_, make_erasure_schedule(sys_, "zero", 30.0), 0.05)
         assert traj.final_occupation < 1e-3
         assert traj.total_work > 0.0
+
+
+class TestRampWorkCount:
+    """Kernel evaluations of a Gaussian ramp's table: deterministic, so a
+    regression in the node count shows without timing it."""
+
+    # kT = sigma = 1: integrated over the thermal variable, each table row
+    # took 460 kernel-cdf nodes (400 uniform and 60 graded) and the ramp
+    # 2614 x 460 = 1,202,440 of them
+    THERMAL_ORDER_EVALUATIONS = 1_202_440
+
+    def test_gaussian_ramp_table_integrates_over_the_kernel(self,
+                                                            monkeypatch):
+        from chargebit import dot_model
+
+        tally = {"cdf": 0, "levels": []}
+
+        class Counted:
+            def __init__(self, inner):
+                self.inner, self.width = inner, inner.width
+
+            def cdf(self, x):
+                tally["cdf"] += x.size
+                return self.inner.cdf(x)
+
+            def pdf(self, x):
+                return self.inner.pdf(x)
+
+        block = dot_model._lead_block
+
+        def counted_block(d, scale, outer, inner, names):
+            tally["levels"].append(
+                dot_model._grading_levels(inner.width / scale))
+            return block(d, scale, outer, Counted(inner), names)
+
+        sys_ = make_system(1.0, 1.0, 4.0, 0.5, Gaussian(1.0))
+        sched = make_erasure_schedule(sys_, "zero", 10.0)
+        monkeypatch.setattr(dot_model, "_lead_block", counted_block)
+        traj = simulate(sys_, sched, dt_max=0.05)
+        assert math.isfinite(traj.total_work)
+        assert 0 < tally["cdf"] <= 0.5 * self.THERMAL_ORDER_EVALUATIONS
+        assert max(tally["levels"]) <= 3
