@@ -178,7 +178,7 @@ def analyze(spec: DeviceSpec, etas: tuple[float, ...] = ()) -> dict:
         report["bound_upper_ueV"] = bound.upper
         report["bound_satisfied"] = bound.satisfied
     for eta in etas or ((0.1, 0.01, 0.001) if costs.divergent else ()):
-        report[f"w_eta_{eta:g}_ueV"] = erasure.eta_erasure_work(sys_, eta)
+        report[f"w_eta_{eta!r}_ueV"] = erasure.eta_erasure_work(sys_, eta)
     return report
 
 

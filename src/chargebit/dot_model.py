@@ -29,16 +29,11 @@ or an array of levels, and ``_combined`` is the one place where a float
 becomes a one-element array and back, and where a NaN or infinite level is
 rejected. Node matrices are built in blocks of at most about 128 kB. The
 level where p crosses a target (1/2 for mu_1/2, eta for eta-erasure) is one
-safeguarded Newton solve.
+safeguarded Newton solve. A level solve that stops at adjacent doubles
+logs at INFO on this module's logger.
 
-The integrals of p above a level and of 1 - p below it, which are the
-quasistatic erasure works, split into the unbroadened softplus closed forms
-and a broadening excess E_Y[E_U[(U - |mu_i - mu + Y|)^+]] per lead: a single
-adaptive integral over s of the kernel's closed-form partial expectation.
-The integral of p over a window (the eta raise work) is per lead the Fermi
-integral over it plus the excess at its lower end less that at its upper.
-A level solve that stops at adjacent doubles logs at INFO on this module's
-logger.
+The integrals of p are assembled in ``erasure``; this module keeps their
+one primitive, the broadening excess ``_broadening_excess``.
 """
 
 from __future__ import annotations
@@ -53,7 +48,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .kernels import BroadeningKernel, Delta, Gaussian
-from .leads import LeadParams, fermi_integral, softplus_ramp
+from .leads import LeadParams
 from .numerics import TAIL_CUTOFF_GAUSSIAN, NonConvergence, integrate
 from .units import store_finite
 
@@ -111,8 +106,12 @@ class DotSystem:
         return self.source.chemical_potential - self.drain.chemical_potential
 
     def weighted_leads(self):
-        return ((self.rates.gamma_source, self.source),
-                (self.rates.gamma_drain, self.drain))
+        """(gamma, lead) for each lead with a positive share of the rate: a
+        decoupled lead adds nothing to p and is dropped here, for every
+        caller."""
+        return [(gamma, lead) for gamma, lead in
+                ((self.rates.gamma_source, self.source),
+                 (self.rates.gamma_drain, self.drain)) if gamma > 0.0]
 
 
 def dominant_scale(sys: DotSystem) -> float:
@@ -387,14 +386,17 @@ def half_occupation_level(sys: DotSystem) -> float:
                             mu_s + 60.0 * scale, mu0)
 
 
-# -- integrals of the occupation ----------------------------------------------
+# -- the broadening excess -----------------------------------------------------
+# It belongs with the integrals of p in erasure, but stays here: the traced
+# benchmark binds the quadrature as dot_model.integrate as well as
+# erasure.integrate, and this is the function that calls it by that name.
 
 def _broadening_excess(c: float, kt: float, kernel: BroadeningKernel) -> float:
     """E_Y[E_U[(U - |c + Y|)^+]]: U the kernel, Y logistic of scale kT.
 
-    What broadening adds to both integrals of occupation_tail_integrals for
-    a lead at c = mu_lead - mu: 0 without a kernel, infinite for a kernel
-    without a mean.
+    What broadening adds to both the integral of p above a level mu and that
+    of 1 - p below it, for a lead at c = mu_lead - mu: 0 without a kernel,
+    infinite for a kernel without a mean.
     """
     w = kernel.width
     if kt == 0.0 or w == 0.0 or math.isinf(kernel.mad):
@@ -410,40 +412,3 @@ def _broadening_excess(c: float, kt: float, kernel: BroadeningKernel) -> float:
         e = math.exp(-abs(s))
         return e / (1.0 + e) ** 2 * kernel.partial_expectation(abs(c + kt * s))
     return integrate(f, lo, hi, breakpoints=[s_star, 0.0]).value
-
-
-def occupation_tail_integrals(mu: float,
-                              sys: DotSystem) -> tuple[float, float]:
-    """(integral of p over [mu, inf), integral of 1 - p over (-inf, mu]).
-
-    Per lead these are kT*softplus(+-(mu_lead - mu)/kT) (exact ramps at
-    T = 0) plus the same broadening excess; both are infinite for the
-    Lorentzian kernel.
-    """
-    above = below = 0.0
-    for gamma, lead in sys.weighted_leads():
-        if gamma == 0.0:
-            continue
-        c, kt = lead.chemical_potential - mu, lead.thermal_energy
-        excess = _broadening_excess(c, kt, sys.kernel)
-        above += gamma * (softplus_ramp(c, kt) + excess)
-        below += gamma * (softplus_ramp(-c, kt) + excess)
-    return above, below
-
-
-def occupation_integral(lo: float, hi: float, sys: DotSystem) -> float:
-    """integral of p over [lo, hi] for a kernel with a mean.
-
-    Per lead the same closed forms as occupation_tail_integrals: the Fermi
-    integral over the window, taken without the cancellation of two
-    softplus ramps, plus the broadening excess at lo less that at hi.
-    """
-    total = 0.0
-    for gamma, lead in sys.weighted_leads():
-        if gamma == 0.0:
-            continue
-        mu_i, kt = lead.chemical_potential, lead.thermal_energy
-        total += gamma * (fermi_integral(mu_i, lo, hi, kt)
-                          + _broadening_excess(mu_i - lo, kt, sys.kernel)
-                          - _broadening_excess(mu_i - hi, kt, sys.kernel))
-    return total

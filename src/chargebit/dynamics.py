@@ -27,6 +27,7 @@ import numpy as np
 
 from .dot_model import (DotSystem, _combined, dominant_scale,
                         half_occupation_level, occupation)
+from .units import store_finite
 
 LINEAR = "linear"
 INSTANTANEOUS = "instantaneous"
@@ -44,6 +45,7 @@ class Segment:
     shape: Literal["linear", "instantaneous"] = LINEAR
 
     def __post_init__(self):
+        store_finite(self, "mu_start", "mu_end", "duration")
         if self.duration < 0:
             raise ValueError("duration must be non-negative")
         if self.shape == INSTANTANEOUS and self.duration != 0.0:

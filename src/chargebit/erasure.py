@@ -1,12 +1,13 @@
 """Optimal erasure work costs, characteristic energy scales and the bound.
 
-W0 (erase to empty) and W1 (erase to full) are the quasistatic-ramp-plus-
+Every integral of the occupation p is assembled here, lead by lead. W0
+(erase to empty) and W1 (erase to full) are the quasistatic-ramp-plus-
 quench limits: the integral of p above mu_1/2 and of 1 - p below it. Per
 lead they are the unbroadened softplus closed forms (exact ramps at T = 0)
 plus a common broadening excess, one adaptive integral of the kernel's
-closed-form partial expectation (see ``dot_model.occupation_tail_integrals``).
-The Lorentzian kernel makes both diverge and is reported as such;
-eta-erasure is the supported finite-cost alternative.
+closed-form partial expectation (``dot_model._broadening_excess``). The
+Lorentzian kernel makes both diverge and is reported as such; eta-erasure
+is the supported finite-cost alternative.
 
 The mean-absolute-deviation form of the average cost is the independent
 cross-check of W-bar: per lead, |mu - mu_1/2| times that lead's -dp_i/dmu,
@@ -16,16 +17,17 @@ peak (45 kT_i plus 12 kernel widths each side), with the cusp and the
 lead's centre as panel edges.
 
 eta-erasure finds its level mu_eta with the solver of mu_1/2,
-``dot_model.occupation_level``. For a kernel with a finite mean its raise
-work, the integral of p over [mu_1/2, mu_eta], is built per lead from the
-closed forms of W0, ``dot_model.occupation_integral``: the Fermi integral
-over the window plus the broadening excess at either end. No quadrature
-runs over mu, where an adaptive rule misses the sharp step of a lead whose
-kT is far below the window. The Lorentzian, whose broadening excess
-diverges, takes the raise work from the antiderivative A of its cdf: lead i
-contributes E_Y[A(Y - (mu_1/2 - mu_i)) - A(Y - (mu_eta - mu_i))], Y logistic
-of scale kT_i, one adaptive integral over s = Y/kT_i on [-40, 40] (the
-closed form at T = 0) whose integrand is a few ``math`` calls.
+``dot_model.occupation_level``. Its raise work, the integral of p over
+[mu_1/2, mu_eta], is per lead ``_window_integral``, the one integral of a
+lead's p over a window, for every kernel. With a finite mean it is built
+from the closed forms of W0: the Fermi integral over the window plus the
+broadening excess at either end. No quadrature runs over mu, where an
+adaptive rule misses the sharp step of a lead whose kT is far below the
+window. The Lorentzian, whose broadening excess diverges, takes it from
+the antiderivative A of its cdf: lead i contributes
+E_Y[A(Y - (mu_1/2 - mu_i)) - A(Y - (mu_eta - mu_i))], Y logistic of scale
+kT_i, one adaptive integral over s = Y/kT_i on [-40, 40] (the closed form
+at T = 0) whose integrand is a few ``math`` calls.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dot_model import (_WINDOW, DotSystem, _lead_values, _panel_rule,
-                        dominant_scale, half_occupation_level, occupation,
-                        occupation_integral, occupation_level,
-                        occupation_tail_integrals)
+from .dot_model import (_WINDOW, DotSystem, _broadening_excess, _lead_values,
+                        _panel_rule, dominant_scale, half_occupation_level,
+                        occupation, occupation_level)
+from .leads import fermi_integral, softplus_ramp
 from .numerics import (TAIL_CUTOFF_EXPONENTIAL, TAIL_CUTOFF_GAUSSIAN,
                        integrate)
 
@@ -125,7 +127,12 @@ def erasure_costs(sys: DotSystem, mad_check: bool = True) -> ErasureCosts:
     large parameter sweeps where only w_bar is needed.
     """
     mu_half = half_occupation_level(sys)
-    w0, w1 = occupation_tail_integrals(mu_half, sys)
+    w0 = w1 = 0.0
+    for gamma, lead in sys.weighted_leads():
+        c, kt = lead.chemical_potential - mu_half, lead.thermal_energy
+        excess = _broadening_excess(c, kt, sys.kernel)
+        w0 += gamma * (softplus_ramp(c, kt) + excess)
+        w1 += gamma * (softplus_ramp(-c, kt) + excess)
     w_bar = 0.5 * (w0 + w1)
     if math.isinf(w_bar):
         return ErasureCosts(w0, w1, w_bar, mu_half, True)
@@ -152,12 +159,19 @@ def check_bound(costs: ErasureCosts, scales: EnergyScales) -> BoundReport:
 
 def _window_integral(mu_lead: float, kt: float, lo: float, hi: float,
                      kernel) -> float:
-    """integral of one lead's occupation over [lo, hi], by the kernel's
-    antiderivative: E_Y[A(Y - (lo - mu_lead)) - A(Y - (hi - mu_lead))].
+    """integral of one lead's occupation over [lo, hi], lo <= hi.
 
-    A lead above the window is mirrored, as in ``leads.fermi_integral``: the
-    window width less the integral of the mirrored lead's occupation.
+    For a kernel with a mean, the closed forms of W0: the Fermi integral
+    over the window plus the broadening excess at lo less that at hi.
+    Otherwise (the Lorentzian) by the kernel's antiderivative A:
+    E_Y[A(Y - (lo - mu_lead)) - A(Y - (hi - mu_lead))]. A lead above the
+    window is then mirrored, as in ``leads.fermi_integral``: the window
+    width less the integral of the mirrored lead's occupation.
     """
+    if math.isfinite(kernel.mad):
+        return (fermi_integral(mu_lead, lo, hi, kt)
+                + _broadening_excess(mu_lead - lo, kt, kernel)
+                - _broadening_excess(mu_lead - hi, kt, kernel))
     if mu_lead > hi:
         return (hi - lo) - _window_integral(-mu_lead, kt, -hi, -lo, kernel)
     c_lo, c_hi, width = lo - mu_lead, hi - mu_lead, hi - lo
@@ -202,11 +216,8 @@ def eta_erasure_work(sys: DotSystem, eta: float) -> float:
     if mu_eta <= mu_half:
         return 0.0
     reached = occupation(math.nextafter(mu_eta, math.inf), sys)
-    if not math.isinf(sys.kernel.mad):
-        raised = occupation_integral(mu_half, mu_eta, sys)
-    else:
-        raised = sum(gamma * _window_integral(lead.chemical_potential,
-                                              lead.thermal_energy, mu_half,
-                                              mu_eta, sys.kernel)
-                     for gamma, lead in sys.weighted_leads() if gamma > 0.0)
+    raised = sum(gamma * _window_integral(lead.chemical_potential,
+                                          lead.thermal_energy, mu_half,
+                                          mu_eta, sys.kernel)
+                 for gamma, lead in sys.weighted_leads())
     return raised - (mu_eta - mu_half) * reached

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .units import store_finite
+
 
 class StepMismatch(ValueError):
     """Cross-correlation of grids with different step sizes."""
@@ -42,6 +44,7 @@ class GridPdf:
     densities: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        store_finite(self, "origin", "step")
         dens = np.asarray(self.densities, dtype=float)
         object.__setattr__(self, "densities", dens)
         if self.step <= 0:
@@ -50,7 +53,10 @@ class GridPdf:
             raise ValueError("densities must be a non-empty 1-D sequence")
         if np.any(dens < 0):
             raise ValueError("densities must be non-negative")
+        # a NaN or infinite density makes the mass NaN or infinite
         mass = self.step * float(dens.sum())
+        if not math.isfinite(mass):
+            raise ValueError(f"densities must be finite, got total mass {mass}")
         if abs(mass - 1.0) > 1e-8:
             raise ValueError(f"density not normalised: total mass {mass}")
 

@@ -119,6 +119,17 @@ class TestAnalyze:
         for eta in (0.1, 0.01, 0.001):
             assert report[f"w_eta_{eta}_ueV"] > 0.0
 
+    def test_close_etas_are_reported_apart(self, device1_path, capsys):
+        # they agree to 6 digits, which a %g key would merge into one line
+        assert main(["analyze", "--config", device1_path,
+                     "--eta", "0.1", "--eta", "0.1000001"]) == 0
+        lines = [line.split(": ", 1) for line in
+                 capsys.readouterr().out.split("machine-readable:\n")[1]
+                 .splitlines() if line.startswith("w_eta_")]
+        assert [k for k, _ in lines] == ["w_eta_0.1_ueV",
+                                         "w_eta_0.1000001_ueV"]
+        assert float(lines[0][1]) > float(lines[1][1]) > 0.0
+
 
 class TestKiloHertzLorentzian:
     # hbar*Gamma is 7e-5 ueV against kT of 12-16 ueV

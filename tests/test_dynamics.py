@@ -27,6 +27,13 @@ class TestSegments:
         with pytest.raises(ValueError):
             Segment(0.0, 1.0, 2.0, INSTANTANEOUS)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["mu_start", "mu_end", "duration"])
+    def test_non_finite_field_named(self, field, bad):
+        values = {"mu_start": 0.0, "mu_end": 1.0, "duration": 1.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Segment(**values)
+
     def test_schedule_contiguity(self):
         with pytest.raises(ValueError):
             ProtocolSchedule((Segment(0.0, 1.0, 1.0),
@@ -165,6 +172,17 @@ class TestExactRamps:
         assert list(q[at]) == [1.0, 0.3] and list(q[at + 1]) == [0.3, 0.0]
         assert not np.any(m)
 
+    def test_decoupled_cold_lead_adds_no_nodes(self):
+        # rates (0, 1): the source carries no weight, so its atom at 2.01,
+        # between two output samples of the ramp, changes nothing against a
+        # source at 1 kT
+        seg = Segment(-3.0, 5.0, 4.0)
+        cold, warm = (simulate(make_system(kt, 1.0, 2.01, 0.0),
+                               ProtocolSchedule((seg,)), 0.05)
+                      for kt in (0.0, 1.0))
+        for name in ("t", "mu", "p", "work"):
+            assert np.array_equal(getattr(cold, name), getattr(warm, name))
+
     def test_ramp_across_the_shared_atom_at_zero_bias(self):
         # both T = 0 leads at 0: p_ss is 1 below it and 0 above, and the
         # atom is one pair of nodes however many leads sit on it
@@ -262,6 +280,10 @@ class TestErasureSchedules:
         traj = simulate(SYM, sched, 0.05)
         assert traj.total_work == pytest.approx(0.0, abs=1e-12)
         assert traj.final_occupation == pytest.approx(0.5, abs=1e-9)
+
+    def test_non_finite_duration_named(self):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            make_erasure_schedule(SYM, "zero", math.nan)
 
     def test_unknown_target(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,10 @@ that call it. Commands that never reach those functions run without it.
 The adaptive quadrature of ``chargebit.numerics`` is internal: the package
 does not export it, and only its own tests (``test_numerics.py`` and
 ``test_logging.py``) import that module. The other tests take their
-quadrature oracle from scipy directly.
+quadrature oracle from scipy directly. In the package, ``integrate`` is
+called only by ``dot_model._broadening_excess`` and
+``erasure._window_integral``, the two integrals over a lead's thermal
+variable that have no fixed-panel form yet; no third caller may appear.
 """
 
 import ast
@@ -224,6 +227,47 @@ def test_guard_flags_an_import_of_numerics():
               "    from chargebit.numerics import NumericsConfig\n")
     assert _numerics_imports(source) == ["line 1", "line 2", "line 3",
                                          "line 7"]
+
+
+ADAPTIVE_CALLERS = {("dot_model", "_broadening_excess"),
+                    ("erasure", "_window_integral")}
+
+
+def _integrate_callers(module: str, source: str) -> set[tuple[str, str]]:
+    """(module, enclosing top-level name) of each call of integrate; a call
+    outside any definition is named by its line."""
+    callers = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "integrate" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                callers.add((module, getattr(top, "name",
+                                             f"line {node.lineno}")))
+    return callers
+
+
+def test_adaptive_quadrature_is_called_only_where_listed():
+    found = set().union(*(_integrate_callers(p.stem,
+                                             p.read_text(encoding="utf-8"))
+                          for p in MODULES if p.name != "numerics.py"))
+    assert found <= ADAPTIVE_CALLERS
+
+
+def test_guard_names_each_caller_of_integrate():
+    source = ("def _window_integral(kt):\n"
+              "    def f(s):\n"
+              "        return s\n"
+              "    return integrate(f, -1.0, 1.0).value\n"
+              "class Solver:\n"
+              "    def run(self):\n"
+              "        return numerics.integrate(abs, 0.0, 1.0)\n"
+              "w = integrate(abs, 0.0, 1.0)\n"
+              "def other():\n"
+              "    return integrated(abs)\n")
+    assert _integrate_callers("erasure", source) == {
+        ("erasure", "_window_integral"), ("erasure", "Solver"),
+        ("erasure", "line 8")}
 
 
 def test_quadrature_is_not_exported():

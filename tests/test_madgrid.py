@@ -38,6 +38,16 @@ class TestGridPdf:
         with pytest.raises(ValueError):
             GridPdf(0.0, 0.1, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("args, field", [
+        ((0.0, math.nan, [1.0]), "step"),
+        ((math.nan, 1.0, [1.0]), "origin"),
+        ((math.inf, 1.0, [1.0]), "origin"),
+        ((0.0, 1.0, [math.nan]), "densities"),
+        ((0.0, 0.5, [math.inf, 1.0]), "densities")])
+    def test_rejects_non_finite_naming_field(self, args, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            GridPdf(*args)
+
     def test_from_samples_normalises(self):
         pdf = GridPdf.from_samples(0.0, 0.5, np.array([3.0, 1.0]))
         assert pdf.step * pdf.densities.sum() == pytest.approx(1.0)
