@@ -145,7 +145,11 @@ def _fmt(x) -> str:
 
 
 def analyze(spec: DeviceSpec, etas: tuple[float, ...] = ()) -> dict:
-    """Full device report as an ordered key -> value mapping."""
+    """Full device report as an ordered key -> value mapping.
+
+    The eta-works (``etas``, or 0.1, 0.01 and 0.001 for a divergent device)
+    come from one ``erasure.eta_erasure_work`` call, in the order given.
+    """
     sys_ = build_system(spec)
     scales = erasure.energy_scales(sys_)
     costs = erasure.erasure_costs(sys_)
@@ -177,8 +181,10 @@ def analyze(spec: DeviceSpec, etas: tuple[float, ...] = ()) -> dict:
         report["bound_lower_ueV"] = bound.lower
         report["bound_upper_ueV"] = bound.upper
         report["bound_satisfied"] = bound.satisfied
-    for eta in etas or ((0.1, 0.01, 0.001) if costs.divergent else ()):
-        report[f"w_eta_{eta!r}_ueV"] = erasure.eta_erasure_work(sys_, eta)
+    etas = etas or ((0.1, 0.01, 0.001) if costs.divergent else ())
+    if etas:
+        for eta, work in zip(etas, erasure.eta_erasure_work(sys_, etas)):
+            report[f"w_eta_{eta!r}_ueV"] = work
     return report
 
 

@@ -115,17 +115,18 @@ class DotSystem:
 
 
 def dominant_scale(sys: DotSystem) -> float:
-    """Largest smoothing energy scale (thermal or broadening); 1.0 fallback."""
-    s = max(sys.source.thermal_energy, sys.drain.thermal_energy,
-            sys.kernel.width)
+    """Largest smoothing energy scale (a coupled lead's kT or the kernel
+    width); 1.0 fallback."""
+    s = max([lead.thermal_energy for _, lead in sys.weighted_leads()]
+            + [sys.kernel.width])
     return s if s > 0.0 else 1.0
 
 
 def is_atomic(sys: DotSystem) -> bool:
-    """True when the occupation is a pure double step (both T = 0, no kernel)."""
-    return (sys.kernel.width == 0.0
-            and sys.source.thermal_energy == 0.0
-            and sys.drain.thermal_energy == 0.0)
+    """True when the occupation is a pure step (every coupled lead at T = 0,
+    no kernel)."""
+    return sys.kernel.width == 0.0 and all(
+        lead.thermal_energy == 0.0 for _, lead in sys.weighted_leads())
 
 
 # -- the fixed-panel rules -----------------------------------------------------
@@ -380,10 +381,11 @@ def half_occupation_level(sys: DotSystem) -> float:
                       AmbiguousMedianWarning, stacklevel=2)
         return 0.5 * (mu_s + mu_d)
     scale = dominant_scale(sys)
+    mus = [lead.chemical_potential for _, lead in sys.weighted_leads()]
     # start inside the lead that carries the majority of the rate
     mu0 = mu_s if g_s > 0.5 else mu_d if g_s < 0.5 else 0.5 * (mu_s + mu_d)
-    return occupation_level(sys, 0.5, mu_d - 60.0 * scale,
-                            mu_s + 60.0 * scale, mu0)
+    return occupation_level(sys, 0.5, min(mus) - 60.0 * scale,
+                            max(mus) + 60.0 * scale, mu0)
 
 
 # -- the broadening excess -----------------------------------------------------

@@ -262,18 +262,18 @@ def make_erasure_schedule(sys: DotSystem, target: Literal["zero", "one"],
     """Ramp away from mu_half past the far electrode, then quench back.
 
     The turning point sits ``cutoff_multiplier`` smoothing scales beyond the
-    relevant electrode so the steady-state occupation there is negligible.
+    relevant coupled electrode so the steady-state occupation there is
+    negligible; a decoupled lead, which adds nothing to p, does not move it.
     """
     if ramp_duration < 0:
         raise ValueError("ramp_duration must be non-negative")
     mu_half = half_occupation_level(sys)
     scale = dominant_scale(sys)
+    mus = [lead.chemical_potential for _, lead in sys.weighted_leads()]
     if target == "zero":
-        mu_far = max(sys.source.chemical_potential, mu_half) \
-            + cutoff_multiplier * scale
+        mu_far = max(mus + [mu_half]) + cutoff_multiplier * scale
     elif target == "one":
-        mu_far = min(sys.drain.chemical_potential, mu_half) \
-            - cutoff_multiplier * scale
+        mu_far = min(mus + [mu_half]) - cutoff_multiplier * scale
     else:
         raise ValueError(f"unknown erasure target {target!r}")
     shape = LINEAR if ramp_duration > 0 else INSTANTANEOUS

@@ -16,8 +16,11 @@ lead's own offset mu - mu_i. The panels are 2 max(kT_i, w) wide over its
 peak (45 kT_i plus 12 kernel widths each side), with the cusp and the
 lead's centre as panel edges.
 
-eta-erasure finds its level mu_eta with the solver of mu_1/2,
-``dot_model.occupation_level``. Its raise work, the integral of p over
+eta-erasure does one pass for any number of eta: mu_1/2 is solved once,
+one array call of p on a ladder of levels above it brackets every level
+mu_eta, each is found within its ladder step by the solver of mu_1/2,
+``dot_model.occupation_level``, and the occupations just above the levels
+are read in one more array call. The raise work, the integral of p over
 [mu_1/2, mu_eta], is per lead ``_window_integral``, the one integral of a
 lead's p over a window, for every kernel. With a finite mean it is built
 from the closed forms of W0: the Fermi integral over the window plus the
@@ -47,6 +50,8 @@ from .numerics import (TAIL_CUTOFF_EXPONENTIAL, TAIL_CUTOFF_GAUSSIAN,
 
 # MAD-oracle panel width, in units of the lead's widest scale max(kT_i, w)
 _MAD_PANEL = 2.0
+# most halvings below the top of the eta-erasure ladder
+_LADDER_RUNGS = 60
 
 
 class DivergentInput(ValueError):
@@ -196,7 +201,38 @@ def _window_integral(mu_lead: float, kt: float, lo: float, hi: float,
         c / kt + r for c in (c_lo, c_hi) for r in rungs]).value
 
 
-def eta_erasure_work(sys: DotSystem, eta: float) -> float:
+def _level_ladder(sys: DotSystem, mu_half: float,
+                  eta_min: float) -> tuple[list[float], list[float]]:
+    """Levels mu_1/2 + top * 2^-k, k = rungs, ..., 0, and p at each.
+
+    top reaches 60 smoothing scales past the highest coupled lead, and the
+    rungs below it halve down to the narrowest scale, a coupled lead's kT or
+    the kernel width: one array call. While p at the top still exceeds
+    eta_min, one more call adds the doublings that a tail falling as 1/mu,
+    the Lorentzian's, needs to get below it, at most 8 at a time. Both
+    lists are Python floats, mu_1/2 first.
+    """
+    leads = sys.weighted_leads()
+    scale = dominant_scale(sys)
+    widths = [s for s in [lead.thermal_energy for _, lead in leads]
+              + [sys.kernel.width] if s > 0.0]
+    top = (max(lead.chemical_potential for _, lead in leads) - mu_half
+           + 60.0 * scale)
+    rungs = min(_LADDER_RUNGS, max(0, math.ceil(
+        math.log2(top) - math.log2(min(widths, default=scale)))))
+    ladder = [mu_half] + (mu_half + top * 2.0 ** -np.arange(
+        rungs, -1, -1)).tolist()
+    p = occupation(np.array(ladder), sys).tolist()
+    while p[-1] > eta_min:
+        doublings = min(8, math.ceil(math.log2(p[-1] / eta_min)))
+        more = mu_half + (ladder[-1] - mu_half) * 2.0 ** np.arange(
+            1, doublings + 1)
+        ladder += more.tolist()
+        p += occupation(more, sys).tolist()
+    return ladder, p
+
+
+def eta_erasure_work(sys: DotSystem, eta):
     """Work to drive the occupation from 1/2 down to eta and reset the level.
 
     W = integral of p over [mu_half, mu_eta] minus (mu_eta - mu_half) times
@@ -204,20 +240,44 @@ def eta_erasure_work(sys: DotSystem, eta: float) -> float:
     past eta at the atom of a T = 0 lead. Finite for every kernel, which is
     the point: it is the supported erasure notion when exact erasure
     diverges (Lorentzian broadening).
+
+    ``eta`` is a float, which gives a float, or a sequence, which gives a
+    list in its order; all of them are checked before anything is solved.
     """
-    if not 0.0 < eta < 0.5:
-        raise ValueError(f"eta must lie strictly in (0, 1/2), got {eta}")
-    mu_half = half_occupation_level(sys)
-    scale = dominant_scale(sys)
-    hi = sys.source.chemical_potential + 60.0 * scale
-    while occupation(hi, sys) > eta:
-        hi = mu_half + 2.0 * (hi - mu_half)
-    mu_eta = occupation_level(sys, eta, mu_half, hi, mu_half)
-    if mu_eta <= mu_half:
-        return 0.0
-    reached = occupation(math.nextafter(mu_eta, math.inf), sys)
-    raised = sum(gamma * _window_integral(lead.chemical_potential,
-                                          lead.thermal_energy, mu_half,
-                                          mu_eta, sys.kernel)
-                 for gamma, lead in sys.weighted_leads())
-    return raised - (mu_eta - mu_half) * reached
+    scalar = np.ndim(eta) == 0
+    etas = [float(e) for e in np.atleast_1d(eta)]
+    for e in etas:
+        if not 0.0 < e < 0.5:
+            raise ValueError(f"eta must lie strictly in (0, 1/2), got {e}")
+    targets = sorted(set(etas), reverse=True)
+    works = dict.fromkeys(targets, 0.0)
+    if targets:
+        leads = sys.weighted_leads()
+        mu_half = half_occupation_level(sys)
+        ladder, p = _level_ladder(sys, mu_half, targets[-1])
+        levels = {}
+        j = 0
+        for e in targets:  # their levels rise along the ladder
+            while p[j] > e:
+                j += 1
+            lo, hi = ladder[max(j - 1, 0)], ladder[j]
+            # start where log p is linear in log(mu - mu_1/2) between the
+            # bracket's ends, as on a Lorentzian tail; in mu when the
+            # bracket's lower end is mu_1/2
+            frac = (0.0 if j == 0 or p[j] <= 0.0 else
+                    math.log(p[j - 1] / e) / math.log(p[j - 1] / p[j]))
+            a, b = lo - mu_half, hi - mu_half
+            start = (mu_half + a * (b / a) ** frac if a > 0.0
+                     else lo + frac * (hi - lo))
+            mu_eta = occupation_level(sys, e, lo, hi, start)
+            if mu_eta > mu_half:
+                levels[e] = mu_eta
+        if levels:
+            reached = occupation(np.nextafter(list(levels.values()), math.inf),
+                                 sys).tolist()
+            for (e, mu_eta), r in zip(levels.items(), reached):
+                raised = sum(gamma * _window_integral(
+                    lead.chemical_potential, lead.thermal_energy, mu_half,
+                    mu_eta, sys.kernel) for gamma, lead in leads)
+                works[e] = raised - (mu_eta - mu_half) * r
+    return works[etas[0]] if scalar else [works[e] for e in etas]

@@ -131,6 +131,33 @@ class TestAnalyze:
         assert float(lines[0][1]) > float(lines[1][1]) > 0.0
 
 
+class TestAnalyzeWorkCount:
+    """Occupation-core calls of a Lorentzian report: deterministic, so a
+    regression in the eta-erasure pass shows without timing it."""
+
+    # a mu_1/2 solve, a doubling loop and a Newton solve from mu_1/2 for
+    # each eta took 50 calls; one mu_1/2, one ladder that brackets every
+    # level and one read of the levels reached take 17
+
+    def test_default_lorentzian_report(self, device1_path, monkeypatch):
+        from chargebit import dot_model
+
+        calls = []
+        core = dot_model._combined
+
+        def counted(*args):
+            calls.append(args[0])
+            return core(*args)
+
+        spec = load_config(device1_path)
+        spec = DeviceSpec(**{**spec.__dict__, "kernel": "lorentzian"})
+        monkeypatch.setattr(dot_model, "_combined", counted)
+        report = analyze(spec)
+        assert [k for k in report if k.startswith("w_eta_")] == [
+            "w_eta_0.1_ueV", "w_eta_0.01_ueV", "w_eta_0.001_ueV"]
+        assert 0 < len(calls) <= 22
+
+
 class TestKiloHertzLorentzian:
     # hbar*Gamma is 7e-5 ueV against kT of 12-16 ueV
     CONFIG = """\
@@ -396,6 +423,20 @@ class TestMainExitCodes:
         out, err = capsys.readouterr()
         assert "w_zero_ueV: divergent (Lorentzian exact erasure)" in out
         assert err == ""
+
+    @pytest.mark.parametrize("text, shown", [
+        ("nan", "nan"), ("0", "0.0"), ("0.5", "0.5"), ("0.7", "0.7"),
+        ("1e999", "inf")])
+    def test_eta_outside_the_domain_exits_2(self, tmp_path, capsys, text,
+                                            shown):
+        path = tmp_path / "l.cfg"
+        path.write_text(DEVICE1.replace("gaussian", "lorentzian"))
+        assert main(["analyze", "--config", str(path), "--eta", "0.1",
+                     "--eta", text]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: eta must lie strictly in (0, 1/2), "
+                       f"got {shown}\n")
 
     def test_lemma_violation_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(madgrid, "verify_lemma1", lambda f, g:

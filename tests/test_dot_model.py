@@ -156,6 +156,12 @@ class TestOccupationDerivativeDensity:
         with pytest.raises(PureStep):
             occupation_derivative_density(0.5, sys_)
 
+    def test_warm_decoupled_lead_leaves_a_pure_step(self):
+        # p is the T = 0 drain's step alone
+        sys_ = make_system(1.0, 0.0, 1.0, 0.0)
+        with pytest.raises(PureStep):
+            occupation_derivative_density(0.5, sys_)
+
 
 class TestHalfOccupationLevel:
     def test_symmetric_device_midpoint(self):
@@ -265,3 +271,7 @@ class TestDominantScale:
     def test_prefers_largest(self):
         sys_ = make_system(0.1, 2.0, 5.0, 0.5, Gaussian(0.7))
         assert dominant_scale(sys_) == 2.0
+
+    def test_reads_coupled_leads_only(self):
+        sys_ = make_system(0.1, 2.0, 5.0, 1.0, Gaussian(0.7))
+        assert dominant_scale(sys_) == 0.7

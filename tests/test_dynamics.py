@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from chargebit import DotSystem, LeadParams, TunnelRates
 from chargebit.dot_model import occupation
 from chargebit.dynamics import (INSTANTANEOUS, LINEAR, ProtocolSchedule,
                                 Segment, _ramp_table, make_erasure_schedule,
@@ -307,6 +308,23 @@ class TestErasureSchedules:
         traj = simulate(biased, make_erasure_schedule(
             biased, "zero", 200.0, cutoff_multiplier=20.0), 0.05)
         assert traj.total_work == pytest.approx(w0, rel=0.02)
+
+    @pytest.mark.parametrize("target", ["zero", "one"])
+    def test_decoupled_source_moves_nothing(self, target):
+        # at gamma_S = 0 the source adds nothing to p, so neither its
+        # chemical potential nor its kT may move the ramp's end or change
+        # the work (with kT_S = 1 the zero ramp ended at 40 and at 240, for
+        # works 2.80 and 12.80)
+        def device(bias):
+            return DotSystem(LeadParams(3.0, bias), LeadParams(1.0, 0.0),
+                             TunnelRates(0.0, 1.0), Gaussian(1.0))
+        scheds = [make_erasure_schedule(device(bias), target, 10.0)
+                  for bias in (0.0, 200.0)]
+        assert scheds[0] == scheds[1]
+        assert abs(scheds[0].segments[0].mu_end) == pytest.approx(40.0)
+        works = [simulate(device(bias), sched).total_work
+                 for bias, sched in zip((0.0, 200.0), scheds)]
+        assert works[0] == works[1]
 
     def test_broadened_device_simulates(self):
         sys_ = make_system(0.5, 0.5, 2.0, 0.5, Gaussian(1.0))

@@ -3,6 +3,7 @@
 import decimal
 import logging
 import math
+import re
 from decimal import Decimal
 from unittest import mock
 
@@ -332,6 +333,13 @@ _CORPUS_LORENTZIAN = {
 }
 
 
+# device-1 rates (6.3 GHz, 250 GHz) at 40 mK and a 200 ueV bias
+_DEVICE1_LORENTZIAN = DotSystem(LeadParams(thermal_energy_uev(0.04), 200.0),
+                                LeadParams(thermal_energy_uev(0.04), 0.0),
+                                TunnelRates(6.3e9, 250e9),
+                                Lorentzian(broadening_energy_uev(256.3e9)))
+
+
 def _corpus_device(index):
     kt_s, kt_d, bias, w, gamma_s = _CORPUS_LORENTZIAN[index]
     return make_system(kt_s, kt_d, bias, gamma_s, Lorentzian(w))
@@ -391,19 +399,63 @@ class TestLorentzianEtaTwelveDecades:
         assert 0.0 <= works[0] <= works[1] <= works[2], works
 
     def test_work_counts_stay_off_the_occupation(self):
-        # device-1 rates (6.3 GHz, 250 GHz) at 40 mK and a 200 ueV bias: the
-        # raise work integrates the kernel's antiderivative over each lead's
-        # thermal variable, so p(mu) is evaluated only by the two level
-        # solves; integrating p over mu took 97-263 evaluations
-        sys_ = DotSystem(LeadParams(thermal_energy_uev(0.04), 200.0),
-                         LeadParams(thermal_energy_uev(0.04), 0.0),
-                         TunnelRates(6.3e9, 250e9),
-                         Lorentzian(broadening_energy_uev(256.3e9)))
+        # the raise work integrates the kernel's antiderivative over each
+        # lead's thermal variable, so p(mu) is evaluated only by the two
+        # level solves, the ladder and the level reached; integrating p over
+        # mu took 97-263 evaluations
         for eta in (0.1, 0.01, 0.001):
             with mock.patch.object(dot_model, "_combined",
                                    wraps=dot_model._combined) as spy:
-                eta_erasure_work(sys_, eta)
+                eta_erasure_work(_DEVICE1_LORENTZIAN, eta)
             assert 0 < spy.call_count <= 20, (eta, spy.call_count)
+
+
+class TestEtaSequence:
+    """One pass for several eta: a float gives a float, a sequence a list
+    in its order, and every eta is checked before anything is solved."""
+
+    ETAS = (0.01, 0.1, 0.001, 0.01)
+
+    def test_float_gives_a_float(self):
+        for eta in (0.1, np.float64(0.1)):
+            assert type(eta_erasure_work(_DEVICE1_LORENTZIAN, eta)) is float
+
+    def test_sequence_in_input_order_and_repeats_solved_once(self):
+        with mock.patch.object(erasure, "occupation_level",
+                               wraps=erasure.occupation_level) as spy:
+            works = eta_erasure_work(_DEVICE1_LORENTZIAN, list(self.ETAS))
+        assert spy.call_count == 3
+        assert [type(w) for w in works] == [float] * 4
+        assert works[0] == works[3]
+        assert works[1] < works[0] < works[2]
+        # each alone is solved on a ladder whose top may differ: the levels
+        # agree to LEVEL_TOL in p
+        assert works == pytest.approx(
+            [eta_erasure_work(_DEVICE1_LORENTZIAN, e) for e in self.ETAS],
+            rel=1e-9)
+
+    def test_empty_sequence_solves_nothing(self):
+        with mock.patch.object(dot_model, "_combined",
+                               wraps=dot_model._combined) as spy:
+            assert eta_erasure_work(_DEVICE1_LORENTZIAN, ()) == []
+        assert spy.call_count == 0
+
+    @pytest.mark.parametrize("bad", [0.0, 0.5, 0.7, -0.1, math.nan,
+                                     math.inf])
+    def test_bad_eta_named_before_any_solve(self, bad):
+        with mock.patch.object(dot_model, "_combined",
+                               wraps=dot_model._combined) as spy:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"eta must lie strictly in (0, 1/2), got {bad}")):
+                eta_erasure_work(_DEVICE1_LORENTZIAN, [0.1, bad, 0.01])
+        assert spy.call_count == 0
+
+    def test_decoupled_source_moves_nothing(self):
+        def device(bias):
+            return DotSystem(LeadParams(1.0, bias), LeadParams(1.0, 0.0),
+                             TunnelRates(0.0, 1.0), Lorentzian(1.0))
+        assert (eta_erasure_work(device(0.0), [0.1, 0.01, 0.001])
+                == eta_erasure_work(device(200.0), [0.1, 0.01, 0.001]))
 
 
 class TestAbsoluteDeviationIntegral:

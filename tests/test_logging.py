@@ -75,6 +75,15 @@ def test_device1_logs_nothing(tmp_path, caplog):
     assert caplog.records == []
 
 
+def test_lorentzian_device1_logs_nothing(tmp_path, caplog):
+    path = tmp_path / "device1.cfg"
+    path.write_text(DEVICE1.replace("gaussian", "lorentzian"))
+    with caplog.at_level(logging.DEBUG, logger="chargebit"):
+        report = analyze(load_config(str(path)))
+    assert sum(k.startswith("w_eta_") for k in report) == 3
+    assert caplog.records == []
+
+
 def test_no_handler_configured():
     for name in ("chargebit", "chargebit.numerics", "chargebit.dot_model"):
         assert logging.getLogger(name).handlers == []
