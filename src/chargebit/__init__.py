@@ -8,20 +8,23 @@ verification of the underlying mean-absolute-deviation inequalities, and
 finite-time protocol simulations.
 """
 
-from .dot_model import (AmbiguousMedianWarning, DotSystem, PureStep,
-                        TunnelRates, half_occupation_level, occupation,
-                        occupation_derivative_density, unbroadened_occupation)
+from types import ModuleType as _ModuleType
+
+from .dot_model import (AmbiguousMedianWarning, DotSystem, TunnelRates,
+                        half_occupation_level, occupation,
+                        unbroadened_occupation)
 from .dynamics import (ProtocolSchedule, Segment, Trajectory,
                        make_erasure_schedule, simulate)
 from .erasure import (BoundReport, DivergentInput, EnergyScales, ErasureCosts,
                       check_bound, energy_scales, erasure_costs,
                       eta_erasure_work)
-from .kernels import (BroadeningKernel, Delta, DeltaKernelError, Gaussian,
-                      Lorentzian)
+from .kernels import BroadeningKernel, Delta, Gaussian, Lorentzian
 from .leads import LeadParams
 from .madgrid import (GridPdf, LemmaReport, grid_cross_correlate, grid_mad,
                       grid_median, verify_lemma1, verify_lemma2)
 from .numerics import NonConvergence
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules that importing them binds
+__all__ = sorted(name for name, value in globals().items() if not (
+    name.startswith("_") or isinstance(value, _ModuleType)))
 __version__ = "0.1.0"

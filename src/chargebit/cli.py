@@ -5,7 +5,7 @@ micro-eV); everything is converted to micro-eV at the boundary and the drain
 chemical potential is the global zero of energy. Exit codes: 0 success
 (divergent results included), 1 property violation (a lemma-suite violation,
 or an ``analyze`` report whose MAD cross-check or energy-scale bound fails)
-or numerical failure (a quadrature that did not converge), 2 input error.
+or numerical failure (an unconverged quadrature or level solve), 2 input error.
 """
 
 from __future__ import annotations
@@ -86,7 +86,8 @@ def load_config(path: str) -> DeviceSpec:
     """Read a flat key = value device description."""
     values: dict = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig: an editor's byte-order mark is not part of the first key
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc

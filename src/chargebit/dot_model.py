@@ -52,13 +52,9 @@ from .leads import LeadParams
 from .numerics import TAIL_CUTOFF_GAUSSIAN, NonConvergence, integrate
 from .units import store_finite
 
-LEVEL_TOL = 1e-12  # |p - target| at which occupation_level stops
+LEVEL_TOL = 1e-12  # |p/target - 1| at which occupation_level stops
 
 _log = logging.getLogger(__name__)
-
-
-class PureStep(ValueError):
-    """Occupation distribution is purely atomic (T = 0 leads, no broadening)."""
 
 
 class AmbiguousMedianWarning(UserWarning):
@@ -312,18 +308,6 @@ def unbroadened_occupation(mu, sys: DotSystem):
     return occupation(mu, replace(sys, kernel=Delta()))
 
 
-def occupation_derivative_density(mu, sys: DotSystem):
-    """-dp/dmu for a float or an array of mu: the kernel-pdf expectation.
-
-    A T = 0 lead without broadening contributes an atom; its density part is
-    zero everywhere except exactly at its chemical potential.
-    """
-    if is_atomic(sys):
-        raise PureStep("occupation distribution is atomic; no pointwise density")
-    (dens,) = _combined(mu, sys, ("pdf",))
-    return dens
-
-
 def occupation_level(sys: DotSystem, target: float, lo: float, hi: float,
                      mu0: float) -> float:
     """The level in [lo, hi] where p crosses target; p(lo) >= target >= p(hi).
@@ -331,10 +315,10 @@ def occupation_level(sys: DotSystem, target: float, lo: float, hi: float,
     Safeguarded Newton iteration on p(mu) - target from mu0, with -dp/dmu
     from the same nodes. It keeps the bracket and bisects whenever a Newton
     step would leave it or would be longer than half the step before last.
-    It stops once |p - target| <= LEVEL_TOL. When p jumps across the target
-    at the atom of a T = 0 lead, the bracket shrinks to adjacent doubles and
-    its end beyond the target, hi, is returned and logged at INFO with its
-    |p - target|.
+    It stops once |p - target| <= LEVEL_TOL * target. Where p jumps across
+    the target (the atom of a T = 0 lead) or doubles cannot resolve it, the
+    bracket shrinks to adjacent doubles and its end beyond the target, hi,
+    is returned and logged at INFO with its |p - target|.
     """
     mu = mu0
     step = prev_step = hi - lo
@@ -342,7 +326,7 @@ def occupation_level(sys: DotSystem, target: float, lo: float, hi: float,
     for _ in range(2200):
         p, dens = _combined(mu, sys, ("cdf", "pdf"))
         excess = p - target
-        if abs(excess) <= LEVEL_TOL:
+        if abs(excess) <= LEVEL_TOL * target:
             return mu
         if excess > 0.0:
             lo = mu

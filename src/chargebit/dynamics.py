@@ -29,8 +29,6 @@ from .dot_model import (DotSystem, _combined, dominant_scale,
                         half_occupation_level, occupation)
 from .units import store_finite
 
-LINEAR = "linear"
-INSTANTANEOUS = "instantaneous"
 STEADY_STATE = "steady"
 
 _SAMPLES = 200      # output steps per ramp
@@ -41,17 +39,12 @@ _TABLE_TOL = 1e-12  # |Hermite cubic - p_ss| at the midpoint of a table step
 class Segment:
     mu_start: float
     mu_end: float
-    duration: float
-    shape: Literal["linear", "instantaneous"] = LINEAR
+    duration: float  # 0 is an instantaneous quench, else a linear ramp
 
     def __post_init__(self):
         store_finite(self, "mu_start", "mu_end", "duration")
         if self.duration < 0:
             raise ValueError("duration must be non-negative")
-        if self.shape == INSTANTANEOUS and self.duration != 0.0:
-            raise ValueError("instantaneous segments must have zero duration")
-        if self.shape not in (LINEAR, INSTANTANEOUS):
-            raise ValueError(f"unknown segment shape {self.shape!r}")
 
 
 @dataclass(frozen=True)
@@ -276,8 +269,7 @@ def make_erasure_schedule(sys: DotSystem, target: Literal["zero", "one"],
         mu_far = min(mus + [mu_half]) - cutoff_multiplier * scale
     else:
         raise ValueError(f"unknown erasure target {target!r}")
-    shape = LINEAR if ramp_duration > 0 else INSTANTANEOUS
     return ProtocolSchedule(
-        segments=(Segment(mu_half, mu_far, ramp_duration, shape),
-                  Segment(mu_far, mu_half, 0.0, INSTANTANEOUS)),
+        segments=(Segment(mu_half, mu_far, ramp_duration),
+                  Segment(mu_far, mu_half, 0.0)),
         initial_occupation=STEADY_STATE)

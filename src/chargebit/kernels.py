@@ -6,7 +6,8 @@ deviation and the Lorentzian's half-width both equal that energy.
 
 Each kernel is a small frozen dataclass. Its ``cdf`` and ``pdf`` have one
 numpy body each: they take a numpy array of energy offsets (returning an
-array of the same shape) or a float (returning a 0-d numpy value).
+array of the same shape) or a float (returning a 0-d numpy value). The delta
+kernel has no ``pdf``: its callers branch on ``width == 0`` first.
 ``partial_expectation`` and ``antiderivative`` (with ``cdf_integral``, its
 difference over a window) are the scalar methods for adaptive integrands:
 the W0/W1 broadening excess and the eta raise work. Only a kernel without a
@@ -36,10 +37,6 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
-class DeltaKernelError(ValueError):
-    """Pointwise density requested for the unbroadened (delta) kernel."""
-
-
 @dataclass(frozen=True)
 class Delta:
     """No broadening; the identity element for cross-correlation."""
@@ -50,9 +47,6 @@ class Delta:
     def cdf(self, x):
         """Step at 0, with value 1/2 exactly at 0."""
         return np.where(x < 0.0, 0.0, np.where(x > 0.0, 1.0, 0.5))
-
-    def pdf(self, x):
-        raise DeltaKernelError("delta kernel has no pointwise density")
 
     def partial_expectation(self, a: float) -> float:
         """E[(X - a)^+] for a >= 0: zero for a point mass at 0."""

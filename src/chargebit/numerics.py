@@ -22,7 +22,7 @@ _log = logging.getLogger(__name__)
 
 
 class NonConvergence(RuntimeError):
-    """Quadrature hit the subdivision limit without meeting tolerance."""
+    """A quadrature or level solve ran out of steps short of tolerance."""
 
 
 @dataclass(frozen=True)

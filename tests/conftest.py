@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from chargebit import DotSystem, TunnelRates
+from chargebit.dot_model import _combined
 from chargebit.kernels import Delta, Gaussian
 from chargebit.leads import LeadParams
 
@@ -30,6 +31,13 @@ def random_system(rng, kernel=None):
     if kernel is None:
         kernel = Gaussian(10.0 ** rng.uniform(-1, 2))
     return make_system(kt_s, kt_d, bias, gamma_s, kernel)
+
+
+def occupation_density(mu, sys_):
+    """-dp/dmu for a float or an array of mu: the kernel-pdf expectation of
+    the occupation core, the value its level solves and ramp tables use."""
+    (dens,) = _combined(mu, sys_, ("pdf",))
+    return dens
 
 
 def reference_quad(f, a, b, points=()):

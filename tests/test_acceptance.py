@@ -125,9 +125,9 @@ def test_criterion_09_lemma_suite():
 def test_criterion_10_dynamics_limits():
     # quench work is exactly (mu_f - mu_i) * p(mu_i)
     sys_ = make_system(1.0, 1.0, 0.0, 0.5)
-    from chargebit.dynamics import INSTANTANEOUS, ProtocolSchedule, Segment
+    from chargebit.dynamics import ProtocolSchedule, Segment
     from chargebit.dot_model import occupation
-    sched = ProtocolSchedule((Segment(1.0, 7.5, 0.0, INSTANTANEOUS),))
+    sched = ProtocolSchedule((Segment(1.0, 7.5, 0.0),))
     traj = simulate(sys_, sched, 0.05)
     p_i = occupation(1.0, sys_)
     assert traj.total_work == pytest.approx(6.5 * p_i, rel=1e-12)

@@ -16,10 +16,10 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from chargebit import erasure_costs, half_occupation_level
-from chargebit.dot_model import occupation, occupation_derivative_density
+from chargebit.dot_model import occupation
 from chargebit.kernels import Delta, Gaussian, Lorentzian
 
-from conftest import make_system, random_system
+from conftest import make_system, occupation_density, random_system
 
 TIGHT = dict(epsabs=1e-16, epsrel=1e-13, limit=2000)
 TOL = 1e-10
@@ -74,7 +74,7 @@ def _levels(sys_, n=9):
 def _assert_core_matches(sys_):
     mus = _levels(sys_)
     p = occupation(mus, sys_)
-    dens = occupation_derivative_density(mus, sys_)
+    dens = occupation_density(mus, sys_)
     for mu, pi, di in zip(mus, p, dens):
         assert abs(pi - _reference(mu, sys_, _kernel_cdf)) <= TOL, mu
         assert abs(di - _reference(mu, sys_, _kernel_pdf)) <= TOL, mu
@@ -121,7 +121,7 @@ def test_width_ratio_range(ratio, kernel_type):
     mus = np.concatenate((_levels(sys_, 7),
                           [0.0, 1e-7, 2.5 + 3e-7, 2.5 + 0.5 * ratio * kt]))
     p = occupation(mus, sys_)
-    dens = occupation_derivative_density(mus, sys_)
+    dens = occupation_density(mus, sys_)
     for mu, pi, di in zip(mus, p, dens):
         assert abs(pi - _reference(mu, sys_, _kernel_cdf)) <= TOL, mu
         assert abs(di - _reference(mu, sys_, _kernel_pdf)) <= TOL, mu
@@ -174,7 +174,7 @@ class TestShapes:
         SYS, make_system(0.5, 0.2, 3.0, 0.4),
         make_system(0.0, 0.2, 3.0, 0.4, Lorentzian(0.3))])
     def test_float_in_float_out(self, sys_):
-        for fn in (occupation, occupation_derivative_density):
+        for fn in (occupation, occupation_density):
             assert type(fn(1.3, sys_)) is float
             assert type(fn(np.float64(1.3), sys_)) is float
 
@@ -183,7 +183,7 @@ class TestShapes:
     def test_array_keeps_shape(self, kernel):
         sys_ = make_system(0.5, 0.0, 3.0, 0.4, kernel)
         mus = np.linspace(-2.0, 5.0, 12).reshape(3, 4)
-        for fn in (occupation, occupation_derivative_density):
+        for fn in (occupation, occupation_density):
             out = fn(mus, sys_)
             assert isinstance(out, np.ndarray) and out.shape == (3, 4)
             assert out[1, 2] == pytest.approx(fn(float(mus[1, 2]), sys_),
@@ -196,7 +196,7 @@ class TestShapes:
                                     np.array([[1.0], [-math.inf]])])
     def test_non_finite_levels_raise_naming_mu(self, kernel, mu):
         sys_ = make_system(0.5, 0.0, 3.0, 0.4, kernel)
-        for fn in (occupation, occupation_derivative_density):
+        for fn in (occupation, occupation_density):
             with pytest.raises(ValueError, match="mu must be finite"):
                 fn(mu, sys_)
 
@@ -204,7 +204,7 @@ class TestShapes:
                              ids=["uniform-panels", "graded-panels"])
     def test_no_levels_give_empty_arrays(self, sigma):
         sys_ = make_system(0.5, 0.2, 3.0, 0.4, Gaussian(sigma))
-        for fn in (occupation, occupation_derivative_density):
+        for fn in (occupation, occupation_density):
             assert fn(np.empty((0, 4)), sys_).shape == (0, 4)
 
     @pytest.mark.parametrize("sigma", [0.3, 1e-5],
@@ -214,9 +214,9 @@ class TestShapes:
         sys_ = make_system(0.5, 0.2, 3.0, 0.4, Gaussian(sigma))
         mus = np.linspace(-6.0, 9.0, 10_000)
         p = occupation(mus, sys_)
-        dens = occupation_derivative_density(mus, sys_)
+        dens = occupation_density(mus, sys_)
         single_p = np.array([occupation(float(m), sys_) for m in mus])
-        single_d = np.array([occupation_derivative_density(float(m), sys_)
+        single_d = np.array([occupation_density(float(m), sys_)
                              for m in mus])
         np.testing.assert_allclose(p, single_p, rtol=0, atol=1e-15)
         np.testing.assert_allclose(dens, single_d, rtol=0, atol=1e-14)

@@ -56,6 +56,17 @@ class TestLoadConfig:
         assert spec.rate_source == pytest.approx(6.3e9)
         assert spec.kernel == "gaussian"
 
+    @pytest.mark.parametrize("first", [0, 1], ids=["key-first",
+                                                  "comment-first"])
+    def test_byte_order_mark_is_not_part_of_the_text(self, tmp_path, first):
+        # as some editors save it, before the first key or comment
+        text = "\n".join(DEVICE1.splitlines()[1 - first:])
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(str(bom)) == load_config(str(plain))
+
     def test_negative_rate_names_field(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(DEVICE1.replace("rate_source = 6.3G",

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from chargebit.dot_model import (LEVEL_TOL, AmbiguousMedianWarning, DotSystem,
-                                 PureStep, TunnelRates, dominant_scale,
-                                 half_occupation_level, occupation,
-                                 occupation_derivative_density,
+                                 TunnelRates, dominant_scale,
+                                 half_occupation_level, is_atomic,
+                                 occupation, occupation_level,
                                  unbroadened_occupation)
 from chargebit.kernels import Delta, Gaussian, Lorentzian
 from chargebit.leads import LeadParams
 
-from conftest import make_system, reference_quad
+from conftest import make_system, occupation_density, reference_quad
 
 
 class TestTunnelRates:
@@ -133,13 +133,13 @@ class TestOccupation:
 class TestOccupationDerivativeDensity:
     def test_logistic_peak(self):
         sys_ = make_system(2.0, 2.0, 0.0, 0.5)
-        assert occupation_derivative_density(0.0, sys_) == pytest.approx(
+        assert occupation_density(0.0, sys_) == pytest.approx(
             0.25 / 2.0, rel=1e-12)
 
     def test_normalises(self):
         sys_ = make_system(0.6, 0.3, 3.0, 0.45, Gaussian(0.7))
         val = reference_quad(
-            lambda m: occupation_derivative_density(m, sys_),
+            lambda m: occupation_density(m, sys_),
             -40.0, 43.0, points=[0.0, 3.0])
         assert val == pytest.approx(1.0, abs=1e-9)
 
@@ -148,19 +148,14 @@ class TestOccupationDerivativeDensity:
         h = 1e-5
         for mu in rng.uniform(-4, 6, 50):
             fd = (occupation(mu - h, sys_) - occupation(mu + h, sys_)) / (2 * h)
-            assert occupation_derivative_density(mu, sys_) == pytest.approx(
+            assert occupation_density(mu, sys_) == pytest.approx(
                 fd, abs=1e-6)
 
-    def test_pure_step_raises(self):
-        sys_ = make_system(0.0, 0.0, 1.0, 0.5)
-        with pytest.raises(PureStep):
-            occupation_derivative_density(0.5, sys_)
 
+class TestIsAtomic:
     def test_warm_decoupled_lead_leaves_a_pure_step(self):
         # p is the T = 0 drain's step alone
-        sys_ = make_system(1.0, 0.0, 1.0, 0.0)
-        with pytest.raises(PureStep):
-            occupation_derivative_density(0.5, sys_)
+        assert is_atomic(make_system(1.0, 0.0, 1.0, 0.0))
 
 
 class TestHalfOccupationLevel:
@@ -217,6 +212,18 @@ class TestHalfOccupationLevel:
         assert plain == pytest.approx(4469.5567, abs=1e-4)
 
 
+class TestOccupationLevel:
+    def test_tiny_target_is_met_relative_to_itself(self):
+        # p falls as 1/mu on the Lorentzian tail; a stop at an absolute
+        # |p - target| <= 1e-12 took any level with p below that
+        sys_ = make_system(1.0, 0.5, 5.0, 0.3, Lorentzian(2.0))
+        mu_half = half_occupation_level(sys_)
+        target = 1e-30
+        mu = occupation_level(sys_, target, mu_half, mu_half + 1e40,
+                              mu_half + 1.0)
+        assert abs(occupation(mu, sys_) / target - 1.0) <= 1e-10
+
+
 _TWELVE_DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
 
 
@@ -236,7 +243,7 @@ class TestHalfOccupationTwelveDecades:
         sys_ = make_system(kt_s, kt_d, bias, gamma_s,
                            Gaussian(sigma) if gaussian else Delta())
         mu = half_occupation_level(sys_)
-        slope = occupation_derivative_density(mu, sys_)
+        slope = occupation_density(mu, sys_)
         tol = (LEVEL_TOL + 2.0 * slope * math.ulp(mu)
                + 4.0 * sys.float_info.epsilon)
         assert abs(occupation(mu, sys_) - 0.5) <= tol

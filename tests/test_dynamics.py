@@ -8,9 +8,8 @@ from scipy.integrate import solve_ivp
 
 from chargebit import DotSystem, LeadParams, TunnelRates
 from chargebit.dot_model import occupation
-from chargebit.dynamics import (INSTANTANEOUS, LINEAR, ProtocolSchedule,
-                                Segment, _ramp_table, make_erasure_schedule,
-                                simulate)
+from chargebit.dynamics import (ProtocolSchedule, Segment, _ramp_table,
+                                make_erasure_schedule, simulate)
 from chargebit.erasure import erasure_costs
 from chargebit.kernels import Delta, Gaussian, Lorentzian
 
@@ -23,10 +22,6 @@ class TestSegments:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             Segment(0.0, 1.0, -1.0)
-
-    def test_instantaneous_must_be_zero_length(self):
-        with pytest.raises(ValueError):
-            Segment(0.0, 1.0, 2.0, INSTANTANEOUS)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("field", ["mu_start", "mu_end", "duration"])
@@ -85,7 +80,7 @@ class TestSimulate:
         assert np.max(np.abs(traj.p - exact)) < 1e-14
 
     def test_pure_quench_work(self):
-        sched = ProtocolSchedule((Segment(1.0, 7.5, 0.0, INSTANTANEOUS),))
+        sched = ProtocolSchedule((Segment(1.0, 7.5, 0.0),))
         traj = simulate(SYM, sched, 0.05)
         assert traj.total_work == pytest.approx(
             6.5 * occupation(1.0, SYM), rel=1e-12)
@@ -93,7 +88,7 @@ class TestSimulate:
 
     def test_quench_work_linear_in_distance(self):
         for d in (2.0, 4.0):
-            sched = ProtocolSchedule((Segment(0.0, d, 0.0, INSTANTANEOUS),),
+            sched = ProtocolSchedule((Segment(0.0, d, 0.0),),
                                      initial_occupation=0.3)
             traj = simulate(SYM, sched, 0.05)
             assert traj.total_work == pytest.approx(0.3 * d, rel=1e-12)
@@ -266,7 +261,7 @@ class TestErasureSchedules:
         up, down = sched.segments
         assert up.mu_start == pytest.approx(0.0, abs=1e-9)
         assert up.mu_end == pytest.approx(30.0, abs=1e-6)
-        assert down.shape == INSTANTANEOUS
+        assert down.duration == 0.0
         traj = simulate(SYM, sched, 0.05)
         assert traj.mu[-1] == pytest.approx(up.mu_start)
         assert traj.final_occupation < 1e-4

@@ -11,7 +11,8 @@ the kernel's data instead (``width == 0`` for no broadening, an infinite
 outside its own class.
 
 ``kernels.py`` calls no ``isinstance`` at all, so each kernel method keeps
-one body: numpy for ``cdf`` and ``pdf``, ``math`` for the scalar-only
+one body: numpy for ``cdf`` and ``pdf`` (the delta kernel, whose callers
+branch on its zero width, has a ``cdf`` only), ``math`` for the scalar-only
 ``partial_expectation``, ``antiderivative`` and ``cdf_integral`` of the
 adaptive integrands.
 
@@ -25,11 +26,12 @@ numpy and the package only, and scipy is imported inside the functions
 that call it. Commands that never reach those functions run without it.
 
 The adaptive quadrature of ``chargebit.numerics`` is internal: the package
-does not export it, and only its own tests (``test_numerics.py`` and
-``test_logging.py``) import that module. The other tests take their
-quadrature oracle from scipy directly. In the package, ``integrate`` is
-called only by ``dot_model._broadening_excess`` and
-``erasure._window_integral``, the two integrals over a lead's thermal
+exports neither it nor any submodule (``chargebit.__all__`` holds the
+public names its ``__init__`` imports, no module), and only its own tests
+(``test_numerics.py`` and ``test_logging.py``) import that module. The
+other tests take their quadrature oracle from scipy directly. In the
+package, ``integrate`` is called only by ``dot_model._broadening_excess``
+and ``erasure._window_integral``, the two integrals over a lead's thermal
 variable that have no fixed-panel form yet; no third caller may appear.
 """
 
@@ -39,6 +41,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import types
 
 import numpy as np
 import pytest
@@ -273,7 +276,11 @@ def test_guard_names_each_caller_of_integrate():
 def test_quadrature_is_not_exported():
     import chargebit
 
-    assert {"integrate", "NumericsConfig"}.isdisjoint(chargebit.__all__)
+    assert {"integrate", "NumericsConfig",
+            "numerics"}.isdisjoint(chargebit.__all__)
+    modules = [name for name in chargebit.__all__
+               if isinstance(getattr(chargebit, name), types.ModuleType)]
+    assert modules == []
 
 
 _DELTA_DEVICE = """\

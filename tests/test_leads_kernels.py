@@ -14,13 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from chargebit.dot_model import (DotSystem, TunnelRates,
-                                 occupation_derivative_density,
-                                 unbroadened_occupation)
-from chargebit.kernels import Delta, DeltaKernelError, Gaussian, Lorentzian
+from chargebit.dot_model import DotSystem, TunnelRates, unbroadened_occupation
+from chargebit.kernels import Delta, Gaussian, Lorentzian
 from chargebit.leads import LeadParams, fermi_integral, softplus_ramp
 
-from conftest import decimal_ramp, reference_quad
+from conftest import decimal_ramp, occupation_density, reference_quad
 
 
 def _fermi(energy, lead):
@@ -29,7 +27,7 @@ def _fermi(energy, lead):
 
 
 def _fermi_density(energy, lead):
-    return occupation_derivative_density(
+    return occupation_density(
         energy, DotSystem(lead, lead, TunnelRates(1.0, 0.0), Delta()))
 
 
@@ -182,10 +180,6 @@ class TestKernelDensity:
         assert dens[0] == dens[-1] == 0.0
         for xi, di in zip(x[1:-1], dens[1:-1]):
             assert di == pytest.approx(g.pdf(float(xi)), rel=1e-15)
-
-    def test_delta_has_no_density(self):
-        with pytest.raises(DeltaKernelError):
-            Delta().pdf(0.0)
 
     def test_normalisation(self):
         g = Gaussian(1.7)
