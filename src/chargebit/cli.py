@@ -149,7 +149,7 @@ def analyze(spec: DeviceSpec, etas: tuple[float, ...] = ()) -> dict:
     """Full device report as an ordered key -> value mapping.
 
     The eta-works (``etas``, or 0.1, 0.01 and 0.001 for a divergent device)
-    come from one ``erasure.eta_erasure_work`` call, in the order given.
+    come from one ``erasure.eta_erasure_work`` call, in order, at mu_1/2.
     """
     sys_ = build_system(spec)
     scales = erasure.energy_scales(sys_)
@@ -184,7 +184,8 @@ def analyze(spec: DeviceSpec, etas: tuple[float, ...] = ()) -> dict:
         report["bound_satisfied"] = bound.satisfied
     etas = etas or ((0.1, 0.01, 0.001) if costs.divergent else ())
     if etas:
-        for eta, work in zip(etas, erasure.eta_erasure_work(sys_, etas)):
+        works = erasure.eta_erasure_work(sys_, etas, costs.mu_half)
+        for eta, work in zip(etas, works):
             report[f"w_eta_{eta!r}_ueV"] = work
     return report
 

@@ -28,9 +28,9 @@ core takes and returns arrays only; the public routines take a float level
 or an array of levels, and ``_combined`` is the one place where a float
 becomes a one-element array and back, and where a NaN or infinite level is
 rejected. Node matrices are built in blocks of at most about 128 kB. The
-level where p crosses a target (1/2 for mu_1/2, eta for eta-erasure) is one
-safeguarded Newton solve. A level solve that stops at adjacent doubles
-logs at INFO on this module's logger.
+levels where p crosses targets (1/2 for mu_1/2, each eta for eta-erasure)
+are safeguarded Newton solves side by side, one core call per step; one
+that stops at adjacent doubles logs at INFO on this module's logger.
 
 The integrals of p are assembled in ``erasure``; this module keeps their
 one primitive, the broadening excess ``_broadening_excess``.
@@ -52,7 +52,7 @@ from .leads import LeadParams
 from .numerics import TAIL_CUTOFF_GAUSSIAN, NonConvergence, integrate
 from .units import store_finite
 
-LEVEL_TOL = 1e-12  # |p/target - 1| at which occupation_level stops
+LEVEL_TOL = 1e-12  # |p/target - 1| at which occupation_levels stops
 
 _log = logging.getLogger(__name__)
 
@@ -96,6 +96,10 @@ class DotSystem:
     def __post_init__(self):
         if self.source.chemical_potential < self.drain.chemical_potential:
             raise ValueError("convention requires mu_source >= mu_drain")
+        object.__setattr__(self, "_coupled", tuple(
+            (gamma, lead) for gamma, lead in
+            ((self.rates.gamma_source, self.source),
+             (self.rates.gamma_drain, self.drain)) if gamma > 0.0))
 
     @property
     def bias(self) -> float:
@@ -104,10 +108,8 @@ class DotSystem:
     def weighted_leads(self):
         """(gamma, lead) for each lead with a positive share of the rate: a
         decoupled lead adds nothing to p and is dropped here, for every
-        caller."""
-        return [(gamma, lead) for gamma, lead in
-                ((self.rates.gamma_source, self.source),
-                 (self.rates.gamma_drain, self.drain)) if gamma > 0.0]
+        caller. Built with the system: each core call reads it."""
+        return self._coupled
 
 
 def dominant_scale(sys: DotSystem) -> float:
@@ -308,46 +310,65 @@ def unbroadened_occupation(mu, sys: DotSystem):
     return occupation(mu, replace(sys, kernel=Delta()))
 
 
-def occupation_level(sys: DotSystem, target: float, lo: float, hi: float,
-                     mu0: float) -> float:
-    """The level in [lo, hi] where p crosses target; p(lo) >= target >= p(hi).
+def occupation_levels(sys: DotSystem, targets, los, his, starts) -> list:
+    """The level where p crosses targets[k] in [los[k], his[k]], for each k.
 
-    Safeguarded Newton iteration on p(mu) - target from mu0, with -dp/dmu
-    from the same nodes. It keeps the bracket and bisects whenever a Newton
-    step would leave it or would be longer than half the step before last.
-    It stops once |p - target| <= LEVEL_TOL * target. Where p jumps across
-    the target (the atom of a T = 0 lead) or doubles cannot resolve it, the
-    bracket shrinks to adjacent doubles and its end beyond the target, hi,
-    is returned and logged at INFO with its |p - target|.
+    Each bracket has p(lo) >= target >= p(hi). A safeguarded Newton
+    iteration per target from starts[k], with -dp/dmu from the same nodes;
+    each step evaluates every level still open in one call, a float when
+    one is. It keeps each bracket and bisects whenever a Newton step would
+    leave it or would be longer than half the step before last, and stops
+    once |p - target| <= LEVEL_TOL * target. A Newton step within an ulp of
+    mu goes to the neighbouring double across the target instead: where p
+    jumps across the target (the atom of a T = 0 lead) or doubles cannot
+    resolve it, the bracket shrinks to adjacent doubles and its end beyond
+    the target, hi, is returned and logged at INFO with its |p - target|.
     """
-    mu = mu0
-    step = prev_step = hi - lo
+    # per open target: index, target, lo, hi, mu, step, prev_step, p(hi)
+    state = [[k, t, lo, hi, mu, hi - lo, hi - lo, math.nan] for k, (
+        t, lo, hi, mu) in enumerate(zip(targets, los, his, starts))]
+    levels = [math.nan] * len(state)
     # bisection alone splits any bracket of doubles within ~2100 steps
     for _ in range(2200):
-        p, dens = _combined(mu, sys, ("cdf", "pdf"))
-        excess = p - target
-        if abs(excess) <= LEVEL_TOL * target:
-            return mu
-        if excess > 0.0:
-            lo = mu
+        if not state:
+            return levels
+        if len(state) == 1:  # a float: no array is built here
+            values = [_combined(state[0][4], sys, ("cdf", "pdf"))]
         else:
-            hi = mu
-        nxt = mu + excess / dens if dens > 0.0 else math.nan
-        if not lo < nxt < hi or abs(nxt - mu) > 0.5 * prev_step:
-            nxt = 0.5 * (lo + hi)
-            if not lo < nxt < hi:
+            values = zip(*(v.tolist() for v in _combined(
+                np.array([s[4] for s in state]), sys, ("cdf", "pdf"))))
+        still = []
+        for (k, target, lo, hi, mu, step, prev_step, p_hi), (p, dens) in zip(
+                state, values):
+            excess = p - target
+            if abs(excess) <= LEVEL_TOL * target:
+                levels[k] = mu
+                continue
+            if excess > 0.0:
+                lo = mu
+            else:
+                hi, p_hi = mu, p
+            nxt = mu + excess / dens if dens > 0.0 else math.nan
+            if not lo < nxt < hi or abs(nxt - mu) > 0.5 * prev_step:
+                nxt = (math.nextafter(mu, hi if excess > 0.0 else lo)
+                       if abs(nxt - mu) <= math.ulp(mu) else 0.5 * (lo + hi))
+            if lo < nxt < hi:
+                still.append([k, target, lo, hi, nxt, abs(nxt - mu), step,
+                              p_hi])
+                continue
+            if math.isnan(p_hi):
                 (p_hi,) = _combined(hi, sys, ("cdf",))
-                _log.info("level with p = %r stopped at adjacent doubles: "
-                          "returning %r, |p - target| = %.3g",
-                          target, hi, abs(p_hi - target))
-                return hi
-        prev_step, step = step, abs(nxt - mu)
-        mu = nxt
-    raise NonConvergence(f"level with p = {target} did not converge near {mu}")
+            _log.info("level with p = %r stopped at adjacent doubles: "
+                      "returning %r, |p - target| = %.3g",
+                      target, hi, abs(p_hi - target))
+            levels[k] = hi
+        state = still
+    raise NonConvergence(f"level with p = {state[0][1]} did not converge "
+                         f"near {state[0][4]}")
 
 
 def half_occupation_level(sys: DotSystem) -> float:
-    """The gate level mu_1/2 with p(mu_1/2) = 1/2, by occupation_level.
+    """The gate level mu_1/2 with p(mu_1/2) = 1/2, by occupation_levels.
 
     For the all-atomic device this is the median of the two-atom
     distribution. With gamma_S = 1/2 and a bias, p is 1/2 on the whole bias
@@ -368,8 +389,8 @@ def half_occupation_level(sys: DotSystem) -> float:
     mus = [lead.chemical_potential for _, lead in sys.weighted_leads()]
     # start inside the lead that carries the majority of the rate
     mu0 = mu_s if g_s > 0.5 else mu_d if g_s < 0.5 else 0.5 * (mu_s + mu_d)
-    return occupation_level(sys, 0.5, min(mus) - 60.0 * scale,
-                            max(mus) + 60.0 * scale, mu0)
+    return occupation_levels(sys, [0.5], [min(mus) - 60.0 * scale],
+                             [max(mus) + 60.0 * scale], [mu0])[0]
 
 
 # -- the broadening excess -----------------------------------------------------

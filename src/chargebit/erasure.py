@@ -16,21 +16,21 @@ lead's own offset mu - mu_i. The panels are 2 max(kT_i, w) wide over its
 peak (45 kT_i plus 12 kernel widths each side), with the cusp and the
 lead's centre as panel edges.
 
-eta-erasure does one pass for any number of eta: mu_1/2 is solved once,
-one array call of p on a ladder of levels above it brackets every level
-mu_eta, each is found within its ladder step by the solver of mu_1/2,
-``dot_model.occupation_level``, and the occupations just above the levels
-are read in one more array call. The raise work, the integral of p over
-[mu_1/2, mu_eta], is per lead ``_window_integral``, the one integral of a
-lead's p over a window, for every kernel. With a finite mean it is built
-from the closed forms of W0: the Fermi integral over the window plus the
-broadening excess at either end. No quadrature runs over mu, where an
-adaptive rule misses the sharp step of a lead whose kT is far below the
-window. The Lorentzian, whose broadening excess diverges, takes it from
-the antiderivative A of its cdf: lead i contributes
-E_Y[A(Y - (mu_1/2 - mu_i)) - A(Y - (mu_eta - mu_i))], Y logistic of scale
-kT_i, one adaptive integral over s = Y/kT_i on [-40, 40] (the closed form
-at T = 0) whose integrand is a few ``math`` calls.
+eta-erasure does one pass for any number of eta: mu_1/2 is solved once or
+passed in, one array call of p on a ladder of levels above it brackets
+every level mu_eta, one call of the solver of mu_1/2,
+``dot_model.occupation_levels``, finds them all, each within its ladder
+step, and the occupations just above them are read in one more array call.
+The raise work, the integral of p over [mu_1/2, mu_eta], is per lead
+``_window_integral``, the one integral of a lead's p over a window, for
+every kernel. With a finite mean it is built from the closed forms of W0:
+the Fermi integral over the window plus the broadening excess at either
+end. No quadrature runs over mu, where an adaptive rule misses the sharp
+step of a lead whose kT is far below the window. The Lorentzian, whose
+broadening excess diverges, takes it from the antiderivative A of its cdf:
+lead i contributes E_Y[A(Y - (mu_1/2 - mu_i)) - A(Y - (mu_eta - mu_i))], Y
+logistic of scale kT_i, one adaptive integral over s = Y/kT_i on [-40, 40]
+(the closed form at T = 0) whose integrand is a few ``math`` calls.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .dot_model import (_WINDOW, DotSystem, _broadening_excess, _lead_values,
                         _panel_rule, dominant_scale, half_occupation_level,
-                        occupation, occupation_level)
+                        occupation, occupation_levels)
 from .leads import fermi_integral, softplus_ramp
 from .numerics import (TAIL_CUTOFF_EXPONENTIAL, TAIL_CUTOFF_GAUSSIAN,
                        integrate)
@@ -232,7 +232,7 @@ def _level_ladder(sys: DotSystem, mu_half: float,
     return ladder, p
 
 
-def eta_erasure_work(sys: DotSystem, eta):
+def eta_erasure_work(sys: DotSystem, eta, mu_half: float | None = None):
     """Work to drive the occupation from 1/2 down to eta and reset the level.
 
     W = integral of p over [mu_half, mu_eta] minus (mu_eta - mu_half) times
@@ -243,6 +243,7 @@ def eta_erasure_work(sys: DotSystem, eta):
 
     ``eta`` is a float, which gives a float, or a sequence, which gives a
     list in its order; all of them are checked before anything is solved.
+    ``mu_half`` is mu_1/2 when solved already (as by ``erasure_costs``).
     """
     scalar = np.ndim(eta) == 0
     etas = [float(e) for e in np.atleast_1d(eta)]
@@ -253,9 +254,10 @@ def eta_erasure_work(sys: DotSystem, eta):
     works = dict.fromkeys(targets, 0.0)
     if targets:
         leads = sys.weighted_leads()
-        mu_half = half_occupation_level(sys)
+        if mu_half is None:
+            mu_half = half_occupation_level(sys)
         ladder, p = _level_ladder(sys, mu_half, targets[-1])
-        levels = {}
+        brackets = []
         j = 0
         for e in targets:  # their levels rise along the ladder
             while p[j] > e:
@@ -267,11 +269,10 @@ def eta_erasure_work(sys: DotSystem, eta):
             frac = (0.0 if j == 0 or p[j] <= 0.0 else
                     math.log(p[j - 1] / e) / math.log(p[j - 1] / p[j]))
             a, b = lo - mu_half, hi - mu_half
-            start = (mu_half + a * (b / a) ** frac if a > 0.0
-                     else lo + frac * (hi - lo))
-            mu_eta = occupation_level(sys, e, lo, hi, start)
-            if mu_eta > mu_half:
-                levels[e] = mu_eta
+            brackets.append((lo, hi, mu_half + a * (b / a) ** frac if a > 0.0
+                             else lo + frac * (hi - lo)))
+        levels = {e: mu_eta for e, mu_eta in zip(targets, occupation_levels(
+            sys, targets, *zip(*brackets))) if mu_eta > mu_half}
         if levels:
             reached = occupation(np.nextafter(list(levels.values()), math.inf),
                                  sys).tolist()

@@ -108,7 +108,9 @@ class Lorentzian:
         return np.arctan2(1.0, -x / self.scale) / math.pi
 
     def pdf(self, x):
-        return self.scale / (math.pi * (self.scale * self.scale + x * x))
+        # past |x| ~ 1e154, x*x is inf and the density its limit, exactly 0
+        with np.errstate(over="ignore"):
+            return self.scale / (math.pi * (self.scale * self.scale + x * x))
 
     def partial_expectation(self, a: float) -> float:
         """E[(X - a)^+] diverges: the Lorentzian has no mean."""

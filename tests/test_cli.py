@@ -130,6 +130,20 @@ class TestAnalyze:
         for eta in (0.1, 0.01, 0.001):
             assert report[f"w_eta_{eta}_ueV"] > 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_eta_1e_300_without_overflow(self, tmp_path, capsys):
+        # mu_eta is near 1e300 ueV, where the Lorentzian pdf's x*x
+        # overflows; numpy's warning of it reached stderr
+        path = tmp_path / "l.cfg"
+        path.write_text(DEVICE1.replace("gaussian", "lorentzian"))
+        assert main(["analyze", "--config", str(path), "--eta",
+                     "1e-300"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        (work,) = [line.split()[-1] for line in out.splitlines()
+                   if line.startswith("w_eta_1e-300_ueV:")]
+        assert float(work) == pytest.approx(37033.77139580113, rel=1e-12)
+
     def test_close_etas_are_reported_apart(self, device1_path, capsys):
         # they agree to 6 digits, which a %g key would merge into one line
         assert main(["analyze", "--config", device1_path,
@@ -147,8 +161,10 @@ class TestAnalyzeWorkCount:
     regression in the eta-erasure pass shows without timing it."""
 
     # a mu_1/2 solve, a doubling loop and a Newton solve from mu_1/2 for
-    # each eta took 50 calls; one mu_1/2, one ladder that brackets every
-    # level and one read of the levels reached take 17
+    # each eta took 50 calls; one ladder that brackets every level, one
+    # read of the levels reached and a second mu_1/2 solve took 18 with a
+    # Newton solve per eta, and take 10 now that the eta-works reuse the
+    # report's mu_1/2 and one solve steps every level at once
 
     def test_default_lorentzian_report(self, device1_path, monkeypatch):
         from chargebit import dot_model
@@ -166,7 +182,7 @@ class TestAnalyzeWorkCount:
         report = analyze(spec)
         assert [k for k in report if k.startswith("w_eta_")] == [
             "w_eta_0.1_ueV", "w_eta_0.01_ueV", "w_eta_0.001_ueV"]
-        assert 0 < len(calls) <= 22
+        assert 0 < len(calls) <= 12
 
 
 class TestKiloHertzLorentzian:
@@ -416,7 +432,7 @@ class TestMainExitCodes:
 
     def test_non_convergence_exits_1_with_an_error_line(self, tmp_path,
                                                          monkeypatch, capsys):
-        def fail(sys_, eta):
+        def fail(sys_, eta, mu_half=None):
             raise NonConvergence("quadrature did not converge")
         monkeypatch.setattr(erasure, "eta_erasure_work", fail)
         path = tmp_path / "l.cfg"

@@ -1,8 +1,10 @@
 """Steady-state occupation, its derivative density and the half level."""
 
+import logging
 import math
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from chargebit import dot_model
 from chargebit.dot_model import (LEVEL_TOL, AmbiguousMedianWarning, DotSystem,
                                  TunnelRates, dominant_scale,
                                  half_occupation_level, is_atomic,
-                                 occupation, occupation_level,
+                                 occupation, occupation_levels,
                                  unbroadened_occupation)
 from chargebit.kernels import Delta, Gaussian, Lorentzian
 from chargebit.leads import LeadParams
@@ -219,9 +222,32 @@ class TestOccupationLevel:
         sys_ = make_system(1.0, 0.5, 5.0, 0.3, Lorentzian(2.0))
         mu_half = half_occupation_level(sys_)
         target = 1e-30
-        mu = occupation_level(sys_, target, mu_half, mu_half + 1e40,
-                              mu_half + 1.0)
+        (mu,) = occupation_levels(sys_, [target], [mu_half],
+                                  [mu_half + 1e40], [mu_half + 1.0])
         assert abs(occupation(mu, sys_) / target - 1.0) <= 1e-10
+
+    def test_unresolved_level_stops_at_the_neighbouring_double(self, caplog):
+        # 12-decade corpus device 14: kT_S is 1e-9 of mu_0.1, so p falls by
+        # more than 2 LEVEL_TOL * 0.1 from one double to the next there.
+        # Once a Newton step is within an ulp, the neighbour across the
+        # target ends the solve; bisecting down to adjacent doubles took 34
+        # core calls
+        sys_ = make_system(6.401739016889713e-05, 0.6117143356434784,
+                           54524.331094924324, 0.5805518558756433,
+                           Lorentzian(0.11819602830031115))
+        with mock.patch.object(dot_model, "_combined",
+                               wraps=dot_model._combined) as spy, \
+                caplog.at_level(logging.INFO, logger="chargebit"):
+            (mu,) = occupation_levels(sys_, [0.1], [54524.36605931103],
+                                      [54524.654782899626],
+                                      [54524.53505129207])
+        assert spy.call_count <= 6
+        # the upper end of the bracket of adjacent doubles across 0.1
+        assert occupation(math.nextafter(mu, -math.inf), sys_) > 0.1 * (
+            1.0 + LEVEL_TOL)
+        assert occupation(mu, sys_) < 0.1 * (1.0 - LEVEL_TOL)
+        (record,) = caplog.records
+        assert f"returning {mu!r}," in record.getMessage()
 
 
 _TWELVE_DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)

@@ -16,7 +16,9 @@ from scipy.integrate import quad
 from chargebit import (DotSystem, LeadParams, TunnelRates, check_bound,
                        dot_model, energy_scales, erasure, erasure_costs,
                        eta_erasure_work)
-from chargebit.dot_model import _lead_values, half_occupation_level, occupation
+from chargebit.dot_model import (LEVEL_TOL, _lead_values,
+                                 half_occupation_level, occupation,
+                                 occupation_levels)
 from chargebit.erasure import DivergentInput, absolute_deviation_integral
 from chargebit.kernels import Delta, Gaussian, Lorentzian
 from chargebit.units import broadening_energy_uev, thermal_energy_uev
@@ -185,13 +187,14 @@ def _delta_eta_work(sys_, mu_half, mu_eta):
 
 def _eta_work_and_levels(sys_, eta):
     """(eta_erasure_work, mu_1/2, mu_eta), the levels the code itself used."""
-    real = erasure.occupation_level
+    real = erasure.occupation_levels
     levels = []
 
     def record(*args):
-        levels.append(real(*args))
-        return levels[-1]
-    with mock.patch.object(erasure, "occupation_level", record):
+        solved = real(*args)
+        levels.extend(solved)
+        return solved
+    with mock.patch.object(erasure, "occupation_levels", record):
         work = eta_erasure_work(sys_, eta)
     (mu_eta,) = levels
     return work, half_occupation_level(sys_), mu_eta
@@ -330,6 +333,10 @@ _CORPUS_LORENTZIAN = {
     # a window 1e6 wide whose lower end sits 0.08 kT_D above the drain
     284: (443025.72478280705, 1.8721880203105022e-05, 319.3753472358052,
           0.0002833515206699626, 0.9032920605262569),
+    # kT_S is 1e-9 of the bias, so no double near mu_0.1 meets the level
+    # tolerance: that level stops at adjacent doubles, the other three meet it
+    14: (6.401739016889713e-05, 0.6117143356434784, 54524.331094924324,
+         0.11819602830031115, 0.5805518558756433),
 }
 
 
@@ -402,12 +409,12 @@ class TestLorentzianEtaTwelveDecades:
         # the raise work integrates the kernel's antiderivative over each
         # lead's thermal variable, so p(mu) is evaluated only by the two
         # level solves, the ladder and the level reached; integrating p over
-        # mu took 97-263 evaluations
+        # mu took 97-263 evaluations; these take 8-9
         for eta in (0.1, 0.01, 0.001):
             with mock.patch.object(dot_model, "_combined",
                                    wraps=dot_model._combined) as spy:
                 eta_erasure_work(_DEVICE1_LORENTZIAN, eta)
-            assert 0 < spy.call_count <= 20, (eta, spy.call_count)
+            assert 0 < spy.call_count <= 11, (eta, spy.call_count)
 
 
 class TestEtaSequence:
@@ -421,10 +428,12 @@ class TestEtaSequence:
             assert type(eta_erasure_work(_DEVICE1_LORENTZIAN, eta)) is float
 
     def test_sequence_in_input_order_and_repeats_solved_once(self):
-        with mock.patch.object(erasure, "occupation_level",
-                               wraps=erasure.occupation_level) as spy:
+        with mock.patch.object(erasure, "occupation_levels",
+                               wraps=erasure.occupation_levels) as spy:
             works = eta_erasure_work(_DEVICE1_LORENTZIAN, list(self.ETAS))
-        assert spy.call_count == 3
+        # one solve, of the three distinct levels
+        assert spy.call_count == 1
+        assert spy.call_args.args[1] == [0.1, 0.01, 0.001]
         assert [type(w) for w in works] == [float] * 4
         assert works[0] == works[3]
         assert works[1] < works[0] < works[2]
@@ -456,6 +465,72 @@ class TestEtaSequence:
                              TunnelRates(0.0, 1.0), Lorentzian(1.0))
         assert (eta_erasure_work(device(0.0), [0.1, 0.01, 0.001])
                 == eta_erasure_work(device(200.0), [0.1, 0.01, 0.001]))
+
+
+class TestBatchedLevels:
+    """One occupation_levels call solves every eta of a pass side by side:
+    each level is the one its target reaches alone from the same bracket."""
+
+    ETAS = [0.1, 0.01, 0.001, 1e-30]
+
+    def _levels(self, sys_):
+        """(targets, los, his, starts) of the pass's one level solve, and the
+        levels it returned."""
+        real = erasure.occupation_levels
+        calls = []
+
+        def record(system, *args):
+            calls.append((args, real(system, *args)))
+            return calls[-1][1]
+        with mock.patch.object(erasure, "occupation_levels", record):
+            eta_erasure_work(sys_, self.ETAS)
+        (call,) = calls
+        return call
+
+    @pytest.mark.parametrize("index", sorted(_CORPUS_LORENTZIAN))
+    def test_each_level_as_if_solved_alone(self, index):
+        sys_ = _corpus_device(index)
+        args, levels = self._levels(sys_)
+        assert args[0] == self.ETAS
+        for (target, lo, hi, start), mu in zip(zip(*args), levels):
+            (alone,) = occupation_levels(sys_, [target], [lo], [hi], [start])
+            # each stops within LEVEL_TOL of the target, on either side
+            assert abs(occupation(mu, sys_) - occupation(alone, sys_)) <= (
+                2.0 * LEVEL_TOL * target), (target, mu, alone)
+
+    def test_a_level_at_adjacent_doubles_leaves_the_others(self, caplog):
+        # mu_0.1 of device 14 stops at adjacent doubles within a few steps,
+        # while 0.01 and 0.001, bracketed from mu_1/2 to past mu_1e-30 and
+        # started halfway, are still open and go on to meet LEVEL_TOL
+        sys_ = _corpus_device(14)
+        (targets, los, his, starts), _ = self._levels(sys_)
+        mu_half = half_occupation_level(sys_)
+        mid = 0.5 * (mu_half + his[3])
+        args = (targets, [los[0], mu_half, mu_half, los[3]],
+                [his[0], his[3], his[3], his[3]],
+                [starts[0], mid, mid, starts[3]])
+        with caplog.at_level(logging.INFO, logger="chargebit"):
+            levels = occupation_levels(sys_, *args)
+        (record,) = caplog.records
+        assert "p = 0.1 stopped at adjacent doubles" in record.getMessage()
+        for (target, lo, hi, start), mu in zip(zip(*args), levels):
+            excess = [occupation(x, sys_) / target - 1.0
+                      for x in (math.nextafter(mu, -math.inf), mu)]
+            alone = occupation_levels(sys_, [target], [lo], [hi], [start])
+            if target == 0.1:
+                # the upper end of the bracket of doubles across the target
+                assert excess[0] > LEVEL_TOL and excess[1] < -LEVEL_TOL
+                assert [mu] == alone
+            else:
+                assert abs(excess[1]) <= LEVEL_TOL, (target, excess)
+                assert abs(occupation(alone[0], sys_) / target - 1.0) <= (
+                    LEVEL_TOL)
+
+    @pytest.mark.parametrize("index", sorted(_CORPUS_LORENTZIAN))
+    def test_passed_mu_half_gives_the_same_works(self, index):
+        sys_ = _corpus_device(index)
+        assert eta_erasure_work(sys_, self.ETAS, half_occupation_level(
+            sys_)) == eta_erasure_work(sys_, self.ETAS)
 
 
 class TestAbsoluteDeviationIntegral:

@@ -181,6 +181,16 @@ class TestKernelDensity:
         for xi, di in zip(x[1:-1], dens[1:-1]):
             assert di == pytest.approx(g.pdf(float(xi)), rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    def test_lorentzian_far_tail_is_zero_without_overflow(self):
+        lz = Lorentzian(0.3)
+        x = np.array([-1e300, -2e154, -0.7, 0.0, 1e150, 2e154, 1e300])
+        dens = lz.pdf(x)
+        assert dens[0] == dens[1] == dens[-2] == dens[-1] == 0.0
+        assert dens[4] > 0.0
+        for xi, di in zip(x[2:5], dens[2:5]):
+            assert di == 0.3 / (math.pi * (0.09 + xi * xi))
+
     def test_normalisation(self):
         g = Gaussian(1.7)
         val = reference_quad(g.pdf, -12 * 1.7, 12 * 1.7)

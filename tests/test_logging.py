@@ -1,8 +1,8 @@
 """Numerical near-misses are logged through stdlib ``logging``.
 
 ``numerics.integrate`` logs a WARNING when it accepts a result QUADPACK
-flagged; ``dot_model.occupation_level`` logs INFO when it stops at a
-bracket of adjacent doubles. The package configures no handler.
+flagged; ``dot_model.occupation_levels`` logs INFO for each level that
+stops at a bracket of adjacent doubles. The package configures no handler.
 """
 
 import logging
