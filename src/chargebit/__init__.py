@@ -20,8 +20,8 @@ from .erasure import (BoundReport, DivergentInput, EnergyScales, ErasureCosts,
                       eta_erasure_work)
 from .kernels import BroadeningKernel, Delta, Gaussian, Lorentzian
 from .leads import LeadParams
-from .madgrid import (GridPdf, LemmaReport, grid_cross_correlate, grid_mad,
-                      grid_median, verify_lemma1, verify_lemma2)
+from .madgrid import (GridPdf, LemmaReport, grid_mad, grid_median,
+                      verify_lemma1, verify_lemma2)
 from .numerics import NonConvergence
 
 # the names imported above, not the submodules that importing them binds

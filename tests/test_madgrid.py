@@ -1,4 +1,8 @@
-"""Grid densities, cross-correlation and the MAD sandwich inequalities."""
+"""Grid densities, cross-correlation and the MAD sandwich inequalities.
+
+The MAD of the cross-correlation is checked against the correlation grid
+built by numpy FFT (`fft_correlation`).
+"""
 
 import math
 
@@ -6,8 +10,8 @@ import numpy as np
 import pytest
 
 from chargebit.madgrid import (GRID_STEP, AsymmetricInput, GridPdf,
-                               StepMismatch, grid_cross_correlate, grid_mad,
-                               grid_median, random_grid_pdf,
+                               StepMismatch, _correlation_median_mad,
+                               grid_mad, grid_median, random_grid_pdf,
                                random_symmetric_grid_pdf, verify_lemma1,
                                verify_lemma2)
 
@@ -106,18 +110,42 @@ class TestGridMad:
                                                       abs=2 * pdf.step)
 
 
+def fft_correlation(f, g):
+    """Reference: the renormalised correlation grid by numpy FFT."""
+    n = f.densities.size + g.densities.size - 1
+    size = 1 << (n - 1).bit_length()
+    vals = np.fft.irfft(np.fft.rfft(f.densities, size)
+                        * np.fft.rfft(g.densities[::-1], size), size)[:n]
+    origin = f.origin - g.origin - (g.densities.size - 1) * f.step
+    return GridPdf.from_samples(origin, f.step, vals)
+
+
+def two_boxes(bridge):
+    """Two 400-cell boxes of equal mass, split by one cell of mass bridge."""
+    box = np.full(400, 0.5 * (1.0 - bridge) / 0.4)
+    return GridPdf(-0.4, 1e-3, np.concatenate((box, [bridge / 1e-3], box)))
+
+
+def assert_matches_fft(f, g, median=True):
+    ref = fft_correlation(f, g)
+    m, d = _correlation_median_mad(f, g)
+    assert d == pytest.approx(grid_mad(ref), rel=1e-11, abs=1e-14)
+    if median:
+        assert m == pytest.approx(grid_median(ref), abs=1e-9 * f.step)
+
+
 class TestCrossCorrelate:
     def test_near_delta_identity(self):
         f = triangle_pdf(1.0, 0.8)
         spike = GridPdf.from_samples(-1e-3, 1e-3, np.array([0.0, 1.0, 0.0]))
-        h = grid_cross_correlate(f, spike)
-        assert grid_mad(h) == pytest.approx(grid_mad(f), abs=2e-3)
+        assert _correlation_median_mad(f, spike)[1] == pytest.approx(
+            grid_mad(f), abs=2e-3)
 
     def test_gaussian_variance_additivity(self):
         f = gaussian_pdf(0.0, 0.6, -6.0, 6.0)
         g = gaussian_pdf(0.0, 0.8, -6.0, 6.0)
-        h = grid_cross_correlate(f, g)
-        assert grid_mad(h) == pytest.approx(math.sqrt(2 / math.pi), abs=1e-3)
+        assert _correlation_median_mad(f, g)[1] == pytest.approx(
+            math.sqrt(2 / math.pi), abs=1e-3)
 
     def test_median_shift(self):
         # asymmetric f against a narrow symmetric g: median(h) = m_f - m_g
@@ -125,14 +153,44 @@ class TestCrossCorrelate:
         xs = np.arange(0.0, 2.0 + step / 2, step)
         f = GridPdf.from_samples(0.0, step, np.exp(-2.0 * xs))
         g = gaussian_pdf(0.5, 0.02, 0.4, 0.6)
-        h = grid_cross_correlate(f, g)
-        assert grid_median(h) == pytest.approx(
+        assert _correlation_median_mad(f, g)[0] == pytest.approx(
             grid_median(f) - grid_median(g), abs=2e-3)
 
     def test_step_mismatch(self):
         with pytest.raises(StepMismatch):
-            grid_cross_correlate(uniform_pdf(0, 1, 1e-3),
-                                 uniform_pdf(0, 1, 2e-3))
+            verify_lemma1(uniform_pdf(0, 1, 1e-3), uniform_pdf(0, 1, 2e-3))
+
+    def test_matches_fft_on_random_pairs(self, rng):
+        for _ in range(200):
+            assert_matches_fft(random_grid_pdf(rng), random_grid_pdf(rng))
+
+    @pytest.mark.parametrize("f, g", [
+        (GridPdf(0.3, 0.1, [10.0]), GridPdf(-0.2, 0.1, [10.0])),
+        (triangle_pdf(0.3, 0.7), gaussian_pdf(-0.2, 0.3, -1.0003, 0.9)),
+        (gaussian_pdf(0.1, 0.2, -0.5, 2.5), triangle_pdf(-1.1, 0.05)),
+        (uniform_pdf(-3.0, -2.0), uniform_pdf(2.0, 4.5)),
+        (triangle_pdf(0.2, 0.5), GridPdf.from_samples(
+            0.0417, 1e-3, np.array([1.0, 3.0, 1.0]))),
+        (GridPdf.from_samples(-1e-3, 1e-3, np.array([1.0, 2.0, 1.0])),
+         triangle_pdf(0.2, 0.5)),
+    ], ids=["single-cells", "unaligned", "unequal-lengths", "disjoint",
+            "spike-right", "spike-left"])
+    def test_matches_fft_on_edge_cases(self, f, g):
+        assert_matches_fft(f, g)
+
+    def test_flat_half_cdf(self):
+        # the CDF of h is 1/2 across the gap: only the MAD is determined
+        f = two_boxes(0.0)
+        g = GridPdf(0.25, 1e-3, [1e3])
+        assert_matches_fft(f, g, median=False)
+        assert_matches_fft(g, f, median=False)
+
+    def test_tiny_bridge_cell_holds_median(self):
+        f = two_boxes(1e-12)
+        g = GridPdf(0.0, 1e-3, [1e3])
+        m, _ = _correlation_median_mad(f, g)
+        assert abs(m - f.xs[400]) <= 0.5 * f.step
+        assert_matches_fft(f, g, median=False)
 
 
 class TestLemma1:
@@ -150,6 +208,7 @@ class TestLemma1:
         g = gaussian_pdf(0.0, 0.8, -6, 6, GRID_STEP)
         rep = verify_lemma1(f, g)
         assert rep.ok
+        assert all(type(v) is float for v in rep.values.values())
         k = math.sqrt(2 / math.pi)
         assert rep.values["d_fg"] == pytest.approx(k, abs=1e-3)
         assert rep.values["lower"] == pytest.approx(0.8 * k, abs=1e-3)
