@@ -246,11 +246,9 @@ def sweep(spec: DeviceSpec, bias_max: float, width_max: float, points: int,
                                     width_uev=float(w))
                 scales = erasure.energy_scales(sys_)
                 costs = erasure.erasure_costs(sys_, mad_check=False)
-                lower = max(scales.e_therm, scales.e_bias, scales.e_broad)
-                upper = scales.e_therm + scales.e_bias + scales.e_broad
                 rows.append([float(b), float(w), costs.w_bar,
                              scales.e_therm, scales.e_bias, scales.e_broad,
-                             lower, upper])
+                             *scales.bound])
     midpoints = 0
     for rec in caught:
         if issubclass(rec.category, AmbiguousMedianWarning):

@@ -33,7 +33,8 @@ are safeguarded Newton solves side by side, one core call per step; one
 that stops at adjacent doubles logs at INFO on this module's logger.
 
 The integrals of p are assembled in ``erasure``; this module keeps their
-one primitive, the broadening excess ``_broadening_excess``.
+one primitive, the broadening excess ``_broadening_excess``, and the device
+facts that every module reads, ``DotSystem.scales`` and ``.atoms``.
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ class TunnelRates:
 
 @dataclass(frozen=True)
 class DotSystem:
+    """A dot between two leads. ``scales``: its positive smoothing widths, a
+    coupled lead's kT or the kernel width; ``atoms``: where p jumps."""
     source: LeadParams
     drain: LeadParams
     rates: TunnelRates
@@ -96,10 +99,16 @@ class DotSystem:
     def __post_init__(self):
         if self.source.chemical_potential < self.drain.chemical_potential:
             raise ValueError("convention requires mu_source >= mu_drain")
-        object.__setattr__(self, "_coupled", tuple(
-            (gamma, lead) for gamma, lead in
-            ((self.rates.gamma_source, self.source),
-             (self.rates.gamma_drain, self.drain)) if gamma > 0.0))
+        coupled = tuple((gamma, lead) for gamma, lead in (
+            (self.rates.gamma_source, self.source),
+            (self.rates.gamma_drain, self.drain)) if gamma > 0.0)
+        object.__setattr__(self, "_coupled", coupled)
+        object.__setattr__(self, "scales", tuple(
+            s for s in [lead.thermal_energy for _, lead in coupled]
+            + [self.kernel.width] if s > 0.0))
+        object.__setattr__(self, "atoms", () if self.kernel.width else tuple(
+            sorted({lead.chemical_potential for _, lead in coupled
+                    if lead.thermal_energy == 0.0})))
 
     @property
     def bias(self) -> float:
@@ -113,18 +122,13 @@ class DotSystem:
 
 
 def dominant_scale(sys: DotSystem) -> float:
-    """Largest smoothing energy scale (a coupled lead's kT or the kernel
-    width); 1.0 fallback."""
-    s = max([lead.thermal_energy for _, lead in sys.weighted_leads()]
-            + [sys.kernel.width])
-    return s if s > 0.0 else 1.0
+    """Largest smoothing scale of the device; 1.0 when it has none."""
+    return max(sys.scales, default=1.0)
 
 
 def is_atomic(sys: DotSystem) -> bool:
-    """True when the occupation is a pure step (every coupled lead at T = 0,
-    no kernel)."""
-    return sys.kernel.width == 0.0 and all(
-        lead.thermal_energy == 0.0 for _, lead in sys.weighted_leads())
+    """True when the occupation is a pure step: no smoothing scale."""
+    return not sys.scales
 
 
 # -- the fixed-panel rules -----------------------------------------------------
@@ -146,7 +150,6 @@ class _Rule(NamedTuple):
     nodes in panel order, their weights times the density, and the density
     itself for the graded panels that replace three of them."""
     window: float
-    panels: int
     nodes: np.ndarray
     weights: np.ndarray
     density: Callable[[np.ndarray], np.ndarray]
@@ -155,7 +158,7 @@ class _Rule(NamedTuple):
 def _fixed_rule(window: float, density) -> _Rule:
     panels = round(window)  # of width 2
     nodes, weights = _panel_rule(np.linspace(-window, window, panels + 1))
-    return _Rule(window, panels, nodes, weights * density(nodes), density)
+    return _Rule(window, nodes, weights * density(nodes), density)
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,7 @@ def _lead_block(d: np.ndarray, scale: float, outer: _Rule, inner,
     window = outer.window
     c = np.minimum(np.maximum(d / scale, -window), window)
     first = np.minimum(np.maximum(np.floor(0.5 * (c + window)) - 1.0, 0.0),
-                       outer.panels - 3.0)
+                       round(window) - 3.0)
     a = 2.0 * first - window
     right, left = (a + 6.0 - c)[:, None], (c - a)[:, None]
     offsets = np.concatenate((right * t, -left * t), axis=1)
@@ -406,7 +409,9 @@ def _broadening_excess(c: float, kt: float, kernel: BroadeningKernel) -> float:
     infinite for a kernel without a mean.
     """
     w = kernel.width
-    if kt == 0.0 or w == 0.0 or math.isinf(kernel.mad):
+    if w == 0.0 or math.isinf(kernel.mad):
+        return 0.0 if w == 0.0 else math.inf
+    if kt == 0.0:
         return kernel.partial_expectation(abs(c))
     s_star = -c / kt
     reach = TAIL_CUTOFF_GAUSSIAN * w / kt

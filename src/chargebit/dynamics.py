@@ -157,20 +157,16 @@ def _ramp_table(sys: DotSystem, seg: Segment, rate: float, t_out: np.ndarray,
     stays open while the Hermite cubic of its parent missed p_ss at the
     midpoint by more than 16 _TABLE_TOL; the cubic's error falls as the
     fourth power of the step, so its own midpoint error is then about
-    _TABLE_TOL. A T = 0 lead without broadening has a step in p_ss at its
-    chemical potential. That atom is two nodes at the same time: the first
-    holds the limit of p_ss from before it, the second the limit from after
-    it. The zero-length step between them changes neither p nor the work.
+    _TABLE_TOL. p_ss steps at each atom of the device (``DotSystem.atoms``)
+    that a moving ramp crosses: two nodes at the same time, the first with
+    the limit of p_ss from before it, the second from after it. The
+    zero-length step between them changes neither p nor the work.
     """
     sub = max(1, math.ceil((t_out[1] - t_out[0]) / dt_max))
     t = np.append(t_out[:-1, None] + np.outer(np.diff(t_out),
                                               np.arange(sub) / sub),
                   t_out[-1])
-    # both leads' atoms coincide at zero bias
-    atoms = np.unique([lead.chemical_potential
-                       for _, lead in sys.weighted_leads()
-                       if lead.thermal_energy == 0.0 and rate != 0.0
-                       and sys.kernel.width == 0.0])
+    atoms = np.array(sys.atoms if rate != 0.0 else (), dtype=float)
     t_atoms = (atoms - seg.mu_start) / rate
     inside = (t_atoms >= 0.0) & (t_atoms <= seg.duration)
     atoms, t_atoms = atoms[inside], t_atoms[inside]

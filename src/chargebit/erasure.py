@@ -74,6 +74,12 @@ class EnergyScales:
     e_bias: float
     e_broad: float  # inf for Lorentzian broadening
 
+    @property
+    def bound(self) -> tuple[float, float]:
+        """(max, sum) of the three scales, the ends of the bound on W-bar."""
+        return (max(self.e_therm, self.e_bias, self.e_broad),
+                self.e_therm + self.e_bias + self.e_broad)
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -91,8 +97,7 @@ def energy_scales(sys: DotSystem) -> EnergyScales:
     e_therm = math.log(2.0) * (g_s * sys.source.thermal_energy
                                + g_d * sys.drain.thermal_energy)
     e_bias = 0.5 * min(g_s, g_d) * sys.bias
-    e_broad = 0.5 * sys.kernel.mad
-    return EnergyScales(e_therm, e_bias, e_broad)
+    return EnergyScales(e_therm, e_bias, 0.5 * sys.kernel.mad)
 
 
 def absolute_deviation_integral(sys: DotSystem, point: float) -> float:
@@ -151,11 +156,9 @@ def erasure_costs(sys: DotSystem, mad_check: bool = True) -> ErasureCosts:
 def check_bound(costs: ErasureCosts, scales: EnergyScales) -> BoundReport:
     """max(scales) <= w_bar <= sum(scales), each side with a fixed slack of
     1e-9 times sum(scales)."""
-    values = (costs.w_bar, scales.e_therm, scales.e_bias, scales.e_broad)
-    if costs.divergent or any(not math.isfinite(v) for v in values):
+    lower, upper = scales.bound  # upper is finite when every scale is
+    if costs.divergent or not all(map(math.isfinite, (costs.w_bar, upper))):
         raise DivergentInput("bound check requires finite costs and scales")
-    lower = max(scales.e_therm, scales.e_bias, scales.e_broad)
-    upper = scales.e_therm + scales.e_bias + scales.e_broad
     slack = 1e-9 * upper
     satisfied = (lower - slack <= costs.w_bar <= upper + slack)
     return BoundReport(lower, upper, costs.w_bar, satisfied,
@@ -206,25 +209,29 @@ def _level_ladder(sys: DotSystem, mu_half: float,
     """Levels mu_1/2 + top * 2^-k, k = rungs, ..., 0, and p at each.
 
     top reaches 60 smoothing scales past the highest coupled lead, and the
-    rungs below it halve down to the narrowest scale, a coupled lead's kT or
-    the kernel width: one array call. While p at the top still exceeds
-    eta_min, one more call adds the doublings that a tail falling as 1/mu,
-    the Lorentzian's, needs to get below it, at most 8 at a time. Both
-    lists are Python floats, mu_1/2 first.
+    rungs below it halve down to the narrowest scale: one array call. While
+    p at the top still exceeds eta_min, one more call adds the doublings
+    that a tail falling as 1/mu, the Lorentzian's, needs to get below it,
+    at most 8 at a time. None goes 2^1022 min(1, scales) past mu_1/2, so
+    that no level, nor an offset over a scale, overflows; p still above
+    eta_min there is a ValueError. Both lists are floats, mu_1/2 first.
     """
-    leads = sys.weighted_leads()
     scale = dominant_scale(sys)
-    widths = [s for s in [lead.thermal_energy for _, lead in leads]
-              + [sys.kernel.width] if s > 0.0]
-    top = (max(lead.chemical_potential for _, lead in leads) - mu_half
-           + 60.0 * scale)
+    top = (max(lead.chemical_potential for _, lead in sys.weighted_leads())
+           - mu_half + 60.0 * scale)
     rungs = min(_LADDER_RUNGS, max(0, math.ceil(
-        math.log2(top) - math.log2(min(widths, default=scale)))))
+        math.log2(top) - math.log2(min(sys.scales, default=scale)))))
     ladder = [mu_half] + (mu_half + top * 2.0 ** -np.arange(
         rungs, -1, -1)).tolist()
     p = occupation(np.array(ladder), sys).tolist()
     while p[-1] > eta_min:
-        doublings = min(8, math.ceil(math.log2(p[-1] / eta_min)))
+        room = (1021 + math.frexp(min((1.0,) + sys.scales))[1]
+                - math.frexp(ladder[-1] - mu_half)[1])
+        if room < 1:
+            raise ValueError(f"eta = {eta_min!r} is below {p[-1]!r}, the "
+                             "smallest occupation the device reaches")
+        doublings = min(8, room, math.ceil(math.log2(p[-1])
+                                           - math.log2(eta_min)))
         more = mu_half + (ladder[-1] - mu_half) * 2.0 ** np.arange(
             1, doublings + 1)
         ladder += more.tolist()

@@ -8,12 +8,13 @@ Each kernel is a small frozen dataclass. Its ``cdf`` and ``pdf`` have one
 numpy body each: they take a numpy array of energy offsets (returning an
 array of the same shape) or a float (returning a 0-d numpy value). The delta
 kernel has no ``pdf``: its callers branch on ``width == 0`` first.
-``partial_expectation`` and ``antiderivative`` (with ``cdf_integral``, its
-difference over a window) are the scalar methods for adaptive integrands:
-the W0/W1 broadening excess and the eta raise work. Only a kernel without a
-mean, the Lorentzian, needs ``antiderivative``. Code outside this module
-reads a kernel's data, not its type: ``width == 0`` is no broadening and an
-infinite ``mad`` is a kernel without a mean.
+The scalar methods of adaptive integrands are the Gaussian's
+``partial_expectation``, for the W0/W1 broadening excess (0 without a
+kernel and infinite without a mean, as read from the data), and the
+Lorentzian's ``antiderivative`` with ``cdf_integral``, its difference over
+a window, for the eta raise work. Code outside this module reads a kernel's
+data, not its type: ``width == 0`` is no broadening and an infinite ``mad``
+is a kernel without a mean.
 
 The Gaussian ``cdf`` imports ``scipy.special.ndtr`` on its first call, not
 at module level: scipy.special takes about 0.2 s to import, and a run with
@@ -47,10 +48,6 @@ class Delta:
     def cdf(self, x):
         """Step at 0, with value 1/2 exactly at 0."""
         return np.where(x < 0.0, 0.0, np.where(x > 0.0, 1.0, 0.5))
-
-    def partial_expectation(self, a: float) -> float:
-        """E[(X - a)^+] for a >= 0: zero for a point mass at 0."""
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -111,10 +108,6 @@ class Lorentzian:
         # past |x| ~ 1e154, x*x is inf and the density its limit, exactly 0
         with np.errstate(over="ignore"):
             return self.scale / (math.pi * (self.scale * self.scale + x * x))
-
-    def partial_expectation(self, a: float) -> float:
-        """E[(X - a)^+] diverges: the Lorentzian has no mean."""
-        return math.inf
 
     def antiderivative(self, x: float) -> float:
         """A(x) = integral of the cdf over [0, x] = x*K(x) - (w/pi)*ln

@@ -465,6 +465,20 @@ class TestMainExitCodes:
         assert err == ("error: eta must lie strictly in (0, 1/2), "
                        f"got {shown}\n")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eta", ["5e-324", "1e-310"])
+    def test_eta_below_the_reachable_occupation_exits_2(self, tmp_path,
+                                                       capsys, eta):
+        # the Lorentzian tail stays above both up to the largest level the
+        # eta ladder may reach; 5e-324 raised an uncaught OverflowError
+        path = tmp_path / "l.cfg"
+        path.write_text(DEVICE1.replace("gaussian", "lorentzian"))
+        assert main(["analyze", "--config", str(path), "--eta", eta]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: eta = {eta} is below ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_lemma_violation_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(madgrid, "verify_lemma1", lambda f, g:
                             madgrid.LemmaReport(False, True, {"d_f": 1.0}))

@@ -1,5 +1,6 @@
 """Steady-state occupation, its derivative density and the half level."""
 
+import dataclasses
 import logging
 import math
 import sys
@@ -308,3 +309,36 @@ class TestDominantScale:
     def test_reads_coupled_leads_only(self):
         sys_ = make_system(0.1, 2.0, 5.0, 1.0, Gaussian(0.7))
         assert dominant_scale(sys_) == 0.7
+
+
+class TestDeviceFacts:
+    """The smoothing scales and atoms a DotSystem carries."""
+
+    def test_scales_and_atoms(self):
+        sys_ = make_system(0.0, 0.5, 2.0, 0.3)
+        assert sys_.scales == (0.5,)
+        assert sys_.atoms == (2.0,)
+
+    def test_kernel_width_is_a_scale_and_smooths_every_atom(self):
+        sys_ = make_system(0.0, 0.0, 2.0, 0.3, Lorentzian(0.25))
+        assert sys_.scales == (0.25,)
+        assert sys_.atoms == ()
+
+    def test_atoms_sorted_and_merged_at_zero_bias(self):
+        assert make_system(0.0, 0.0, 2.0, 0.3).atoms == (0.0, 2.0)
+        assert make_system(0.0, 0.0, 0.0, 0.3).atoms == (0.0,)
+
+    def test_decoupled_lead_adds_neither(self):
+        sys_ = make_system(0.0, 0.4, 2.0, 0.0)
+        assert sys_.scales == (0.4,)
+        assert sys_.atoms == ()
+
+    def test_replace_carries_the_new_kernels_facts(self):
+        # as unbroadened_occupation swaps the kernel for Delta()
+        broad = make_system(0.0, 0.0, 2.0, 0.3, Gaussian(0.25))
+        assert (broad.scales, broad.atoms) == ((0.25,), ())
+        sharp = dataclasses.replace(broad, kernel=Delta())
+        assert (sharp.scales, sharp.atoms) == ((), (0.0, 2.0))
+        assert is_atomic(sharp) and not is_atomic(broad)
+        again = dataclasses.replace(sharp, kernel=Lorentzian(3.0))
+        assert (again.scales, again.atoms) == ((3.0,), ())

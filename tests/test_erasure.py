@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from chargebit import (DotSystem, LeadParams, TunnelRates, check_bound,
-                       dot_model, energy_scales, erasure, erasure_costs,
-                       eta_erasure_work)
+from chargebit import (DotSystem, EnergyScales, LeadParams, TunnelRates,
+                       check_bound, dot_model, energy_scales, erasure,
+                       erasure_costs, eta_erasure_work)
 from chargebit.dot_model import (LEVEL_TOL, _lead_values,
                                  half_occupation_level, occupation,
                                  occupation_levels)
@@ -133,6 +133,10 @@ class TestEnergyScales:
         assert abs(scales.e_bias - 2.5) <= 0.05
         assert abs(scales.e_broad - 67.0) <= 0.5
 
+    def test_bound_is_their_max_and_sum(self):
+        assert EnergyScales(0.5, 2.0, 1.25).bound == (2.0, 3.75)
+        assert EnergyScales(0.5, 2.0, math.inf).bound == (math.inf, math.inf)
+
 
 class TestCheckBound:
     def test_device_window(self):
@@ -153,6 +157,19 @@ class TestCheckBound:
         sys_ = make_system(1.0, 1.0, 0.0, 0.5, Lorentzian(1.0))
         with pytest.raises(DivergentInput):
             check_bound(erasure_costs(sys_), energy_scales(sys_))
+
+    @pytest.mark.parametrize("scales", [EnergyScales(1.0, math.nan, 1.0),
+                                        EnergyScales(math.inf, 0.0, 1.0)])
+    def test_non_finite_scale_rejected(self, scales):
+        costs = erasure_costs(make_system(1.0, 1.0, 0.0, 0.5))
+        with pytest.raises(DivergentInput):
+            check_bound(costs, scales)
+
+    def test_reads_the_scales_bound(self):
+        sys_ = make_system(1.0, 0.5, 3.0, 0.3, Gaussian(0.8))
+        scales = energy_scales(sys_)
+        report = check_bound(erasure_costs(sys_), scales)
+        assert (report.lower, report.upper) == scales.bound
 
     def test_margins_consistent(self, rng):
         sys_ = random_system(rng)
@@ -415,6 +432,54 @@ class TestLorentzianEtaTwelveDecades:
                                    wraps=dot_model._combined) as spy:
                 eta_erasure_work(_DEVICE1_LORENTZIAN, eta)
             assert 0 < spy.call_count <= 11, (eta, spy.call_count)
+
+
+class TestEtaBelowTheReachableOccupation:
+    """An eta below every occupation the ladder reaches before a level or an
+    offset over a scale would overflow is a ValueError naming it."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sys_, eta", [
+        # p/eta overflowed to inf, and ceil(log2(inf)) raised OverflowError
+        pytest.param(_DEVICE1_LORENTZIAN, 5e-324, id="lorentzian-5e-324"),
+        # the rungs doubled past the largest double, to mu = inf
+        pytest.param(_DEVICE1_LORENTZIAN, 1e-310, id="lorentzian-1e-310"),
+        # sigma < 2 kT: the capped exponent of the thermal cdf floors p near
+        # 1e-304, and the rungs doubled past the largest double
+        pytest.param(make_system(1.0, 0.7, 3.0, 0.4, Gaussian(1.0)), 1e-305,
+                     id="gaussian-1e-305"),
+    ])
+    def test_names_eta(self, sys_, eta):
+        with pytest.raises(ValueError,
+                           match=f"^eta = {re.escape(repr(eta))} is below "):
+            eta_erasure_work(sys_, eta)
+
+    def test_floor_device_is_finite_above_the_floor(self):
+        sys_ = make_system(1.0, 0.7, 3.0, 0.4, Gaussian(1.0))
+        works = eta_erasure_work(sys_, [0.1, 1e-300, 1e-304])
+        # the tail past the 1e-300 level adds nothing a double resolves
+        assert works[0] < works[1] == pytest.approx(works[2], rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_twelve_decade_corpus_at_1e_310(self):
+        # the first 40 devices of the 12-decade corpus; a ladder doubled
+        # without a cap overflowed a level or an offset over a scale on 23
+        rng = np.random.default_rng(1)
+        outcomes = []
+        for i in range(40):
+            kt_s, kt_d, bias, w = 10.0 ** rng.uniform(-6, 6, 4)
+            gamma_s = rng.uniform(0.05, 0.95)
+            kernel = (Delta(), Gaussian(w), Lorentzian(w))[i % 3]
+            sys_ = make_system(kt_s, kt_d, bias, gamma_s, kernel)
+            try:
+                work = eta_erasure_work(sys_, 1e-310)
+            except ValueError as exc:
+                assert str(exc).startswith("eta = 1e-310 is below "), (i, exc)
+                outcomes.append("error")
+            else:
+                assert math.isfinite(work), (i, work)
+                outcomes.append("work")
+        assert set(outcomes) == {"error", "work"}
 
 
 class TestEtaSequence:

@@ -14,7 +14,12 @@ outside its own class.
 one body: numpy for ``cdf`` and ``pdf`` (the delta kernel, whose callers
 branch on its zero width, has a ``cdf`` only), ``math`` for the scalar-only
 ``partial_expectation``, ``antiderivative`` and ``cdf_integral`` of the
-adaptive integrands.
+adaptive integrands. Only the Gaussian has ``partial_expectation``: the
+broadening excess without a kernel (0) or without a mean (infinite) is read
+from the kernel's data, not from a method that returns a constant.
+
+``dynamics.py`` reads no lead temperature and no kernel: the levels where a
+ramp's p_ss jumps are the device's own ``DotSystem.atoms``.
 
 The array core of ``dot_model`` (``_lead_values`` and ``_lead_block``)
 calls no ``isinstance`` either: it takes and returns arrays only, so no
@@ -116,6 +121,42 @@ def _isinstance_calls(tree: ast.AST) -> list[str]:
 def test_kernels_call_no_isinstance():
     assert _isinstance_calls(ast.parse((PACKAGE / "kernels.py").read_text(
         encoding="utf-8"))) == []
+
+
+def _partial_expectation_owners(source: str) -> set[str]:
+    return {cls.name for cls in ast.parse(source).body
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "partial_expectation"}
+
+
+def test_only_the_gaussian_has_a_partial_expectation():
+    assert _partial_expectation_owners((PACKAGE / "kernels.py").read_text(
+        encoding="utf-8")) == {"Gaussian"}
+
+
+def _attribute_reads(source: str, names: set[str]) -> list[str]:
+    return [f"line {node.lineno}: {node.attr}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in names]
+
+
+def test_dynamics_reads_no_lead_temperature_or_kernel():
+    assert _attribute_reads((PACKAGE / "dynamics.py").read_text(
+        encoding="utf-8"), {"thermal_energy", "kernel"}) == []
+
+
+def test_guards_flag_a_constant_method_and_an_attribute_read():
+    source = ("class Delta:\n"
+              "    def partial_expectation(self, a):\n"
+              "        return 0.0\n"
+              "class Gaussian:\n"
+              "    partial_expectation = None\n"
+              "kt = lead.thermal_energy\n"
+              "w = sys.kernel.width\n")
+    assert _partial_expectation_owners(source) == {"Delta"}
+    assert _attribute_reads(source, {"thermal_energy", "kernel"}) == [
+        "line 6: thermal_energy", "line 7: kernel"]
 
 
 def test_guard_flags_an_isinstance_call():
