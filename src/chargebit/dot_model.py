@@ -34,7 +34,7 @@ that stops at adjacent doubles logs at INFO on this module's logger.
 
 The integrals of p are assembled in ``erasure``; this module keeps their
 one primitive, the broadening excess ``_broadening_excess``, and the device
-facts that every module reads, ``DotSystem.scales`` and ``.atoms``.
+facts that every module reads, the attributes of ``DotSystem``.
 """
 
 from __future__ import annotations
@@ -89,8 +89,10 @@ class TunnelRates:
 
 @dataclass(frozen=True)
 class DotSystem:
-    """A dot between two leads. ``scales``: its positive smoothing widths, a
-    coupled lead's kT or the kernel width; ``atoms``: where p jumps."""
+    """A dot between two leads. Built with it: ``coupled``, (gamma, lead)
+    for each lead with a positive share of the rate (a decoupled one adds
+    nothing to p); ``scales``, its positive smoothing widths, a coupled
+    lead's kT or the kernel width, none for a step p; ``atoms``, its jumps."""
     source: LeadParams
     drain: LeadParams
     rates: TunnelRates
@@ -102,7 +104,7 @@ class DotSystem:
         coupled = tuple((gamma, lead) for gamma, lead in (
             (self.rates.gamma_source, self.source),
             (self.rates.gamma_drain, self.drain)) if gamma > 0.0)
-        object.__setattr__(self, "_coupled", coupled)
+        object.__setattr__(self, "coupled", coupled)
         object.__setattr__(self, "scales", tuple(
             s for s in [lead.thermal_energy for _, lead in coupled]
             + [self.kernel.width] if s > 0.0))
@@ -114,21 +116,10 @@ class DotSystem:
     def bias(self) -> float:
         return self.source.chemical_potential - self.drain.chemical_potential
 
-    def weighted_leads(self):
-        """(gamma, lead) for each lead with a positive share of the rate: a
-        decoupled lead adds nothing to p and is dropped here, for every
-        caller. Built with the system: each core call reads it."""
-        return self._coupled
-
 
 def dominant_scale(sys: DotSystem) -> float:
     """Largest smoothing scale of the device; 1.0 when it has none."""
     return max(sys.scales, default=1.0)
-
-
-def is_atomic(sys: DotSystem) -> bool:
-    """True when the occupation is a pure step: no smoothing scale."""
-    return not sys.scales
 
 
 # -- the fixed-panel rules -----------------------------------------------------
@@ -284,7 +275,7 @@ def _combined(mu, sys: DotSystem, names: tuple[str, ...]) -> list:
         raise ValueError(
             f"mu must be finite, got {flat[~np.isfinite(flat)][0]}")
     totals = [0.0] * len(names)
-    for gamma, lead in sys.weighted_leads():
+    for gamma, lead in sys.coupled:
         d = flat - lead.chemical_potential
         for i, v in enumerate(_lead_values(d, lead.thermal_energy, sys.kernel,
                                            names)):
@@ -380,7 +371,7 @@ def half_occupation_level(sys: DotSystem) -> float:
     mu_s = sys.source.chemical_potential
     mu_d = sys.drain.chemical_potential
     g_s = sys.rates.gamma_source
-    if is_atomic(sys):
+    if not sys.scales:
         if g_s < 0.5:
             return mu_d
         if g_s > 0.5 or mu_s == mu_d:
@@ -389,7 +380,7 @@ def half_occupation_level(sys: DotSystem) -> float:
                       AmbiguousMedianWarning, stacklevel=2)
         return 0.5 * (mu_s + mu_d)
     scale = dominant_scale(sys)
-    mus = [lead.chemical_potential for _, lead in sys.weighted_leads()]
+    mus = [lead.chemical_potential for _, lead in sys.coupled]
     # start inside the lead that carries the majority of the rate
     mu0 = mu_s if g_s > 0.5 else mu_d if g_s < 0.5 else 0.5 * (mu_s + mu_d)
     return occupation_levels(sys, [0.5], [min(mus) - 60.0 * scale],

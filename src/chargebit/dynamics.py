@@ -29,8 +29,7 @@ from .dot_model import (DotSystem, _combined, dominant_scale,
                         half_occupation_level, occupation)
 from .units import store_finite
 
-STEADY_STATE = "steady"
-
+_CUTOFF = 40.0      # smoothing scales from the far lead to a ramp's end
 _SAMPLES = 200      # output steps per ramp
 _TABLE_TOL = 1e-12  # |Hermite cubic - p_ss| at the midpoint of a table step
 
@@ -50,7 +49,7 @@ class Segment:
 @dataclass(frozen=True)
 class ProtocolSchedule:
     segments: tuple[Segment, ...]
-    initial_occupation: float | Literal["steady"] = STEADY_STATE
+    initial_occupation: float | None = None  # None: p_ss at the start
 
     def __post_init__(self):
         if not self.segments:
@@ -81,15 +80,16 @@ def simulate(sys: DotSystem, sched: ProtocolSchedule,
              dt_max: float = math.inf) -> Trajectory:
     """Integrate the relaxation equation through a schedule, tracking work.
 
-    Each linear ramp is sampled at 201 equal times. ``dt_max`` caps the
-    steps of a ramp's p_ss table, which the table's own accuracy test
-    refines anyway; the integration is exact for the table's interpolant,
-    so it sets no stability limit.
+    p starts at the schedule's ``initial_occupation``, or at p_ss of the
+    first segment's start when that is None. Each linear ramp is sampled at
+    201 equal times. ``dt_max`` caps the steps of a ramp's p_ss table, which
+    the table's own accuracy test refines anyway; the integration is exact
+    for the table's interpolant, so it sets no stability limit.
     """
     if not dt_max > 0:
         raise ValueError("dt_max must be positive")
 
-    if sched.initial_occupation == STEADY_STATE:
+    if sched.initial_occupation is None:
         p = occupation(sched.segments[0].mu_start, sys)
     else:
         p = float(sched.initial_occupation)
@@ -231,14 +231,15 @@ def _phi(x: np.ndarray) -> list[np.ndarray]:
     x = 2; above it, phi_k = (phi_{k-1} - 1/(k-1)!)/z from phi_0 = e^z.
     """
     z = -x
+    zl = np.maximum(z, -2.0)  # where x >= 2 drops the series: no overflow
     series = np.full_like(z, _INV_FACT[25])
     for n in range(19, -1, -1):
-        series = series * z + _INV_FACT[n + 5]
+        series = series * zl + _INV_FACT[n + 5]
     low = [series]
     for k in (4, 3, 2, 1):
-        low.append(_INV_FACT[k] + z * low[-1])
+        low.append(_INV_FACT[k] + zl * low[-1])
     low.reverse()
-    zs = np.where(x < 2.0, -2.0, z)
+    zs = np.minimum(z, -2.0)
     high = [np.exp(zs)]
     for k in range(1, 6):
         high.append((high[-1] - _INV_FACT[k - 1]) / zs)
@@ -246,26 +247,22 @@ def _phi(x: np.ndarray) -> list[np.ndarray]:
 
 
 def make_erasure_schedule(sys: DotSystem, target: Literal["zero", "one"],
-                          ramp_duration: float,
-                          cutoff_multiplier: float = 40.0) -> ProtocolSchedule:
-    """Ramp away from mu_half past the far electrode, then quench back.
+                          ramp_duration: float) -> ProtocolSchedule:
+    """From the steady state at mu_1/2, ramp past the far electrode, then
+    quench back.
 
-    The turning point sits ``cutoff_multiplier`` smoothing scales beyond the
-    relevant coupled electrode so the steady-state occupation there is
-    negligible; a decoupled lead, which adds nothing to p, does not move it.
+    The turning point sits 40 smoothing scales beyond the far coupled
+    electrode (or mu_1/2, if further), where p_ss is negligible; a decoupled
+    lead, which adds nothing to p, does not move it.
     """
-    if ramp_duration < 0:
-        raise ValueError("ramp_duration must be non-negative")
     mu_half = half_occupation_level(sys)
     scale = dominant_scale(sys)
-    mus = [lead.chemical_potential for _, lead in sys.weighted_leads()]
+    mus = [lead.chemical_potential for _, lead in sys.coupled] + [mu_half]
     if target == "zero":
-        mu_far = max(mus + [mu_half]) + cutoff_multiplier * scale
+        mu_far = max(mus) + _CUTOFF * scale
     elif target == "one":
-        mu_far = min(mus + [mu_half]) - cutoff_multiplier * scale
+        mu_far = min(mus) - _CUTOFF * scale
     else:
         raise ValueError(f"unknown erasure target {target!r}")
-    return ProtocolSchedule(
-        segments=(Segment(mu_half, mu_far, ramp_duration),
-                  Segment(mu_far, mu_half, 0.0)),
-        initial_occupation=STEADY_STATE)
+    return ProtocolSchedule((Segment(mu_half, mu_far, ramp_duration),
+                             Segment(mu_far, mu_half, 0.0)))

@@ -62,9 +62,8 @@ class DivergentInput(ValueError):
 class ErasureCosts:
     w_zero: float
     w_one: float
-    w_bar: float
+    w_bar: float  # inf for Lorentzian broadening
     mu_half: float
-    divergent: bool
     mad_discrepancy: float | None = None  # |w_bar - MAD/2| when cross-checked
 
 
@@ -112,7 +111,7 @@ def absolute_deviation_integral(sys: DotSystem, point: float) -> float:
     if math.isinf(kernel.mad):
         return math.inf
     total = 0.0
-    for gamma, lead in sys.weighted_leads():
+    for gamma, lead in sys.coupled:
         kt = lead.thermal_energy
         c = lead.chemical_potential - point
         if kt == 0.0 and kernel.width == 0.0:
@@ -138,26 +137,24 @@ def erasure_costs(sys: DotSystem, mad_check: bool = True) -> ErasureCosts:
     """
     mu_half = half_occupation_level(sys)
     w0 = w1 = 0.0
-    for gamma, lead in sys.weighted_leads():
+    for gamma, lead in sys.coupled:
         c, kt = lead.chemical_potential - mu_half, lead.thermal_energy
         excess = _broadening_excess(c, kt, sys.kernel)
         w0 += gamma * (softplus_ramp(c, kt) + excess)
         w1 += gamma * (softplus_ramp(-c, kt) + excess)
     w_bar = 0.5 * (w0 + w1)
-    if math.isinf(w_bar):
-        return ErasureCosts(w0, w1, w_bar, mu_half, True)
     discrepancy = None
-    if mad_check:
+    if mad_check and math.isfinite(w_bar):
         mad = absolute_deviation_integral(sys, mu_half)
         discrepancy = abs(w_bar - 0.5 * mad)
-    return ErasureCosts(w0, w1, w_bar, mu_half, False, discrepancy)
+    return ErasureCosts(w0, w1, w_bar, mu_half, discrepancy)
 
 
 def check_bound(costs: ErasureCosts, scales: EnergyScales) -> BoundReport:
     """max(scales) <= w_bar <= sum(scales), each side with a fixed slack of
     1e-9 times sum(scales)."""
     lower, upper = scales.bound  # upper is finite when every scale is
-    if costs.divergent or not all(map(math.isfinite, (costs.w_bar, upper))):
+    if not all(map(math.isfinite, (costs.w_bar, upper))):
         raise DivergentInput("bound check requires finite costs and scales")
     slack = 1e-9 * upper
     satisfied = (lower - slack <= costs.w_bar <= upper + slack)
@@ -217,7 +214,7 @@ def _level_ladder(sys: DotSystem, mu_half: float,
     eta_min there is a ValueError. Both lists are floats, mu_1/2 first.
     """
     scale = dominant_scale(sys)
-    top = (max(lead.chemical_potential for _, lead in sys.weighted_leads())
+    top = (max(lead.chemical_potential for _, lead in sys.coupled)
            - mu_half + 60.0 * scale)
     rungs = min(_LADDER_RUNGS, max(0, math.ceil(
         math.log2(top) - math.log2(min(sys.scales, default=scale)))))
@@ -260,7 +257,6 @@ def eta_erasure_work(sys: DotSystem, eta, mu_half: float | None = None):
     targets = sorted(set(etas), reverse=True)
     works = dict.fromkeys(targets, 0.0)
     if targets:
-        leads = sys.weighted_leads()
         if mu_half is None:
             mu_half = half_occupation_level(sys)
         ladder, p = _level_ladder(sys, mu_half, targets[-1])
@@ -286,6 +282,6 @@ def eta_erasure_work(sys: DotSystem, eta, mu_half: float | None = None):
             for (e, mu_eta), r in zip(levels.items(), reached):
                 raised = sum(gamma * _window_integral(
                     lead.chemical_potential, lead.thermal_energy, mu_half,
-                    mu_eta, sys.kernel) for gamma, lead in leads)
+                    mu_eta, sys.kernel) for gamma, lead in sys.coupled)
                 works[e] = raised - (mu_eta - mu_half) * r
     return works[etas[0]] if scalar else [works[e] for e in etas]

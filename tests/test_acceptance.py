@@ -136,7 +136,7 @@ def test_criterion_10_dynamics_limits():
     biased = make_system(1.0, 1.0, 36.0, 0.35)
     w0 = erasure_costs(biased, mad_check=False).w_zero
     slow = simulate(biased, make_erasure_schedule(
-        biased, "zero", 200.0, cutoff_multiplier=20.0), 0.05)
+        biased, "zero", 200.0), 0.05)
     assert abs(slow.total_work / w0 - 1.0) <= 0.02
 
     # a one-relaxation-time ramp dissipates: work strictly above the optimum

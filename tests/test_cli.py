@@ -264,22 +264,25 @@ class TestSweep:
         # bias-dominated estimate, hence the few-percent headroom
         assert row["w_bar"][0] == pytest.approx(0.5 * 0.35 * 36.0, rel=0.06)
 
-    def test_plateau_midpoints_reported_once_with_their_count(self,
-                                                              tmp_path):
+    def test_plateau_cells_silent_and_exact(self, tmp_path):
         # both leads at T = 0 and equal rates: each biased cell without
-        # broadening has p = 1/2 on its whole bias window
+        # broadening has p = 1/2 on its whole bias window, and W-bar is
+        # bias/4 for every mu_1/2 on it, so sweep does not warn
         spec = DeviceSpec(temperature_source=0.0, temperature_drain=0.0,
                           bias=100.0, rate_source=1e9, rate_drain=1e9,
                           kernel="gaussian")
-        # under the default filter, as on the command line
+        out = tmp_path / "sweep.csv"
         with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
+            warnings.simplefilter("always")
             sweep(spec, bias_max=100.0, width_max=10.0, points=4,
-                  out=str(tmp_path / "sweep.csv"))
-        messages = [str(w.message) for w in caught
+                  out=str(out))
+        assert not [w for w in caught
                     if issubclass(w.category, AmbiguousMedianWarning)]
-        assert len(messages) == 1
-        assert messages[0].startswith("3 of 16 sweep cells ")
+        rows = np.genfromtxt(out, delimiter=",", names=True)
+        plateau = rows[(rows["bias"] > 0.0) & (rows["hbar_gamma_tot"] == 0.0)]
+        assert plateau.size == 3
+        np.testing.assert_allclose(plateau["w_bar"], plateau["bias"] / 4.0,
+                                   rtol=1e-15, atol=0.0)
 
     def test_deterministic_output(self, device1_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -518,6 +521,8 @@ class TestMainExitCodes:
                      "duration: must be non-negative", id="negative-duration"),
         pytest.param(None, ["lemmas", "--trials", "0", "--seed", "1"],
                      "trials: must be >= 1", id="zero-trials"),
+        pytest.param(None, ["lemmas", "--trials", "1", "--seed", "-1"],
+                     "seed: must be >= 0", id="negative-seed"),
     ])
     def test_input_error_exits_2_naming_the_field(self, tmp_path, capsys,
                                                   config, argv, message):

@@ -16,9 +16,8 @@ from scipy.special import ndtr
 from chargebit import dot_model
 from chargebit.dot_model import (LEVEL_TOL, AmbiguousMedianWarning, DotSystem,
                                  TunnelRates, dominant_scale,
-                                 half_occupation_level, is_atomic,
-                                 occupation, occupation_levels,
-                                 unbroadened_occupation)
+                                 half_occupation_level, occupation,
+                                 occupation_levels, unbroadened_occupation)
 from chargebit.kernels import Delta, Gaussian, Lorentzian
 from chargebit.leads import LeadParams
 
@@ -154,12 +153,6 @@ class TestOccupationDerivativeDensity:
             fd = (occupation(mu - h, sys_) - occupation(mu + h, sys_)) / (2 * h)
             assert occupation_density(mu, sys_) == pytest.approx(
                 fd, abs=1e-6)
-
-
-class TestIsAtomic:
-    def test_warm_decoupled_lead_leaves_a_pure_step(self):
-        # p is the T = 0 drain's step alone
-        assert is_atomic(make_system(1.0, 0.0, 1.0, 0.0))
 
 
 class TestHalfOccupationLevel:
@@ -330,8 +323,13 @@ class TestDeviceFacts:
 
     def test_decoupled_lead_adds_neither(self):
         sys_ = make_system(0.0, 0.4, 2.0, 0.0)
+        assert sys_.coupled == ((1.0, sys_.drain),)
         assert sys_.scales == (0.4,)
         assert sys_.atoms == ()
+
+    def test_warm_decoupled_lead_leaves_a_pure_step(self):
+        # p is the T = 0 drain's step alone
+        assert not make_system(1.0, 0.0, 1.0, 0.0).scales
 
     def test_replace_carries_the_new_kernels_facts(self):
         # as unbroadened_occupation swaps the kernel for Delta()
@@ -339,6 +337,6 @@ class TestDeviceFacts:
         assert (broad.scales, broad.atoms) == ((0.25,), ())
         sharp = dataclasses.replace(broad, kernel=Delta())
         assert (sharp.scales, sharp.atoms) == ((), (0.0, 2.0))
-        assert is_atomic(sharp) and not is_atomic(broad)
+        assert not sharp.scales and broad.scales
         again = dataclasses.replace(sharp, kernel=Lorentzian(3.0))
         assert (again.scales, again.atoms) == ((3.0,), ())

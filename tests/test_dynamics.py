@@ -1,14 +1,16 @@
 """Finite-time protocol simulation and work accounting."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from chargebit import DotSystem, LeadParams, TunnelRates
 from chargebit.dot_model import occupation
-from chargebit.dynamics import (ProtocolSchedule, Segment, _ramp_table,
+from chargebit.dynamics import (ProtocolSchedule, Segment, _phi, _ramp_table,
                                 make_erasure_schedule, simulate)
 from chargebit.erasure import erasure_costs
 from chargebit.kernels import Delta, Gaussian, Lorentzian
@@ -255,12 +257,36 @@ class TestExactRamps:
         assert excess == pytest.approx(predicted, rel=1e-4)
 
 
+class TestPhi:
+    @staticmethod
+    def reference(x: float) -> list[float]:
+        """phi_1 ... phi_5 at -x at 60 digits: the series up to x = 2, the
+        closed form (e^z - sum_{n<k} z^n/n!)/z^k beyond."""
+        with mpmath.workdps(60):
+            z = -mpmath.mpf(x)
+            if x <= 2.0:
+                return [float(sum(z ** n / mpmath.factorial(n + k)
+                                  for n in range(80))) for k in range(1, 6)]
+            return [float((mpmath.exp(z) - sum(
+                z ** n / mpmath.factorial(n) for n in range(k))) / z ** k)
+                for k in range(1, 6)]
+
+    def test_matches_mpmath_without_overflow(self):
+        xs = [0.0, 1e-300, 1.0, 1.999, 2.0, 50.0, 1e17, 1e300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _phi(np.array(xs))
+        for i, x in enumerate(xs):
+            for k, want in enumerate(self.reference(x)):
+                assert got[k][i] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 class TestErasureSchedules:
     def test_zero_target_geometry(self):
-        sched = make_erasure_schedule(SYM, "zero", 10.0, cutoff_multiplier=30)
+        sched = make_erasure_schedule(SYM, "zero", 10.0)
         up, down = sched.segments
         assert up.mu_start == pytest.approx(0.0, abs=1e-9)
-        assert up.mu_end == pytest.approx(30.0, abs=1e-6)
+        assert up.mu_end == pytest.approx(40.0, abs=1e-6)
         assert down.duration == 0.0
         traj = simulate(SYM, sched, 0.05)
         assert traj.mu[-1] == pytest.approx(up.mu_start)
@@ -300,9 +326,18 @@ class TestErasureSchedules:
     def test_slow_ramp_matches_quasistatic_cost(self):
         biased = make_system(1.0, 1.0, 36.0, 0.35)
         w0 = erasure_costs(biased, mad_check=False).w_zero
-        traj = simulate(biased, make_erasure_schedule(
-            biased, "zero", 200.0, cutoff_multiplier=20.0), 0.05)
+        traj = simulate(biased, make_erasure_schedule(biased, "zero", 200.0),
+                        0.05)
         assert traj.total_work == pytest.approx(w0, rel=0.02)
+
+    def test_astronomically_slow_ramp_is_quasistatic(self):
+        # table steps of Gamma dt up to ~1e20, where phi's series overflowed
+        broad = make_system(1.0, 0.5, 4.0, 0.35, Gaussian(0.5))
+        w0 = erasure_costs(broad, mad_check=False).w_zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = simulate(broad, make_erasure_schedule(broad, "zero", 1e20))
+        assert traj.total_work == pytest.approx(w0, rel=1e-9)
 
     @pytest.mark.parametrize("target", ["zero", "one"])
     def test_decoupled_source_moves_nothing(self, target):
