@@ -251,7 +251,7 @@ def make_erasure_schedule(sys: DotSystem, target: Literal["zero", "one"],
     """From the steady state at mu_1/2, ramp past the far electrode, then
     quench back.
 
-    The turning point sits 40 smoothing scales beyond the far coupled
+    The turning point sits _CUTOFF smoothing scales beyond the far coupled
     electrode (or mu_1/2, if further), where p_ss is negligible; a decoupled
     lead, which adds nothing to p, does not move it.
     """
