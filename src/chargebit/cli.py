@@ -259,6 +259,8 @@ def occupation_curve(spec: DeviceSpec, mu_min: float, mu_max: float,
     """CSV of unbroadened and broadened occupation over a gate range."""
     if points < 2:
         raise ValidationError("points", "need at least 2")
+    if not math.isfinite(mu_max - mu_min):
+        raise ValidationError("mu-max", "mu-max - mu-min must be finite")
     sys_ = build_system(spec)
     mus = np.linspace(mu_min, mu_max, points)
     rows = [[float(mu), float(u), float(p)] for mu, u, p in
@@ -278,7 +280,8 @@ def run_protocol(spec: DeviceSpec, target: str,
     _write_csv(out, ["t", "mu", "p", "work"],
                [[float(a), float(b), float(c), float(d)]
                 for a, b, c, d in zip(traj.t, traj.mu, traj.p, traj.work)])
-    costs = erasure.erasure_costs(sys_, mad_check=False)
+    costs = erasure.erasure_costs(sys_, mad_check=False,
+                                  mu_half=sched.segments[0].mu_start)
     optimum = costs.w_zero if target == "zero" else costs.w_one
     print(f"total_work_ueV: {_fmt(traj.total_work)}")
     print(f"final_occupation: {_fmt(traj.final_occupation)}")

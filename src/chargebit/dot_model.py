@@ -34,7 +34,9 @@ that stops at adjacent doubles logs at INFO on this module's logger.
 
 The integrals of p are assembled in ``erasure``; this module keeps their
 one primitive, the broadening excess ``_broadening_excess``, and the device
-facts that every module reads, the attributes of ``DotSystem``.
+facts that every module reads, the attributes of ``DotSystem``. The MAD
+cross-check of W-bar runs the same core over a Gaussian's variable with
+the inner function ``_Thermal.absolute_moment``, E_Y|Y - x| in closed form.
 """
 
 from __future__ import annotations
@@ -167,6 +169,13 @@ class _Thermal:
     def pdf(self, x):
         e = np.exp(-np.abs(x) / self.width)
         return e / (self.width * (1.0 + e) ** 2)
+
+    def absolute_moment(self, x):
+        """E_Y|Y - x| = |x| + 2 kT ln(1 + e^(-|x|/kT)), the quotient capped
+        at 800 where the exponential has underflowed, so it cannot overflow."""
+        a = np.abs(x)
+        return a + 2.0 * self.width * np.log1p(
+            np.exp(np.minimum(a, 800.0 * self.width) / -self.width))
 
 
 # over s = Y/kT, and over u = U/sigma for a Gaussian kernel U

@@ -10,11 +10,10 @@ Lorentzian kernel makes both diverge and is reported as such; eta-erasure
 is the supported finite-cost alternative.
 
 The mean-absolute-deviation form of the average cost is the independent
-cross-check of W-bar: per lead, |mu - mu_1/2| times that lead's -dp_i/dmu,
-evaluated in one array call on the fixed Gauss-Legendre panels of the
-lead's own offset mu - mu_i. The panels are 2 max(kT_i, w) wide over its
-peak (45 kT_i plus 12 kernel widths each side), with the cusp and the
-lead's centre as panel edges.
+cross-check of W-bar. As -dp_i/dmu is the density of mu_i + Y + U, lead i
+adds E_U[g(U + mu_i - mu_1/2)], g(x) = E_Y|Y - x| in closed form: one core
+call over the kernel's variable, where W0/W1 integrate over the thermal
+one, at a small cost next to the mu_1/2 solve.
 
 eta-erasure does one pass for any number of eta: mu_1/2 is solved once or
 passed in, one array call of p on a ladder of levels above it brackets
@@ -40,16 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dot_model import (_WINDOW, DotSystem, _broadening_excess, _lead_values,
-                        _panel_rule, dominant_scale, half_occupation_level,
-                        occupation, occupation_levels)
+from .dot_model import (_NORMAL_RULE, _WINDOW, DotSystem, _broadening_excess,
+                        _lead_block, _Thermal, dominant_scale,
+                        half_occupation_level, occupation, occupation_levels)
 from .leads import fermi_integral, softplus_ramp
-from .numerics import (TAIL_CUTOFF_EXPONENTIAL, TAIL_CUTOFF_GAUSSIAN,
-                       integrate)
+from .numerics import integrate
 
 
-# MAD-oracle panel width, in units of the lead's widest scale max(kT_i, w)
-_MAD_PANEL = 2.0
 # most halvings below the top of the eta-erasure ladder
 _LADDER_RUNGS = 60
 
@@ -100,13 +96,9 @@ def energy_scales(sys: DotSystem) -> EnergyScales:
 
 
 def absolute_deviation_integral(sys: DotSystem, point: float) -> float:
-    """integral of |mu - point| * (-dp/dmu) dmu, lead by lead.
-
-    Independent of the softplus route used for W0/W1: the integrand is each
-    lead's -dp_i/dmu evaluated pointwise. Lead i is integrated in its own
-    offset x = mu - mu_i over the support of its peak, where the weight is
-    |x + mu_i - point|; a T = 0 lead without broadening is an atom at mu_i.
-    """
+    """integral of |mu - point| * (-dp/dmu) dmu: per lead E_U[g(U + c)],
+    c = mu_i - point, g = ``_Thermal.absolute_moment``. Closed forms without
+    a kernel (g(c)), at T = 0 (|c| + 2 E[(U - |c|)^+]) and without both."""
     kernel = sys.kernel
     if math.isinf(kernel.mad):
         return math.inf
@@ -114,28 +106,28 @@ def absolute_deviation_integral(sys: DotSystem, point: float) -> float:
     for gamma, lead in sys.coupled:
         kt = lead.thermal_energy
         c = lead.chemical_potential - point
-        if kt == 0.0 and kernel.width == 0.0:
-            total += gamma * abs(c)
-            continue
-        reach = (TAIL_CUTOFF_EXPONENTIAL * kt
-                 + TAIL_CUTOFF_GAUSSIAN * kernel.width)
-        panels = math.ceil(2.0 * reach / (_MAD_PANEL * max(kt, kernel.width)))
-        edges = np.linspace(-reach, reach, panels + 1)
-        x, weights = _panel_rule(
-            np.union1d(edges, [e for e in (-c, 0.0) if -reach < e < reach]))
-        (dens,) = _lead_values(x, kt, kernel, ("pdf",))
-        total += gamma * float(np.abs(x + c) * dens @ weights)
+        if kt == 0.0:
+            mad = abs(c) + (2.0 * kernel.partial_expectation(abs(c))
+                            if kernel.width else 0.0)
+        elif kernel.width == 0.0:
+            mad = _Thermal(kt).absolute_moment(c)
+        else:
+            mad = _lead_block(np.array([-c]), kernel.width, _NORMAL_RULE,
+                              _Thermal(kt), ("absolute_moment",))[0][0]
+        total += gamma * float(mad)
     return total
 
 
-def erasure_costs(sys: DotSystem, mad_check: bool = True) -> ErasureCosts:
+def erasure_costs(sys: DotSystem, mad_check: bool = True,
+                  mu_half: float | None = None) -> ErasureCosts:
     """W0, W1 and their average for optimal (quasistatic) erasure.
 
     With ``mad_check`` the mean-absolute-deviation form of the average cost
-    is also integrated directly and the discrepancy recorded; disable it in
-    large parameter sweeps where only w_bar is needed.
+    is also evaluated and the discrepancy recorded. ``mu_half`` is mu_1/2
+    when solved already (as by ``dynamics.make_erasure_schedule``).
     """
-    mu_half = half_occupation_level(sys)
+    if mu_half is None:
+        mu_half = half_occupation_level(sys)
     w0 = w1 = 0.0
     for gamma, lead in sys.coupled:
         c, kt = lead.chemical_potential - mu_half, lead.thermal_energy

@@ -41,10 +41,8 @@ class NumericsConfig:
 
 DEFAULT_CONFIG = NumericsConfig()
 
-# Where infinite integration ranges are cut: the mass discarded beyond these
-# multiples of an exponential decay scale or of a Gaussian sigma is below the
-# default abs_tol.
-TAIL_CUTOFF_EXPONENTIAL = 45.0
+# Where infinite integration ranges are cut: the mass discarded beyond this
+# multiple of a Gaussian sigma is below the default abs_tol.
 TAIL_CUTOFF_GAUSSIAN = 12.0
 
 

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from chargebit import NonConvergence, erasure, madgrid
+from chargebit import (NonConvergence, dot_model, dynamics, erasure,
+                       madgrid)
 from chargebit.cli import (DeviceSpec, ParseError, ValidationError,
                            _failed_checks, analyze, build_system, load_config,
                            main, occupation_curve, parse_number,
@@ -323,6 +324,21 @@ class TestOccupationCurve:
         assert np.max(np.abs(rows["p_unbroadened"]
                              - rows["p_broadened"])) < 1e-12
 
+    def test_overflowing_range_exits_2_naming_the_flag(self, device1_path,
+                                                       tmp_path, capsys):
+        out = tmp_path / "occ.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["occupation", "--config", device1_path,
+                         "--mu-min=-1e308", "--mu-max", "1e308",
+                         "--points", "3", "--out", str(out)])
+        assert code == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.splitlines() == [
+            "error: mu-max: mu-max - mu-min must be finite"]
+        assert not out.exists()
+
 
     def test_unbroadened_column_with_cold_lead(self, tmp_path):
         # a T = 0 source at mu = 5 on the grid: its step is exactly 1/2 there
@@ -376,6 +392,35 @@ class TestProtocolCommand:
                (line.split(": ") for line in
                 capsys.readouterr().out.strip().splitlines())}
         assert float(out["work_over_optimal"]) > 1.0
+
+    @pytest.mark.parametrize("kernel", ["delta", "gaussian"])
+    @pytest.mark.parametrize("target", ["zero", "one"])
+    def test_one_mu_half_solve_and_the_same_output(self, tmp_path, capsys,
+                                                   monkeypatch, kernel,
+                                                   target):
+        from chargebit.cli import run_protocol
+        solves = []
+
+        def counted(sys_):
+            solves.append(sys_)
+            return dot_model.half_occupation_level(sys_)
+        for module in (dynamics, erasure):
+            monkeypatch.setattr(module, "half_occupation_level", counted)
+        spec = DeviceSpec(temperature_source=self.T_K,
+                          temperature_drain=0.5 * self.T_K, bias=3.0,
+                          rate_source=0.35e9, rate_drain=0.65e9,
+                          kernel=kernel)
+        run_protocol(spec, target, 2.0, str(tmp_path / "traj.csv"))
+        assert len(solves) == 1
+        out = capsys.readouterr().out
+        # the same run with erasure_costs solving mu_1/2 again for itself
+        costs = erasure.erasure_costs
+        monkeypatch.setattr(erasure, "erasure_costs",
+                            lambda sys_, mad_check, mu_half: costs(
+                                sys_, mad_check))
+        run_protocol(spec, target, 2.0, str(tmp_path / "again.csv"))
+        assert len(solves) == 3
+        assert capsys.readouterr().out == out
 
 
 class TestLemmaSuite:

@@ -133,6 +133,38 @@ class TestOccupation:
             assert pa == pytest.approx(1.0 - pb, abs=1e-9)
 
 
+def _logistic_pdf(y, kt):
+    e = math.exp(-abs(y) / kt)
+    return e / (kt * (1.0 + e) ** 2)
+
+
+class TestThermalAbsoluteMoment:
+    """E_Y|Y - x| of the logistic thermal distribution, the MAD oracle's
+    inner function, in closed form."""
+
+    @pytest.mark.parametrize("kt", [10.0 ** e for e in range(-6, 7)])
+    def test_matches_quadrature(self, kt):
+        thermal = dot_model._Thermal(kt)
+        for x in kt * np.array([0.0, 0.3, -1.0, 4.0, -25.0, 60.0]):
+            ref = reference_quad(lambda y: abs(y - x) * _logistic_pdf(y, kt),
+                                 min(x, 0.0) - 50.0 * kt,
+                                 max(x, 0.0) + 50.0 * kt, points=(x,))
+            assert thermal.absolute_moment(x) == pytest.approx(ref,
+                                                               rel=1e-12)
+
+    @pytest.mark.parametrize("kt", [1e-6, 1.0, 1e6])
+    def test_at_zero_is_twice_kt_ln2(self, kt):
+        assert dot_model._Thermal(kt).absolute_moment(0.0) == pytest.approx(
+            2.0 * kt * math.log(2.0), rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x, kt", [(1e300, 1.0), (-1.0, 1e-300),
+                                       (1e300, 1e-10)])
+    def test_far_from_the_peak_is_abs_x(self, x, kt):
+        # |x|/kT = 1e300, and beyond: no overflow on the way
+        assert dot_model._Thermal(kt).absolute_moment(x) == abs(x)
+
+
 class TestOccupationDerivativeDensity:
     def test_logistic_peak(self):
         sys_ = make_system(2.0, 2.0, 0.0, 0.5)

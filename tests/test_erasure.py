@@ -620,6 +620,25 @@ class TestAbsoluteDeviationIntegral:
                 sys_, costs.mu_half + off) >= base - 1e-9
 
 
+class TestMadOracleIndependence:
+    """A relative error of 1e-7 in either closed form of W-bar breaks the
+    analyze gate: the MAD oracle shares neither with it."""
+
+    @pytest.mark.parametrize("name", ["_broadening_excess", "softplus_ramp"])
+    @pytest.mark.parametrize("sigma", [
+        pytest.param(15.0, id="sigma<2kT"),
+        pytest.param(30.0, id="sigma>=2kT")])
+    def test_perturbed_w_bar_fails_the_gate(self, monkeypatch, name, sigma):
+        sys_ = make_system(10.0, 8.0, 20.0, 0.4, Gaussian(sigma))
+        gap, allowed = _mad_gap(erasure_costs(sys_))
+        assert gap <= allowed
+        exact = getattr(erasure, name)
+        monkeypatch.setattr(erasure, name,
+                            lambda *args: exact(*args) * (1.0 + 1e-7))
+        gap, allowed = _mad_gap(erasure_costs(sys_))
+        assert gap > allowed
+
+
 def _mad_gap(costs):
     """(|W-bar - MAD/2|, the analyze gate's allowance 1e-8 (1 + W-bar))."""
     return costs.mad_discrepancy, 1e-8 * (1.0 + costs.w_bar)
@@ -671,9 +690,10 @@ class TestMadGateTwelveDecades:
 def _reference_lead_mad(lead, kernel, point):
     """integral of |mu - point| * (-dp_i/dmu) for one lead, by tight QUADPACK.
 
-    The same pointwise integrand as the panel oracle, in the lead's offset
-    x = mu - mu_i over the same window, split at the cusp and the lead's
-    centre; only the quadrature differs.
+    A different integrand from the oracle's: the lead's -dp_i/dmu from the
+    occupation core, pointwise, times |mu - point|, in the lead's offset
+    x = mu - mu_i over 45 kT_i plus 12 kernel widths each side, split at
+    the cusp and the lead's centre.
     """
     kt, c = lead.thermal_energy, lead.chemical_potential - point
     if kt == 0.0 and kernel.width == 0.0:
@@ -689,9 +709,10 @@ def _reference_lead_mad(lead, kernel, point):
 
 
 class TestPanelMadOracle:
-    """The fixed-panel MAD oracle against tight adaptive quadrature, lead by
-    lead, at mu_1/2 and at points whose cusp falls inside or outside the
-    lead's window."""
+    """The MAD oracle, an expectation of the thermal absolute moment over
+    the kernel, against tight adaptive quadrature of |mu - point| times the
+    occupation core's -dp_i/dmu, lead by lead, at mu_1/2 and at points
+    whose cusp falls inside or outside the lead's window."""
 
     @settings(max_examples=30, deadline=None, derandomize=True,
               database=None)
@@ -714,4 +735,4 @@ class TestPanelMadOracle:
             for point in (mu_half, mu_i + 0.3 * reach, mu_i - 3.0 * reach):
                 ref = _reference_lead_mad(lead, sys_.kernel, point)
                 got = absolute_deviation_integral(one_lead, point)
-                assert abs(got - ref) <= 1e-10 * ref, (point, got, ref)
+                assert abs(got - ref) <= 1e-12 * ref, (point, got, ref)

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from chargebit.numerics import (DEFAULT_CONFIG, TAIL_CUTOFF_EXPONENTIAL,
-                                TAIL_CUTOFF_GAUSSIAN, NumericsConfig,
-                                integrate)
+from chargebit.numerics import (DEFAULT_CONFIG, TAIL_CUTOFF_GAUSSIAN,
+                                NumericsConfig, integrate)
 
 
 def normal_pdf(x):
@@ -54,9 +53,7 @@ class TestIntegrate:
 class TestSemiInfinite:
     def test_discarded_tails_below_abs_tol(self):
         cfg = DEFAULT_CONFIG
-        # exponential: remainder past the cutoff is e^(-cutoff)
-        assert math.exp(-TAIL_CUTOFF_EXPONENTIAL) < cfg.abs_tol
-        # gaussian: remainder past k sigma is below the k-sigma density
+        # remainder past k sigma is below the k-sigma density
         k = TAIL_CUTOFF_GAUSSIAN
         assert normal_pdf(k) / k < cfg.abs_tol
 
