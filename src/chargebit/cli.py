@@ -89,7 +89,7 @@ def load_config(path: str) -> DeviceSpec:
         # utf-8-sig: an editor's byte-order mark is not part of the first key
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # e.g. a Latin-1 "µ"
         raise ParseError(f"cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

@@ -5,16 +5,18 @@ tunnelling rate, dp/dt = Gamma_tot * (p_ss(mu) - p). Work accumulates as
 p * dmu/dt along ramps; an instantaneous level shift freezes p and costs
 (mu_end - mu_start) * p.
 
-A linear ramp is integrated exactly for an interpolant of p_ss. Its table of
-p_ss and dp_ss/dt comes from a few array calls of the steady-state core,
-refined by bisection until the piecewise cubic Hermite interpolant q(t) is
-good to about 1e-12. On each table step the equation is linear with a cubic
-forcing, so p at the step's end and the integral of p over the step are
-exact combinations of the phi-functions of exponential integrators,
-phi_k(z) = sum_n z^n / (n + k)!, at z = -Gamma_tot * dt. That is the
-particular solution q - q'/Gamma + q''/Gamma^2 - q'''/Gamma^3 plus the
-decaying homogeneous term, written without the cancellation the particular
-solution suffers on steps much shorter than 1/Gamma.
+A linear ramp is integrated exactly for an interpolant of p_ss over the ramp
+fraction u = t/tau, where dp/du = Gamma_tot tau (p_ss - p): the duration
+enters only as c = Gamma_tot tau. The table of p_ss and dp_ss/du depends on
+the level path alone; it comes from a few array calls of the steady-state
+core, refined by bisection until the piecewise cubic Hermite interpolant
+q(u) is good to about 1e-12. On each table step the equation is linear with
+a cubic forcing, so p at the step's end and the integral of p over the step
+are exact combinations of the phi-functions of exponential integrators,
+phi_k(z) = sum_n z^n / (n + k)!, at z = -c du. That is the particular
+solution q - q'/c + q''/c^2 - q'''/c^3 plus the decaying homogeneous term,
+written without the cancellation the particular solution suffers on steps
+much shorter than 1/Gamma.
 """
 
 from __future__ import annotations
@@ -77,18 +79,16 @@ class Trajectory:
 
 
 def simulate(sys: DotSystem, sched: ProtocolSchedule,
-             dt_max: float = math.inf) -> Trajectory:
+             _unread=None) -> Trajectory:
     """Integrate the relaxation equation through a schedule, tracking work.
 
     p starts at the schedule's ``initial_occupation``, or at p_ss of the
     first segment's start when that is None. Each linear ramp is sampled at
-    201 equal times. ``dt_max`` caps the steps of a ramp's p_ss table, which
-    the table's own accuracy test refines anyway; the integration is exact
-    for the table's interpolant, so it sets no stability limit.
+    201 equal fractions of its duration, which may be any finite positive
+    time. A third positional argument is accepted and not read: the ramp
+    table sets its own steps, and the integration, exact for the table's
+    interpolant, has no stability limit.
     """
-    if not dt_max > 0:
-        raise ValueError("dt_max must be positive")
-
     if sched.initial_occupation is None:
         p = occupation(sched.segments[0].mu_start, sys)
     else:
@@ -102,6 +102,7 @@ def simulate(sys: DotSystem, sched: ProtocolSchedule,
     works = [0.0]
     t = 0.0
     work = 0.0
+    u_out = np.linspace(0.0, 1.0, _SAMPLES + 1)
     for seg in sched.segments:
         if seg.duration == 0.0:
             work += (seg.mu_end - seg.mu_start) * p
@@ -109,12 +110,10 @@ def simulate(sys: DotSystem, sched: ProtocolSchedule,
             mus[-1] = seg.mu_end
             works[-1] = work
             continue
-        rate = (seg.mu_end - seg.mu_start) / seg.duration
-        t_out = np.linspace(0.0, seg.duration, _SAMPLES + 1)
-        seg_p, seg_work = _exact_ramp(sys, seg, rate, t_out, dt_max, p)
+        seg_p, seg_work = _exact_ramp(sys, seg, u_out, p)
         seg_p = np.clip(seg_p, 0.0, 1.0)
-        ts.extend(t + t_out[1:])
-        mus.extend(seg.mu_start + rate * t_out[1:])
+        ts.extend(t + seg.duration * u_out[1:])
+        mus.extend(seg.mu_start + (seg.mu_end - seg.mu_start) * u_out[1:])
         ps.extend(seg_p[1:])
         works.extend(work + seg_work[1:])
         t += seg.duration
@@ -124,76 +123,74 @@ def simulate(sys: DotSystem, sched: ProtocolSchedule,
                       np.asarray(ps), np.asarray(works))
 
 
-def _exact_ramp(sys: DotSystem, seg: Segment, rate: float, t_out: np.ndarray,
-                dt_max: float, p0: float) -> tuple[np.ndarray, np.ndarray]:
-    """p and the cumulative work of one linear ramp at the times t_out."""
-    t, q, m = _ramp_table(sys, seg, rate, t_out, dt_max)
-    h = np.diff(t)
-    x = sys.rates.total * h
-    # Hermite cubic of step k in u = (t - t_k)/h: q0 + c1 u + c2 u^2 + c3 u^3
+def _exact_ramp(sys: DotSystem, seg: Segment, u_out: np.ndarray,
+                p0: float) -> tuple[np.ndarray, np.ndarray]:
+    """p and the cumulative work of one linear ramp at the fractions u_out."""
+    u, q, m = _ramp_table(sys, seg, u_out)
+    X = sys.rates.total * seg.duration * u
+    h, x = np.diff(u), np.diff(X)
+    # Hermite cubic of step k in s = (u - u_k)/h: q0 + c1 s + c2 s^2 + c3 s^3
     q0, q1 = q[:-1], q[1:]
     c1 = h * m[:-1]
     c2 = 3.0 * (q1 - q0) - 2.0 * c1 - h * m[1:]
     c3 = 2.0 * (q0 - q1) + c1 + h * m[1:]
     f1, f2, f3, f4, f5 = _phi(x)
-    # dp/du = x (q - p): p_{k+1} = e^{-x} p_k + x int_0^1 e^{-x(1-u)} q du,
-    # and int_0^1 u^j e^{-x(1-u)} du = j! phi_{j+1}(-x)
-    p = _relax(p0, x, x * (q0 * f1 + c1 * f2 + 2.0 * c2 * f3 + 6.0 * c3 * f4))
-    # int_0^1 p du, from the same solution integrated once more
+    # dp/ds = x (q - p): p_{k+1} = e^{-x} p_k + x int_0^1 e^{-x(1-s)} q ds,
+    # and int_0^1 s^j e^{-x(1-s)} ds = j! phi_{j+1}(-x)
+    p = _relax(p0, X, x * (q0 * f1 + c1 * f2 + 2.0 * c2 * f3 + 6.0 * c3 * f4))
+    # int_0^1 p ds, from the same solution integrated once more
     mean = p[:-1] * f1 + x * (q0 * f2 + c1 * f3 + 2.0 * c2 * f4
                               + 6.0 * c3 * f5)
-    work = np.concatenate(([0.0], np.cumsum(rate * h * mean)))
-    at = np.searchsorted(t, t_out)
+    span = seg.mu_end - seg.mu_start
+    work = np.concatenate(([0.0], np.cumsum(span * h * mean)))
+    at = np.searchsorted(u, u_out)
     return p[at], work[at]
 
 
-def _ramp_table(sys: DotSystem, seg: Segment, rate: float, t_out: np.ndarray,
-                dt_max: float) -> tuple[np.ndarray, ...]:
-    """Times t, p_ss and dp_ss/dt for one ramp, one value per node.
+def _ramp_table(sys: DotSystem, seg: Segment,
+                u_out: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Fractions u, p_ss and dp_ss/du for one ramp, one value per node.
 
-    The output samples, split into equal steps no longer than dt_max, are
-    refined by bisection: each pass evaluates the midpoints of the steps
-    still open in one array call and makes every midpoint a node. A step
-    stays open while the Hermite cubic of its parent missed p_ss at the
-    midpoint by more than 16 _TABLE_TOL; the cubic's error falls as the
-    fourth power of the step, so its own midpoint error is then about
-    _TABLE_TOL. p_ss steps at each atom of the device (``DotSystem.atoms``)
-    that a moving ramp crosses: two nodes at the same time, the first with
-    the limit of p_ss from before it, the second from after it. The
-    zero-length step between them changes neither p nor the work.
+    The output fractions are refined by bisection: each pass evaluates the
+    midpoints of the steps still open in one array call and makes every
+    midpoint a node. A step stays open while the Hermite cubic of its parent
+    missed p_ss at the midpoint by more than 16 _TABLE_TOL; the cubic's
+    error falls as the fourth power of the step, so its own midpoint error
+    is then about _TABLE_TOL. p_ss steps at each atom of the device
+    (``DotSystem.atoms``) that a moving ramp crosses: two nodes at the same
+    u, the first with the limit of p_ss from before it, the second from
+    after it. The zero-length step between them changes neither p nor the
+    work.
     """
-    sub = max(1, math.ceil((t_out[1] - t_out[0]) / dt_max))
-    t = np.append(t_out[:-1, None] + np.outer(np.diff(t_out),
-                                              np.arange(sub) / sub),
-                  t_out[-1])
-    atoms = np.array(sys.atoms if rate != 0.0 else (), dtype=float)
-    t_atoms = (atoms - seg.mu_start) / rate
-    inside = (t_atoms >= 0.0) & (t_atoms <= seg.duration)
-    atoms, t_atoms = atoms[inside], t_atoms[inside]
-    t = np.setdiff1d(t, t_atoms)
-    mu = np.concatenate((seg.mu_start + rate * t,
+    span = seg.mu_end - seg.mu_start
+    atoms = np.array(sys.atoms if span != 0.0 else (), dtype=float)
+    u_atoms = (atoms - seg.mu_start) / span
+    inside = (u_atoms >= 0.0) & (u_atoms <= 1.0)
+    atoms, u_atoms = atoms[inside], u_atoms[inside]
+    u = np.setdiff1d(u_out, u_atoms)
+    mu = np.concatenate((seg.mu_start + span * u,
                          np.nextafter(atoms, seg.mu_start),
                          np.nextafter(atoms, seg.mu_end)))
-    t = np.concatenate((t, t_atoms, t_atoms))
-    order = np.argsort(t, kind="stable")
-    t, mu = t[order], mu[order]
+    u = np.concatenate((u, u_atoms, u_atoms))
+    order = np.argsort(u, kind="stable")
+    u, mu = u[order], mu[order]
 
     def steady(mu):
         p, dens = _combined(mu, sys, ("cdf", "pdf"))
-        return np.clip(p, 0.0, 1.0), -rate * dens
+        return np.clip(p, 0.0, 1.0), -span * dens
 
-    table = np.stack((t, *steady(mu)))
-    k = np.arange(t.size - 1)
+    table = np.stack((u, *steady(mu)))
+    k = np.arange(u.size - 1)
     while k.size:
-        t, q, m = table
-        mid = 0.5 * (t[k] + t[k + 1])
+        u, q, m = table
+        mid = 0.5 * (u[k] + u[k + 1])
         # a step of adjacent doubles cannot be split further, and the step
         # across an atom has no length
-        split = (t[k] < mid) & (mid < t[k + 1])
+        split = (u[k] < mid) & (mid < u[k + 1])
         k, mid = k[split], mid[split]
-        q_mid, m_mid = steady(seg.mu_start + rate * mid)
+        q_mid, m_mid = steady(seg.mu_start + span * mid)
         guess = (0.5 * (q[k] + q[k + 1])
-                 + 0.125 * (t[k + 1] - t[k]) * (m[k] - m[k + 1]))
+                 + 0.125 * (u[k + 1] - u[k]) * (m[k] - m[k + 1]))
         table = np.insert(table, k + 1, np.stack((mid, q_mid, m_mid)), axis=1)
         new = (k + 1 + np.arange(k.size))[
             np.abs(guess - q_mid) > 16.0 * _TABLE_TOL]
@@ -201,18 +198,19 @@ def _ramp_table(sys: DotSystem, seg: Segment, rate: float, t_out: np.ndarray,
     return tuple(table)
 
 
-def _relax(p0: float, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """p_0 = p0 and p_{k+1} = e^{-x_k} p_k + g_k, by cumulative sums.
+def _relax(p0: float, X: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """p_0 = p0 and p_{k+1} = e^{X_k - X_{k+1}} p_k + g_k, by cumulative sums.
 
-    With X_n = x_0 + ... + x_{n-1}, p_n is the sum of p0 e^{-X_n} and of
-    g_k e^{-(X_n - X_{k+1})}. The sums run in blocks over which X grows by at
-    most 500, scaled to the block's end, so every exponential stays finite.
+    X_n, the exponent at node n from X_0 = 0, is read off the node, not
+    summed over thousands of steps whose rounding would drift. p_n is the sum
+    of p0 e^{-X_n} and of g_k e^{-(X_n - X_{k+1})}, run in blocks over which
+    X grows by at most 500, scaled to the block's end, so every exponential
+    stays finite.
     """
-    X = np.concatenate(([0.0], np.cumsum(x)))
     p = np.empty(X.size)
     p[0] = p0
     lo = 0
-    while lo < x.size:
+    while lo < g.size:
         hi = max(lo + 1, int(np.searchsorted(X, X[lo] + 500.0, "right")) - 1)
         scale = np.exp(X[lo + 1:hi + 1] - X[hi])
         p[lo + 1:hi + 1] = (np.cumsum(g[lo:hi] * scale)

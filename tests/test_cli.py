@@ -68,6 +68,18 @@ class TestLoadConfig:
         assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
         assert load_config(str(bom)) == load_config(str(plain))
 
+    def test_config_that_is_not_utf8_exits_2_naming_the_file(self, tmp_path,
+                                                             capsys):
+        # the documented micro prefix, saved by an editor as Latin-1
+        path = tmp_path / "latin1.cfg"
+        text = DEVICE1.replace("= 40m", "= 40µ", 1)
+        path.write_bytes(text.encode("latin-1"))
+        assert main(["analyze", "--config", str(path)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        (line,) = stderr.splitlines()
+        assert line.startswith("error: ") and str(path) in line
+
     def test_negative_rate_names_field(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(DEVICE1.replace("rate_source = 6.3G",
@@ -392,6 +404,23 @@ class TestProtocolCommand:
                (line.split(": ") for line in
                 capsys.readouterr().out.strip().splitlines())}
         assert float(out["work_over_optimal"]) > 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("target", ["zero", "one"])
+    def test_vanishing_duration_is_a_quench(self, device1_path, tmp_path,
+                                            capsys, target):
+        # Gamma tau = 1e-300: the ramp lasts 4e-312 s, and its speed in
+        # ueV/s overflowed
+        assert main(["protocol", "--config", device1_path, "--target", target,
+                     "--duration", "1e-300",
+                     "--out", str(tmp_path / "traj.csv")]) == 0
+        out = dict(line.split(": ")
+                   for line in capsys.readouterr().out.splitlines())
+        ramp = dynamics.make_erasure_schedule(
+            build_system(load_config(device1_path)), target, 0.0).segments[0]
+        assert abs(float(out["total_work_ueV"])) <= 1e-12 * abs(
+            ramp.mu_end - ramp.mu_start)
+        assert float(out["final_occupation"]) == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("kernel", ["delta", "gaussian"])
     @pytest.mark.parametrize("target", ["zero", "one"])

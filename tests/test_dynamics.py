@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from chargebit import DotSystem, LeadParams, TunnelRates
+from chargebit import DotSystem, LeadParams, TunnelRates, dynamics
 from chargebit.dot_model import occupation
 from chargebit.dynamics import (ProtocolSchedule, Segment, _phi, _ramp_table,
                                 make_erasure_schedule, simulate)
-from chargebit.erasure import erasure_costs
+from chargebit.erasure import erasure_costs, eta_erasure_work
 from chargebit.kernels import Delta, Gaussian, Lorentzian
 
 from conftest import make_system, reference_quad
@@ -43,24 +43,30 @@ class TestSegments:
 
 
 class TestSimulate:
-    def test_dt_max_must_be_positive(self):
-        sched = ProtocolSchedule((Segment(0.0, 1.0, 1.0),))
-        for dt_max in (0.0, -0.05, math.nan):
-            with pytest.raises(ValueError):
-                simulate(SYM, sched, dt_max)
-
     @pytest.mark.parametrize("kernel", [Delta(), Gaussian(0.8),
                                         Lorentzian(0.5)])
-    def test_dt_max_only_refines_the_table(self, kernel):
+    def test_third_argument_is_not_read(self, kernel):
         sys_ = make_system(1.0, 0.9, 5.0, 0.4, kernel)
         sched = make_erasure_schedule(sys_, "zero", 10.0)
-        fine = simulate(sys_, sched, 0.05)
-        span = sched.segments[0].mu_end - sched.segments[0].mu_start
-        for coarse in (simulate(sys_, sched, 0.5), simulate(sys_, sched)):
-            assert abs(coarse.total_work - fine.total_work) <= 1e-10 * span
-            assert coarse.final_occupation == pytest.approx(
-                fine.final_occupation, abs=1e-11)
-            assert len(coarse.t) == len(fine.t) == 201
+        runs = [simulate(sys_, sched, 0.05), simulate(sys_, sched, 0.5),
+                simulate(sys_, sched)]
+        for name in ("t", "mu", "p", "work"):
+            first = getattr(runs[0], name)
+            assert len(first) == 201
+            for other in runs[1:]:
+                assert np.array_equal(getattr(other, name), first)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gamma_d", [1e-300, 1e-310, 5e-324])
+    def test_vanishing_ramp_is_a_quench(self, gamma_d):
+        # far shorter than 1/Gamma, the ramp is a quench: p keeps its start
+        # value. Its speed, 10 / d, overflows for the two smaller d
+        sys_ = make_system(1.0, 0.7, 4.0, 0.4, Gaussian(0.5))
+        traj = simulate(sys_, ProtocolSchedule((Segment(-1.0, 9.0, gamma_d),)))
+        p0 = occupation(-1.0, sys_)
+        assert np.all(np.isfinite(traj.t)) and np.all(np.isfinite(traj.mu))
+        assert np.all(traj.p == p0)
+        assert traj.total_work == pytest.approx(10.0 * p0, rel=1e-12)
 
     def test_constant_level_exponential_relaxation(self):
         sched = ProtocolSchedule((Segment(3.0, 3.0, 6.0),),
@@ -160,12 +166,11 @@ class TestExactRamps:
         # samples, each atom twice and one pass of midpoints, none split again
         sys_ = make_system(0.0, 0.0, 1.0, 0.3)
         seg = Segment(-0.5, 1.6, 3.0)
-        t_out = np.linspace(0.0, 3.0, 201)
-        t, q, m = _ramp_table(sys_, seg, 0.7, t_out, 0.05)
-        assert t.size == 205 + 202
-        assert np.all(np.diff(t) >= 0.0)
-        at = np.flatnonzero(np.diff(t) == 0.0)
-        assert t[at] == pytest.approx([0.5 / 0.7, 1.5 / 0.7], abs=1e-15)
+        u, q, m = _ramp_table(sys_, seg, np.linspace(0.0, 1.0, 201))
+        assert u.size == 205 + 202
+        assert np.all(np.diff(u) >= 0.0)
+        at = np.flatnonzero(np.diff(u) == 0.0)
+        assert u[at] == pytest.approx([0.5 / 2.1, 1.5 / 2.1], abs=1e-15)
         assert list(q[at]) == [1.0, 0.3] and list(q[at + 1]) == [0.3, 0.0]
         assert not np.any(m)
 
@@ -191,10 +196,28 @@ class TestExactRamps:
             traj.t, 0.7, -0.5, 0.9, [(-0.5, 1.0), (0.0, 0.0)])
         assert np.max(np.abs(traj.p - p)) < 1e-12
         assert np.max(np.abs(traj.work - work)) < 1e-12
-        t, q, _ = _ramp_table(sys_, seg, 0.7, np.linspace(0.0, 3.0, 201),
-                              0.05)
-        at = np.flatnonzero(t == 0.5 / 0.7)
+        u, q, _ = _ramp_table(sys_, seg, np.linspace(0.0, 1.0, 201))
+        at = np.flatnonzero(u == 0.5 / 2.1)
         assert list(q[at]) == [1.0, 0.0]
+
+    def test_constant_level_on_an_atom_crosses_nothing(self):
+        # a zero-span ramp sits on the drain atom: p relaxes to its
+        # midpoint value there, g_S + g_D/2
+        sys_ = make_system(0.0, 0.0, 1.0, 0.3)
+        traj = simulate(sys_, ProtocolSchedule((Segment(0.0, 0.0, 3.0),),
+                                               initial_occupation=0.9))
+        exact = 0.65 + (0.9 - 0.65) * np.exp(-traj.t)
+        assert np.max(np.abs(traj.p - exact)) < 1e-14
+        assert traj.total_work == 0.0
+
+    def test_table_depends_on_the_level_path_alone(self):
+        sys_ = make_system(1.0, 0.7, 4.0, 0.4, Gaussian(0.5))
+        u_out = np.linspace(0.0, 1.0, 201)
+        first, *rest = (_ramp_table(sys_, Segment(-1.0, 9.0, d), u_out)
+                        for d in (1e-300, 5.0, 1e20))
+        for table in rest:
+            for row, first_row in zip(table, first):
+                assert np.array_equal(row, first_row)
 
     @pytest.mark.parametrize("tau_gamma", [0.5, 5.0])
     def test_matches_tight_dop853(self, tau_gamma):
@@ -368,6 +391,60 @@ class TestErasureSchedules:
         assert traj.total_work > 0.0
 
 
+class TestTwelveDecades:
+    """Erasure ramps over the whole domain: the first 40 devices of the
+    12-decade corpus (default_rng(1): kT_S, kT_D, bias, w = 10**U(-6, 6)
+    each, then gamma_S = U(0.05, 0.95); Delta, Gaussian(w), Lorentzian(w) by
+    i % 3), each at a tau Gamma log-uniform on [1e-3, 1e4] (default_rng(5)),
+    1e-300 and 1e20."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ramps_are_finite_and_cost_at_least_the_eta_work(self,
+                                                             monkeypatch):
+        # a ramp's table depends on its level path alone (pinned by
+        # TestExactRamps), so a device's three ramps share one: the same
+        # numbers in a third of the time
+        tables = {}
+        build = dynamics._ramp_table
+
+        def shared(sys_, seg, u_out):
+            key = (seg.mu_start, seg.mu_end)
+            if key not in tables:
+                tables[key] = build(sys_, seg, u_out)
+            return tables[key]
+
+        monkeypatch.setattr(dynamics, "_ramp_table", shared)
+        devices = np.random.default_rng(1)
+        durations = np.random.default_rng(5)
+        checked = 0
+        for i in range(40):
+            tables.clear()
+            kt_s, kt_d, bias, w = 10.0 ** devices.uniform(-6, 6, 4)
+            gamma_s = devices.uniform(0.05, 0.95)
+            kernel = (Delta(), Gaussian(w), Lorentzian(w))[i % 3]
+            sys_ = make_system(kt_s, kt_d, bias, gamma_s, kernel)
+            tau_gamma = 10.0 ** durations.uniform(-3, 4)
+            for duration in (tau_gamma, 1e-300, 1e20):
+                sched = make_erasure_schedule(sys_, "zero", duration)
+                traj = simulate(sys_, sched)
+                for name in ("t", "mu", "p", "work"):
+                    assert np.all(np.isfinite(getattr(traj, name))), (i, name)
+                assert np.all((traj.p >= 0.0) & (traj.p <= 1.0)), i
+                p_f = traj.final_occupation
+                # a ramp may end a hair under the 1e-304 floor of p_ss, where
+                # the eta work rightly raises
+                if not 1e-290 < p_f < 0.5:
+                    continue
+                mu_half, mu_far = (sched.segments[0].mu_start,
+                                   sched.segments[0].mu_end)
+                w_eta = eta_erasure_work(sys_, p_f, mu_half)
+                assert traj.total_work >= (
+                    w_eta * (1.0 - 1e-9) - 1e-12 * abs(mu_far - mu_half)), (
+                    i, duration, traj.total_work, w_eta)
+                checked += 1
+        assert checked >= 40
+
+
 class TestRampWorkCount:
     """Kernel evaluations of a Gaussian ramp's table: deterministic, so a
     regression in the node count shows without timing it."""
@@ -404,7 +481,7 @@ class TestRampWorkCount:
         sys_ = make_system(1.0, 1.0, 4.0, 0.5, Gaussian(1.0))
         sched = make_erasure_schedule(sys_, "zero", 10.0)
         monkeypatch.setattr(dot_model, "_lead_block", counted_block)
-        traj = simulate(sys_, sched, dt_max=0.05)
+        traj = simulate(sys_, sched, 0.05)
         assert math.isfinite(traj.total_work)
         assert 0 < tally["cdf"] <= 0.5 * self.THERMAL_ORDER_EVALUATIONS
         assert max(tally["levels"]) <= 3
