@@ -6,10 +6,12 @@ leads' smoothed occupations. Lead i contributes
     p_i(mu) = E_Y[K((Y - (mu - mu_i)) / w)],
 
 with Y logistic of scale kT_i (the Fermi function is its upper tail) and K
-the cdf of the broadening kernel of width w; -dp_i/dmu is the same
-expectation of the kernel pdf. Each lead is evaluated in its own offset
-d = mu - mu_i; a caller that integrates over one lead passes d directly,
-so a lead whose kT is many decades below |mu_i| keeps its resolution.
+the cdf of the broadening kernel of width w. The core's names are "cdf"
+for p_i, "pdf" for -dp_i/dmu, the same expectation of the kernel pdf, and
+"dpdf" for +d2p_i/dmu2, that of the pdf's derivative. Each lead is
+evaluated in its own offset d = mu - mu_i; a caller that integrates over
+one lead passes d directly, so a lead whose kT is many decades below
+|mu_i| keeps its resolution.
 
 The convolution can be integrated over either of its two distributions,
 and each lead takes the narrower one's. A Gaussian lead with sigma < 2 kT_i
@@ -18,11 +20,13 @@ and -dp_i/dmu = E_U[F'(U - d)]: each one exp per node, where the kernel
 cdf would be scipy's ndtr. The sum runs over u = U/sigma on fixed 10-node
 Gauss-Legendre panels of width 2 covering |u| <= 12. Every other lead (a
 wider Gaussian, any Lorentzian) integrates over s = Y/kT on the same panels
-covering |s| <= 40 (the logistic mass beyond is 4e-18). When the inner
-distribution is narrower than 2 outer scales its transition is sharper
-than a panel, so the three panels about its centre are replaced by panels
-graded geometrically down to its width: at most 3 levels for a Gaussian,
-whose inner width is then over half the outer. T = 0 leads (p_i = K(-d/w))
+covering |s| <= 40 (the logistic mass beyond is 4e-18; far above a lead
+under a wide Gaussian, where p_i is carried beyond it, that tail is added
+in closed form). When the inner distribution is narrower than 2 outer
+scales its transition is sharper than a panel, so the three panels about
+its centre are replaced by panels graded geometrically down to its width,
+on which "dpdf" is taken by parts: at most 3 levels for a Gaussian, whose
+inner width is then over half the outer. T = 0 leads (p_i = K(-d/w))
 and the delta kernel (p_i = Fermi function) are closed forms. The per-lead
 core takes and returns arrays only; the public routines take a float level
 or an array of levels, and ``_combined`` is the one place where a float
@@ -140,18 +144,20 @@ def _panel_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _Rule(NamedTuple):
     """Panels of width 2 on [-window, window] for a standard density: the
-    nodes in panel order, their weights times the density, and the density
-    itself for the graded panels that replace three of them."""
+    nodes in panel order, their weights times the density, the density
+    itself for the graded panels that replace three of them, and its score
+    -density'/density for derivatives taken by parts."""
     window: float
     nodes: np.ndarray
     weights: np.ndarray
     density: Callable[[np.ndarray], np.ndarray]
+    score: Callable[[np.ndarray], np.ndarray]
 
 
-def _fixed_rule(window: float, density) -> _Rule:
+def _fixed_rule(window: float, density, score) -> _Rule:
     panels = round(window)  # of width 2
     nodes, weights = _panel_rule(np.linspace(-window, window, panels + 1))
-    return _Rule(window, nodes, weights * density(nodes), density)
+    return _Rule(window, nodes, weights * density(nodes), density, score)
 
 
 @dataclass(frozen=True)
@@ -170,6 +176,11 @@ class _Thermal:
         e = np.exp(-np.abs(x) / self.width)
         return e / (self.width * (1.0 + e) ** 2)
 
+    def dpdf(self, x):
+        e = np.exp(-np.abs(x) / self.width)
+        return (np.sign(x) * (e - 1.0) * e
+                / (self.width * self.width * (1.0 + e) ** 3))
+
     def absolute_moment(self, x):
         """E_Y|Y - x| = |x| + 2 kT ln(1 + e^(-|x|/kT)), the quotient capped
         at 800 where the exponential has underflowed, so it cannot overflow."""
@@ -179,8 +190,10 @@ class _Thermal:
 
 
 # over s = Y/kT, and over u = U/sigma for a Gaussian kernel U
-_THERMAL_RULE = _fixed_rule(_WINDOW, _Thermal(1.0).pdf)
-_NORMAL_RULE = _fixed_rule(TAIL_CUTOFF_GAUSSIAN, Gaussian(1.0).pdf)
+_THERMAL_RULE = _fixed_rule(_WINDOW, _Thermal(1.0).pdf,
+                            lambda s: np.tanh(0.5 * s))
+_NORMAL_RULE = _fixed_rule(TAIL_CUTOFF_GAUSSIAN, Gaussian(1.0).pdf,
+                           lambda u: u)
 
 
 def _grading_levels(ratio: float) -> int:
@@ -199,12 +212,22 @@ def _graded_rule(levels: int) -> tuple[np.ndarray, np.ndarray]:
 def _lead_block(d: np.ndarray, scale: float, outer: _Rule, inner,
                 names: tuple[str, ...]) -> list[np.ndarray]:
     """E_V[inner.<name>(scale*V - d)] for a block of offsets d = mu - mu_lead,
-    V of the outer rule's standard density."""
+    V of the outer rule's standard density.
+
+    On graded panels "dpdf", the inner pdf's derivative, is taken by parts
+    over the whole line, E_V[score(V) inner.pdf(scale*V - d)] / scale, from
+    the pdf at the same nodes. Straight on, the odd derivative of an inner
+    much sharper than the outer cancels (by 2e-8 of its peak under a
+    Lorentzian a millionth of kT wide), and where it straddles the end of
+    the window it is cut in half; by parts, an inner much wider than the
+    outer cancels instead, so ungraded blocks take it straight.
+    """
     xs = scale * outer.nodes - d[:, None]
-    values = [getattr(inner, name)(xs) for name in names]
     levels = _grading_levels(inner.width / scale)
     if not levels:
-        return [v @ outer.weights for v in values]
+        return [getattr(inner, name)(xs) @ outer.weights for name in names]
+    values = {name: getattr(inner, name)(xs) for name in dict.fromkeys(
+        "pdf" if name == "dpdf" else name for name in names)}
     # replace the three panels about the inner centre c = d/scale (the three
     # at the end of the window when c is in an end panel) by panels graded
     # geometrically from it, down to the inner width
@@ -216,19 +239,29 @@ def _lead_block(d: np.ndarray, scale: float, outer: _Rule, inner,
     a = 2.0 * first - window
     right, left = (a + 6.0 - c)[:, None], (c - a)[:, None]
     offsets = np.concatenate((right * t, -left * t), axis=1)
+    near_v = c[:, None] + offsets
     near_w = (np.concatenate((right * tw, left * tw), axis=1)
-              * outer.density(c[:, None] + offsets))
+              * outer.density(near_v))
     # scale*(c + offset) - d, keeping the small offset exact near the centre
     near_x = scale * offsets + (scale * c - d)[:, None]
     # the node columns of the three replaced panels, which are consecutive
     rows = np.arange(d.size)[:, None]
     cols = (first.astype(int)[:, None] * _GL_X.size
             + np.arange(3 * _GL_X.size))
-    out = []
-    for name, v in zip(names, values):
+    near = {}
+    for name, v in values.items():
         v[rows, cols] = 0.0
-        out.append(v @ outer.weights
-                   + (getattr(inner, name)(near_x) * near_w).sum(axis=1))
+        near[name] = getattr(inner, name)(near_x)
+    out = []
+    for name in names:
+        if name == "dpdf":
+            weights = outer.weights * outer.score(outer.nodes)
+            out.append((values["pdf"] @ weights + (
+                near["pdf"] * near_w * outer.score(near_v)).sum(axis=1))
+                / scale)
+        else:
+            out.append(values[name] @ outer.weights
+                       + (near[name] * near_w).sum(axis=1))
     return out
 
 
@@ -237,8 +270,9 @@ def _lead_values(d: np.ndarray, kt: float, kernel: BroadeningKernel,
     """[E_Y[kernel.<name>(Y - d)] for name in names], Y logistic of scale kt.
 
     ``d`` is a 1-D array of lead-local offsets mu - mu_lead; each result has
-    its shape. ``names`` are "cdf" for the lead's smoothed occupation and
-    "pdf" for its -d/dmu. The expectation runs over the narrower of the two
+    its shape. ``names`` are "cdf" for the lead's smoothed occupation,
+    "pdf" for its -d/dmu and "dpdf" for its d2/dmu2. The expectation runs
+    over the narrower of the two
     distributions: over the kernel's (the Gaussian's) when it has a mean and
     sigma < 2 kt, of the thermal cdf and pdf; otherwise over the thermal
     one, of the kernel's.
@@ -246,16 +280,17 @@ def _lead_values(d: np.ndarray, kt: float, kernel: BroadeningKernel,
     if kt == 0.0:
         # the kernel itself; without one an atom: a step occupation and no
         # density away from mu_lead
-        return [0.0 * d if n == "pdf" and kernel.width == 0.0
+        return [0.0 * d if n != "cdf" and kernel.width == 0.0
                 else getattr(kernel, n)(-d) for n in names]
     if kernel.width == 0.0:
-        # the Fermi closed form, both names from one exp of -|x|: it is all
+        # the Fermi closed form, every name from one exp of -|x|: it is all
         # a Delta ramp computes, and _Thermal's one exp per name made those
         # ramps about a tenth slower
         x = d / kt
         e = np.exp(-np.abs(x))
-        up = np.where(x >= 0.0, e, 1.0)
-        return [up / (1.0 + e) if n == "cdf" else e / (kt * (1.0 + e) ** 2)
+        return [np.where(x >= 0.0, e, 1.0) / (1.0 + e) if n == "cdf"
+                else e / (kt * (1.0 + e) ** 2) if n == "pdf"
+                else np.sign(x) * (1.0 - e) * e / (kt * kt * (1.0 + e) ** 3)
                 for n in names]
     if math.isfinite(kernel.mad) and kernel.width < 2.0 * kt:
         scale, outer, inner = kernel.width, _NORMAL_RULE, _Thermal(kt)
@@ -270,8 +305,70 @@ def _lead_values(d: np.ndarray, kt: float, kernel: BroadeningKernel,
     return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
+_TAIL_MASS = math.exp(-_WINDOW)  # the logistic mass beyond the window
+# a total below this (times sigma^j for the j-th derivative) may take a tail
+# above its rounding
+_TAIL_REACH = _TAIL_MASS / np.finfo(float).eps
+_DERIVATIVE = {"cdf": 0, "pdf": 1, "dpdf": 2}
+_SQRT2 = math.sqrt(2.0)
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+
+
+def _add_window_tails(totals: list, flat: np.ndarray, sys: DotSystem,
+                      names: tuple[str, ...]) -> None:
+    """Add to the rate-weighted totals what the window cuts of each Gaussian
+    lead integrated over s = Y/kT, on the levels where it may exceed the
+    rounding of a total.
+
+    Far above the lead, p_i carries e^(-s) Phi(a s - b) (a = kT/sigma,
+    b = d/sigma), which peaks at s = (d - sigma^2/kT)/kT, beyond the window
+    once that exceeds 40. Over s > 40 it integrates to e^(-40) Phi(40a - b)
+    + E, E = exp(-d/kT + sigma^2/(2 kT^2) + ln Phi(b - 40a - 1/a)); -d/dd
+    of that is E/kT, and the next derivative (E/kT - e^(-40) K'(40 kT -
+    d))/kT. Below the lead the pdf and its derivative take the mirror
+    image, and p is 1 to rounding. The tail is at most e^(-40)/sigma^j in
+    the j-th name, below the rounding of a total above e^(-40)/eps/sigma^j.
+    d2p/dmu2 crosses zero where p inflects, as at mu_1/2, but its rounding
+    is that of -dp/dmu over sigma, so it follows the pdf's gate when both
+    are requested. A level takes the tail only where p is below 0.019 or
+    -dp/dmu below 0.019/sigma: far from every lead, or between two leads
+    far apart, the only place where mu_1/2 takes it.
+    """
+    sigma = sys.kernel.width
+    # a narrower Gaussian's lead is taken over U, a T = 0 lead in closed form
+    leads = [(gamma, lead.chemical_potential, lead.thermal_energy)
+             for gamma, lead in sys.coupled
+             if 0.0 < 2.0 * lead.thermal_energy <= sigma]
+    if not leads:
+        return
+    rows = False
+    for n, t in zip(names, totals):
+        if n != "dpdf" or "pdf" not in names:
+            rows = rows | (np.abs(t) < _TAIL_REACH / sigma ** _DERIVATIVE[n])
+    if not np.count_nonzero(rows):
+        return
+    from scipy.special import erfcx, log_ndtr, ndtr
+    for gamma, mu_i, kt in leads:
+        d = flat[rows] - mu_i
+        dist = np.abs(d)
+        edge = _TAIL_MASS * sys.kernel.pdf(_WINDOW * kt - dist)
+        x = (dist - _WINDOW * kt) / sigma - sigma / kt
+        # E by its log where x >= 0, else as e^(-40) K'(40 kT - d) sigma
+        # times Phi(x)/phi(x): the two terms of the log cancel there
+        e = np.where(x >= 0.0, np.exp(np.minimum(
+            -dist / kt + 0.5 * (sigma / kt) ** 2 + log_ndtr(x), 0.0)),
+            edge * sigma * _SQRT_HALF_PI * erfcx(np.maximum(-x, 0.0) / _SQRT2))
+        for n, t in zip(names, totals):
+            t[rows] += gamma * (
+                np.where(d > 0.0, _TAIL_MASS * ndtr(
+                    (_WINDOW * kt - dist) / sigma) + e, 0.0) if n == "cdf"
+                else e / kt if n == "pdf"
+                else np.sign(d) * (e / kt - edge) / kt)
+
+
 def _combined(mu, sys: DotSystem, names: tuple[str, ...]) -> list:
-    """Rate-weighted sums over the leads of _lead_values.
+    """Rate-weighted sums over the leads of _lead_values, with the tails
+    that wide Gaussian leads' windows cut (_add_window_tails).
 
     A float level is evaluated as a one-element array and returned as a
     float; an array of levels gives arrays of its shape. A NaN or infinite
@@ -289,6 +386,8 @@ def _combined(mu, sys: DotSystem, names: tuple[str, ...]) -> list:
         for i, v in enumerate(_lead_values(d, lead.thermal_energy, sys.kernel,
                                            names)):
             totals[i] = totals[i] + gamma * v
+    if sys.kernel.width and math.isfinite(sys.kernel.mad):
+        _add_window_tails(totals, flat, sys, names)
     if scalar:
         return [float(t[0]) for t in totals]
     return [np.reshape(t, mu.shape) for t in totals]

@@ -7,16 +7,18 @@ p * dmu/dt along ramps; an instantaneous level shift freezes p and costs
 
 A linear ramp is integrated exactly for an interpolant of p_ss over the ramp
 fraction u = t/tau, where dp/du = Gamma_tot tau (p_ss - p): the duration
-enters only as c = Gamma_tot tau. The table of p_ss and dp_ss/du depends on
-the level path alone; it comes from a few array calls of the steady-state
-core, refined by bisection until the piecewise cubic Hermite interpolant
-q(u) is good to about 1e-12. On each table step the equation is linear with
-a cubic forcing, so p at the step's end and the integral of p over the step
-are exact combinations of the phi-functions of exponential integrators,
-phi_k(z) = sum_n z^n / (n + k)!, at z = -c du. That is the particular
-solution q - q'/c + q''/c^2 - q'''/c^3 plus the decaying homogeneous term,
-written without the cancellation the particular solution suffers on steps
-much shorter than 1/Gamma.
+enters only as c = Gamma_tot tau. The table of p_ss, dp_ss/du and
+d2p_ss/du2 (four rows with u) depends on the level path alone; it comes
+from a few array calls of the steady-state core for the names "cdf", "pdf"
+and "dpdf", refined by bisection until the piecewise quintic Hermite
+interpolant q(u) is good to about 1e-12. On each table step the equation is
+linear with a quintic forcing, so p at the step's end and the integral of p
+over the step are exact combinations of the phi-functions of exponential
+integrators, phi_k(z) = sum_n z^n / (n + k)!, k up to 7, at z = -c du
+(Hochbruck & Ostermann, Acta Numerica 19, 209 (2010)). That is the
+particular solution q - q'/c + q''/c^2 - ... plus the decaying homogeneous
+term, written without the cancellation the particular solution suffers on
+steps much shorter than 1/Gamma.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .units import store_finite
 
 _CUTOFF = 40.0      # smoothing scales from the far lead to a ramp's end
 _SAMPLES = 200      # output steps per ramp
-_TABLE_TOL = 1e-12  # |Hermite cubic - p_ss| at the midpoint of a table step
+_TABLE_TOL = 1e-12  # |Hermite quintic - p_ss| at a table step's midpoint
 
 
 @dataclass(frozen=True)
@@ -126,21 +128,26 @@ def simulate(sys: DotSystem, sched: ProtocolSchedule,
 def _exact_ramp(sys: DotSystem, seg: Segment, u_out: np.ndarray,
                 p0: float) -> tuple[np.ndarray, np.ndarray]:
     """p and the cumulative work of one linear ramp at the fractions u_out."""
-    u, q, m = _ramp_table(sys, seg, u_out)
+    u, q, m, a = _ramp_table(sys, seg, u_out)
     X = sys.rates.total * seg.duration * u
     h, x = np.diff(u), np.diff(X)
-    # Hermite cubic of step k in s = (u - u_k)/h: q0 + c1 s + c2 s^2 + c3 s^3
-    q0, q1 = q[:-1], q[1:]
-    c1 = h * m[:-1]
-    c2 = 3.0 * (q1 - q0) - 2.0 * c1 - h * m[1:]
-    c3 = 2.0 * (q0 - q1) + c1 + h * m[1:]
-    f1, f2, f3, f4, f5 = _phi(x)
+    # Hermite quintic of step k in s = (u - u_k)/h, sum_j c_j s^j: c0..c2
+    # from the value, slope and curvature at s = 0, c3..c5 from what those
+    # leave of the value (Q), slope (D) and curvature (S) at s = 1
+    c0, c1, c2 = q[:-1], h * m[:-1], 0.5 * h * h * a[:-1]
+    Q = q[1:] - c0 - c1 - c2
+    D = h * m[1:] - c1 - 2.0 * c2
+    S = h * h * a[1:] - 2.0 * c2
+    # j! c_j for j = 0 ... 5
+    terms = (c0, c1, 2.0 * c2, 6.0 * (10.0 * Q - 4.0 * D + 0.5 * S),
+             24.0 * (-15.0 * Q + 7.0 * D - S),
+             120.0 * (6.0 * Q - 3.0 * D + 0.5 * S))
+    f = _phi(x)
     # dp/ds = x (q - p): p_{k+1} = e^{-x} p_k + x int_0^1 e^{-x(1-s)} q ds,
     # and int_0^1 s^j e^{-x(1-s)} ds = j! phi_{j+1}(-x)
-    p = _relax(p0, X, x * (q0 * f1 + c1 * f2 + 2.0 * c2 * f3 + 6.0 * c3 * f4))
+    p = _relax(p0, X, x * sum(t * fj for t, fj in zip(terms, f)))
     # int_0^1 p ds, from the same solution integrated once more
-    mean = p[:-1] * f1 + x * (q0 * f2 + c1 * f3 + 2.0 * c2 * f4
-                              + 6.0 * c3 * f5)
+    mean = p[:-1] * f[0] + x * sum(t * fj for t, fj in zip(terms, f[1:]))
     span = seg.mu_end - seg.mu_start
     work = np.concatenate(([0.0], np.cumsum(span * h * mean)))
     at = np.searchsorted(u, u_out)
@@ -149,18 +156,19 @@ def _exact_ramp(sys: DotSystem, seg: Segment, u_out: np.ndarray,
 
 def _ramp_table(sys: DotSystem, seg: Segment,
                 u_out: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Fractions u, p_ss and dp_ss/du for one ramp, one value per node.
+    """Fractions u, p_ss, dp_ss/du and d2p_ss/du2 for one ramp, one value
+    per node.
 
     The output fractions are refined by bisection: each pass evaluates the
     midpoints of the steps still open in one array call and makes every
-    midpoint a node. A step stays open while the Hermite cubic of its parent
-    missed p_ss at the midpoint by more than 16 _TABLE_TOL; the cubic's
-    error falls as the fourth power of the step, so its own midpoint error
-    is then about _TABLE_TOL. p_ss steps at each atom of the device
-    (``DotSystem.atoms``) that a moving ramp crosses: two nodes at the same
-    u, the first with the limit of p_ss from before it, the second from
-    after it. The zero-length step between them changes neither p nor the
-    work.
+    midpoint a node. A step stays open while the Hermite quintic of its
+    parent missed p_ss at the midpoint by more than 64 _TABLE_TOL; the
+    quintic's error falls as the sixth power of the step, so its own
+    midpoint error is then about _TABLE_TOL. p_ss steps at each atom of the
+    device (``DotSystem.atoms``) that a moving ramp crosses: two nodes at
+    the same u, the first with the limit of p_ss from before it, the second
+    from after it. The zero-length step between them changes neither p nor
+    the work.
     """
     span = seg.mu_end - seg.mu_start
     atoms = np.array(sys.atoms if span != 0.0 else (), dtype=float)
@@ -176,24 +184,26 @@ def _ramp_table(sys: DotSystem, seg: Segment,
     u, mu = u[order], mu[order]
 
     def steady(mu):
-        p, dens = _combined(mu, sys, ("cdf", "pdf"))
-        return np.clip(p, 0.0, 1.0), -span * dens
+        p, dens, curv = _combined(mu, sys, ("cdf", "pdf", "dpdf"))
+        return np.clip(p, 0.0, 1.0), -span * dens, span * span * curv
 
     table = np.stack((u, *steady(mu)))
     k = np.arange(u.size - 1)
     while k.size:
-        u, q, m = table
+        u, q, m, a = table
         mid = 0.5 * (u[k] + u[k + 1])
         # a step of adjacent doubles cannot be split further, and the step
         # across an atom has no length
         split = (u[k] < mid) & (mid < u[k + 1])
         k, mid = k[split], mid[split]
-        q_mid, m_mid = steady(seg.mu_start + span * mid)
-        guess = (0.5 * (q[k] + q[k + 1])
-                 + 0.125 * (u[k + 1] - u[k]) * (m[k] - m[k + 1]))
-        table = np.insert(table, k + 1, np.stack((mid, q_mid, m_mid)), axis=1)
+        q_mid, m_mid, a_mid = steady(seg.mu_start + span * mid)
+        h = u[k + 1] - u[k]
+        guess = (0.5 * (q[k] + q[k + 1]) + 5.0 / 32.0 * h * (m[k] - m[k + 1])
+                 + h * h / 64.0 * (a[k] + a[k + 1]))
+        table = np.insert(table, k + 1, np.stack((mid, q_mid, m_mid, a_mid)),
+                          axis=1)
         new = (k + 1 + np.arange(k.size))[
-            np.abs(guess - q_mid) > 16.0 * _TABLE_TOL]
+            np.abs(guess - q_mid) > 64.0 * _TABLE_TOL]
         k = np.sort(np.concatenate((new - 1, new)))
     return tuple(table)
 
@@ -205,12 +215,21 @@ def _relax(p0: float, X: np.ndarray, g: np.ndarray) -> np.ndarray:
     summed over thousands of steps whose rounding would drift. p_n is the sum
     of p0 e^{-X_n} and of g_k e^{-(X_n - X_{k+1})}, run in blocks over which
     X grows by at most 500, scaled to the block's end, so every exponential
-    stays finite.
+    stays finite. Over a step where X grows by more than 746, e^{X_k -
+    X_{k+1}} is exactly 0 and p_{k+1} = g_k: a run of such steps is one
+    assignment.
     """
     p = np.empty(X.size)
     p[0] = p0
+    lost = np.diff(X) > 746.0
+    kept = np.append(np.flatnonzero(~lost), g.size)
     lo = 0
     while lo < g.size:
+        if lost[lo]:
+            hi = int(kept[np.searchsorted(kept, lo)])
+            p[lo + 1:hi + 1] = g[lo:hi]
+            lo = hi
+            continue
         hi = max(lo + 1, int(np.searchsorted(X, X[lo] + 500.0, "right")) - 1)
         scale = np.exp(X[lo + 1:hi + 1] - X[hi])
         p[lo + 1:hi + 1] = (np.cumsum(g[lo:hi] * scale)
@@ -219,29 +238,43 @@ def _relax(p0: float, X: np.ndarray, g: np.ndarray) -> np.ndarray:
     return p
 
 
-_INV_FACT = [1.0 / math.factorial(n) for n in range(26)]
+_INV_FACT = [1.0 / math.factorial(n) for n in range(42)]
 
 
 def _phi(x: np.ndarray) -> list[np.ndarray]:
-    """phi_1 ... phi_5 at -x for x >= 0, phi_k(z) = sum_n z^n / (n + k)!.
+    """phi_1 ... phi_7 at -x for x >= 0, phi_k(z) = sum_n z^n / (n + k)!.
 
-    A Taylor series of phi_5 and the stable phi_k = 1/k! + z phi_{k+1} below
-    x = 2; above it, phi_k = (phi_{k-1} - 1/(k-1)!)/z from phi_0 = e^z.
+    phi_k below x = k from the Taylor series of phi_7, to as many terms as
+    the largest such x needs (34 at 7), and the stable phi_k = 1/k! +
+    z phi_{k+1}; above it from phi_0 = e^z and phi_k = (phi_{k-1} -
+    1/(k-1)!)/z, which loses digits where x is below k. The steps of a
+    ramp of 2 to 20/Gamma all have x below 1, where the short series and
+    no exponential branch make a call a third as long.
     """
     z = -x
-    zl = np.maximum(z, -2.0)  # where x >= 2 drops the series: no overflow
-    series = np.full_like(z, _INV_FACT[25])
-    for n in range(19, -1, -1):
-        series = series * zl + _INV_FACT[n + 5]
+    zl = np.maximum(z, -7.0)  # where x >= 7 drops the series: no overflow
+    largest = float(x.max(initial=0.0))
+    top = min(largest, 7.0)
+    # the first term left out is below 1e-17/7!, under 2e-17 phi_7(-top):
+    # phi_7(-7) is over half of 1/7!
+    terms = 1
+    while top ** terms * _INV_FACT[terms + 7] > 1e-17 * _INV_FACT[7]:
+        terms += 1
+    series = np.full_like(z, _INV_FACT[terms + 6])
+    for n in range(terms - 2, -1, -1):
+        series = series * zl + _INV_FACT[n + 7]
     low = [series]
-    for k in (4, 3, 2, 1):
+    for k in range(6, 0, -1):
         low.append(_INV_FACT[k] + zl * low[-1])
     low.reverse()
-    zs = np.minimum(z, -2.0)
+    if largest < 1.0:  # below every switch
+        return low
+    zs = np.minimum(z, -1.0)
     high = [np.exp(zs)]
-    for k in range(1, 6):
+    for k in range(1, 8):
         high.append((high[-1] - _INV_FACT[k - 1]) / zs)
-    return [np.where(x < 2.0, lo, hi) for lo, hi in zip(low, high[1:])]
+    return [np.where(x < k, lo, hi)
+            for k, lo, hi in zip(range(1, 8), low, high[1:])]
 
 
 def make_erasure_schedule(sys: DotSystem, target: Literal["zero", "one"],

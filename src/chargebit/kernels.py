@@ -4,10 +4,13 @@ All kernels are symmetric about 0 with median exactly 0. The width parameter
 carries the broadening energy hbar*Gamma_tot: the Gaussian's standard
 deviation and the Lorentzian's half-width both equal that energy.
 
-Each kernel is a small frozen dataclass. Its ``cdf`` and ``pdf`` have one
-numpy body each: they take a numpy array of energy offsets (returning an
-array of the same shape) or a float (returning a 0-d numpy value). The delta
-kernel has no ``pdf``: its callers branch on ``width == 0`` first.
+Each kernel is a small frozen dataclass. Its ``cdf``, ``pdf`` and ``dpdf``
+(the pdf's derivative), one for each of the core names of ``dot_model``,
+have one numpy body each: they take a numpy array of energy offsets
+(returning an array of the same shape) or a float (returning a 0-d numpy
+value); on graded panels, where a kernel is much narrower than kT, the
+core takes ``dpdf`` by parts from the ``pdf`` instead. The delta kernel has
+neither ``pdf`` nor ``dpdf``: its callers branch on ``width == 0`` first.
 The scalar methods of adaptive integrands are the Gaussian's
 ``partial_expectation``, for the W0/W1 broadening excess (0 without a
 kernel and infinite without a mean, as read from the data), and the
@@ -77,6 +80,11 @@ class Gaussian:
         z = np.minimum(np.abs(x), 40.0 * self.sigma) / self.sigma
         return np.exp(-0.5 * z * z) / (self.sigma * _SQRT2PI)
 
+    def dpdf(self, x):
+        # d/dx of pdf, -z pdf / sigma, with z capped as in pdf
+        z = np.clip(x, -40.0 * self.sigma, 40.0 * self.sigma) / self.sigma
+        return -z * np.exp(-0.5 * z * z) / (self.sigma * self.sigma * _SQRT2PI)
+
     def partial_expectation(self, a: float) -> float:
         """E[(X - a)^+] = sigma*(phi(z) - z*Phi(-z)), z = a/sigma, for a >= 0."""
         z = a / self.sigma
@@ -108,6 +116,11 @@ class Lorentzian:
         # past |x| ~ 1e154, x*x is inf and the density its limit, exactly 0
         with np.errstate(over="ignore"):
             return self.scale / (math.pi * (self.scale * self.scale + x * x))
+
+    def dpdf(self, x):
+        # d/dx of pdf, pdf * -2x/(w^2 + x^2): 0 where x*x is inf, as pdf
+        with np.errstate(over="ignore"):
+            return self.pdf(x) * (-2.0 * x / (self.scale * self.scale + x * x))
 
     def antiderivative(self, x: float) -> float:
         """A(x) = integral of the cdf over [0, x] = x*K(x) - (w/pi)*ln

@@ -5,7 +5,9 @@ The reference integrates each lead's kernel cdf (or pdf) against the
 logistic density in energy with scipy's QUADPACK, breakpoints at the kernel
 centre, and kernel functions written out here rather than taken from the
 package. W0/W1 are checked against the kernel-weighted softplus tails,
-integral of g(u) * P0(mu_half + u) du.
+integral of g(u) * P0(mu_half + u) du. The curvature d2p/dmu2 takes the
+same quadrature over the narrower of the two variables, and the logistic
+tail beyond the thermal rule's window is checked against 40-digit mpmath.
 """
 
 import math
@@ -16,7 +18,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from chargebit import erasure_costs, half_occupation_level
-from chargebit.dot_model import occupation
+from chargebit.dot_model import _combined, _lead_values, occupation
 from chargebit.kernels import Delta, Gaussian, Lorentzian
 
 from conftest import make_system, occupation_density, random_system
@@ -226,3 +228,176 @@ def test_newton_half_level_on_corpus():
     for sys_ in _corpus():
         mu = half_occupation_level(sys_)
         assert abs(occupation(mu, sys_) - 0.5) <= 1e-12
+
+
+# -- the curvature d2p/dmu2, the core name "dpdf" -----------------------------
+
+def _kernel_dpdf(x, k):
+    if isinstance(k, Gaussian):
+        z = x / k.sigma
+        return -z * math.exp(-0.5 * z * z) / (k.sigma ** 2
+                                              * math.sqrt(2.0 * math.pi))
+    return -2.0 * x * k.scale / (math.pi * (k.scale ** 2 + x * x) ** 2)
+
+
+def _logistic_slope(y, kt):
+    """d/dy of the logistic density of scale kt."""
+    e = math.exp(-abs(y) / kt)
+    return -math.copysign(1.0, y) * e * (1.0 - e) / (kt * kt * (1.0 + e) ** 3)
+
+
+def _reference_curvature(d, kt, k):
+    """E_Y[K''(Y - d)] by adaptive quadrature over the narrower variable.
+
+    For a kernel at least kT wide, over Y, of the logistic pdf times the
+    kernel's dpdf. A narrower kernel's dpdf is large and odd, and that
+    integral cancels to about 1e-7 of its peak at w/kT = 1e-9, so it is the
+    same expectation over the kernel instead, -E_U[rho'(d + U)], with rho'
+    the logistic density's slope.
+    """
+    w = k.width
+    tight = dict(epsabs=1e-14 / max(kt, w) ** 2, epsrel=1e-13, limit=2000)
+    if w >= kt:
+        lo, hi = -45.0 * kt, 45.0 * kt
+        near = [d + s * w * 10.0 ** j for s in (-1, 1) for j in range(-1, 7)]
+        pts = sorted({min(max(p, lo), hi) for p in [0.0, d] + near}
+                     - {lo, hi})
+        return quad(lambda y: _kernel_dpdf(y - d, k) * _logistic(y, kt),
+                    lo, hi, points=pts, **tight)[0]
+    # breakpoints at the kernel centre, decades of its width about it and
+    # decades of kT about the logistic centre -d; the Lorentzian's tails
+    # run to infinity
+    reach = 40.0 * w if isinstance(k, Gaussian) else math.inf
+    near = ([-d + s * kt * 10.0 ** j for s in (-1, 1) for j in range(-1, 3)]
+            + [s * w * 10.0 ** j for s in (-1, 1) for j in range(13)])
+    pts = sorted({p for p in near + [-d] if -reach < p < reach} | {0.0})
+    edges = [-reach] + pts + [reach]
+
+    def f(u):
+        return -_kernel_pdf(u, k) * _logistic_slope(d + u, kt)
+    return sum(quad(f, a, b, **tight)[0] for a, b in zip(edges, edges[1:]))
+
+
+def _curvature_leads():
+    """(kT, kernel) over 12 decades of both, Gaussian and Lorentzian by
+    turns."""
+    rng = np.random.default_rng(7)
+    leads = []
+    for i in range(40):
+        kt, w = 10.0 ** rng.uniform(-6, 6, 2)
+        leads.append((kt, (Gaussian(w), Lorentzian(w))[i % 2]))
+    return leads
+
+
+class TestCurvature:
+    """+d2p_i/dmu2 of one lead, the core name "dpdf", at offsets 0 to 4
+    scales from it, within 1e-10 of its largest reference value."""
+
+    OFFSETS = np.array([0.0, 0.1, -0.3, 1.0, -2.0, 4.0])
+
+    @pytest.mark.parametrize("kt, kernel", _curvature_leads())
+    def test_twelve_decades(self, kt, kernel):
+        ds = self.OFFSETS * max(kt, kernel.width)
+        (got,) = _lead_values(ds, kt, kernel, ("dpdf",))
+        want = np.array([_reference_curvature(d, kt, kernel) for d in ds])
+        assert np.max(np.abs(got - want)) <= TOL * np.max(np.abs(want))
+
+    def test_sharp_lorentzian_at_the_end_of_the_window(self):
+        # a kernel a millionth of kT wide centred on |s| = 40: taken
+        # straight, half of its odd derivative falls beyond the window and
+        # the rest is 13% off; by parts it is within the e^-40 cut
+        kernel = Lorentzian(1e-6)
+        ds = np.array([40.0 - 1e-6, 40.0, 40.0 + 3e-6, -40.0])
+        (got,) = _lead_values(ds, 1.0, kernel, ("dpdf",))
+        want = [_reference_curvature(d, 1.0, kernel) for d in ds]
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("kernel", [Gaussian(0.8), Lorentzian(0.8),
+                                        Gaussian(1e-4), Lorentzian(40.0)])
+    def test_zero_temperature_leads(self, kernel):
+        # p_i = K(-d), so d2p_i/dmu2 = K''(-d); without a kernel, 0
+        ds = np.array([-3.0, -0.5, 0.0, 1e-5, 0.7, 6.0]) * kernel.width
+        (got,) = _lead_values(ds, 0.0, kernel, ("dpdf",))
+        want = [_kernel_dpdf(-d, kernel) for d in ds]
+        np.testing.assert_allclose(got, want, rtol=TOL, atol=0.0)
+        (atom,) = _lead_values(ds, 0.0, Delta(), ("dpdf",))
+        assert not np.any(atom)
+
+    @pytest.mark.parametrize("kt", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_delta_kernel(self, kt):
+        # the Fermi function's second derivative, -rho'(d)
+        ds = np.array([-50.0, -3.0, -0.2, 0.0, 1e-9, 0.5, 2.0, 35.0]) * kt
+        (got,) = _lead_values(ds, kt, Delta(), ("dpdf",))
+        want = [-_logistic_slope(d, kt) for d in ds]
+        np.testing.assert_allclose(got, want, rtol=TOL, atol=0.0)
+
+    def test_device_sums_its_leads(self):
+        # a T = 0 source and a warm drain, through _combined
+        sys_ = make_system(0.0, 0.7, 5.0, 0.45, Lorentzian(0.8))
+        mus = np.array([-2.0, 0.3, 2.5, 5.2, 8.0])
+        (got,) = _combined(mus, sys_, ("dpdf",))
+        want = [0.45 * _kernel_dpdf(5.0 - mu, sys_.kernel)
+                + 0.55 * _reference_curvature(mu, 0.7, sys_.kernel)
+                for mu in mus]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=TOL)
+
+
+class TestWideGaussianTail:
+    """Far above a lead under a Gaussian of sigma >= 2 kT, p is carried by
+    the logistic tail beyond the thermal rule's window |s| <= 40, once
+    d - sigma^2/kT exceeds about 40 kT. Gaussian(3), kT = 1 on both leads at
+    mu = 0: p, -dp/dmu and d2p/dmu2 against 40-digit mpmath (the logistic
+    density times the kernel's cdf, pdf and dpdf, over 0.5-wide intervals
+    on |y| <= 250 and the two infinite tails)."""
+
+    SYS = make_system(1.0, 1.0, 0.0, 0.5, Gaussian(3.0))
+
+    @pytest.mark.parametrize("mu, expected", [
+        (40.0, (3.8242466280852847036e-16, 3.8242466280734340556e-16,
+                3.8242466280497327601e-16)),
+        (50.0, (1.7362052831002944812e-20, 1.7362052831002942369e-20,
+                1.7362052831002937484e-20)),
+        (60.0, (7.8823597906008507933e-25, 7.8823597906008507932e-25,
+                7.8823597906008507931e-25)),
+        (120.0, (6.902196834184516544e-51, 6.902196834184516544e-51,
+                 6.902196834184516544e-51)),
+        # below the lead p is 1 to rounding; -dp/dmu and d2p/dmu2 mirror
+        (-60.0, (1.0, 7.8823597906008507932e-25,
+                 -7.8823597906008507931e-25)),
+    ])
+    def test_matches_mpmath(self, mu, expected):
+        # at the parent's cut, p was 3.80e-16, 4.59e-21, 4.13e-29 and
+        # 3.08e-175 at mu = 40, 50, 60 and 120
+        assert occupation(mu, self.SYS) == pytest.approx(
+            expected[0], rel=TOL, abs=0.0)
+        got = _combined(mu, self.SYS, ("cdf", "pdf", "dpdf"))
+        for value, want in zip(got, expected):
+            assert value == pytest.approx(want, rel=TOL, abs=0.0)
+
+    def test_between_two_leads_far_apart(self):
+        # leads at 0 and 200: at 100 the pdf is pdf_i(100) of one lead
+        # (40-digit mpmath as above); the parent's was 1.4e-106
+        sys_ = make_system(1.0, 1.0, 200.0, 0.5, Gaussian(3.0))
+        p, dens = _combined(100.0, sys_, ("cdf", "pdf"))
+        assert p == pytest.approx(0.5, rel=1e-15, abs=0.0)
+        assert dens == pytest.approx(3.3487056758139667943e-42, rel=TOL,
+                                     abs=0.0)
+
+    def test_only_far_rows_take_the_tail(self, monkeypatch):
+        # the tail is at most e^-40 = 4e-18, below the rounding of p above
+        # about 0.02: levels there compute no special function, also where
+        # d2p/dmu2 crosses zero at mu_1/2 = 0
+        import scipy.special
+        rows = []
+        log_ndtr = scipy.special.log_ndtr
+
+        def counted(x):
+            rows.append(np.size(x))
+            return log_ndtr(x)
+        monkeypatch.setattr(scipy.special, "log_ndtr", counted)
+        occupation(np.linspace(-2.0, 2.0, 9), self.SYS)
+        _combined(np.linspace(-2.0, 2.0, 9), self.SYS, ("cdf", "pdf", "dpdf"))
+        _combined(0.0, self.SYS, ("cdf", "pdf", "dpdf"))
+        assert rows == []
+        occupation(np.array([-1.0, 0.0, 40.0, 60.0]), self.SYS)
+        assert rows == [2, 2]  # the two far levels, once for each lead

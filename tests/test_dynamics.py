@@ -166,13 +166,13 @@ class TestExactRamps:
         # samples, each atom twice and one pass of midpoints, none split again
         sys_ = make_system(0.0, 0.0, 1.0, 0.3)
         seg = Segment(-0.5, 1.6, 3.0)
-        u, q, m = _ramp_table(sys_, seg, np.linspace(0.0, 1.0, 201))
+        u, q, m, a = _ramp_table(sys_, seg, np.linspace(0.0, 1.0, 201))
         assert u.size == 205 + 202
         assert np.all(np.diff(u) >= 0.0)
         at = np.flatnonzero(np.diff(u) == 0.0)
         assert u[at] == pytest.approx([0.5 / 2.1, 1.5 / 2.1], abs=1e-15)
         assert list(q[at]) == [1.0, 0.3] and list(q[at + 1]) == [0.3, 0.0]
-        assert not np.any(m)
+        assert not np.any(m) and not np.any(a)
 
     def test_decoupled_cold_lead_adds_no_nodes(self):
         # rates (0, 1): the source carries no weight, so its atom at 2.01,
@@ -196,7 +196,7 @@ class TestExactRamps:
             traj.t, 0.7, -0.5, 0.9, [(-0.5, 1.0), (0.0, 0.0)])
         assert np.max(np.abs(traj.p - p)) < 1e-12
         assert np.max(np.abs(traj.work - work)) < 1e-12
-        u, q, _ = _ramp_table(sys_, seg, np.linspace(0.0, 1.0, 201))
+        u, q, _, _ = _ramp_table(sys_, seg, np.linspace(0.0, 1.0, 201))
         at = np.flatnonzero(u == 0.5 / 2.1)
         assert list(q[at]) == [1.0, 0.0]
 
@@ -218,6 +218,30 @@ class TestExactRamps:
         for table in rest:
             for row, first_row in zip(table, first):
                 assert np.array_equal(row, first_row)
+
+    @pytest.mark.parametrize("target", ["zero", "one"])
+    @pytest.mark.parametrize("kernel", [Delta(), Gaussian(1.0), Gaussian(3.0),
+                                        Lorentzian(0.5)])
+    def test_table_meets_its_tolerance_between_nodes(self, kernel, target):
+        # the quintic Hermite of each step, written out here, against p_ss
+        # at the step's quarter points: within twice the midpoint tolerance
+        sys_ = make_system(1.0, 0.7, 4.0, 0.4, kernel)
+        seg = make_erasure_schedule(sys_, target, 5.0).segments[0]
+        u, q, m, a = _ramp_table(sys_, seg, np.linspace(0.0, 1.0, 201))
+        k = np.flatnonzero(np.diff(u) > 0.0)
+        h = u[k + 1] - u[k]
+        c0, c1, c2 = q[k], h * m[k], 0.5 * h * h * a[k]
+        Q = q[k + 1] - c0 - c1 - c2
+        D = h * m[k + 1] - c1 - 2.0 * c2
+        S = h * h * a[k + 1] - 2.0 * c2
+        c = (c0, c1, c2, 10.0 * Q - 4.0 * D + 0.5 * S,
+             -15.0 * Q + 7.0 * D - S, 6.0 * Q - 3.0 * D + 0.5 * S)
+        for s in (0.25, 0.75):
+            p = occupation(seg.mu_start
+                           + (seg.mu_end - seg.mu_start) * (u[k] + s * h),
+                           sys_)
+            quintic = sum(cj * s ** j for j, cj in enumerate(c))
+            assert np.max(np.abs(quintic - p)) <= 2.0 * dynamics._TABLE_TOL
 
     @pytest.mark.parametrize("tau_gamma", [0.5, 5.0])
     def test_matches_tight_dop853(self, tau_gamma):
@@ -280,33 +304,122 @@ class TestExactRamps:
 
 
 class TestPhi:
-    # phi_1 ... phi_5 at -x, computed by mpmath at 60 digits: the series
-    # sum_n z^n/(n+k)! (80 terms) up to x = 2, the closed form
-    # (e^z - sum_{n<k} z^n/n!)/z^k beyond, each rounded to a double.
-    @pytest.mark.parametrize("x, expected", [
+    # phi_1 ... phi_7 at -x, computed by mpmath at 60 digits: the series
+    # sum_n z^n/(n+k)! summed to convergence up to x = 10, the closed form
+    # (e^z - sum_{n<k} z^n/n!)/z^k beyond, each rounded to a double. phi_k
+    # switches from the series to the closed form's recurrence at x = k,
+    # so each switch is taken from both sides.
+    CASES = [
         (0.0, (1.0, 0.5, 0.16666666666666666, 0.041666666666666664,
-               0.008333333333333333)),
+               0.008333333333333333, 0.001388888888888889,
+               0.0001984126984126984)),
         (1e-300, (1.0, 0.5, 0.16666666666666666, 0.041666666666666664,
-                  0.008333333333333333)),
+                  0.008333333333333333, 0.001388888888888889,
+                  0.0001984126984126984)),
+        (0.999, (0.6323848802666037, 0.36798310283623253, 0.13214904620997742,
+                 0.034552172629318555, 0.00712161565300111,
+                 0.0012129306109431666, 0.00017613441235808037)),
         (1.0, (0.6321205588285577, 0.36787944117144233, 0.13212055882855767,
-               0.03454610783810899, 0.007120558828557678)),
+               0.03454610783810899, 0.007120558828557678,
+               0.0012127745047756549, 0.00017611438411323395)),
         (1.999, (0.4324808973436456, 0.2839015020792168, 0.10810330061069694,
-                 0.029296331193581653, 0.006188261867476246)),
+                 0.029296331193581653, 0.006188261867476246,
+                 0.0010730722690630754, 0.00015798730356468907)),
         (2.0, (0.43233235838169365, 0.28383382080915315, 0.10808308959542341,
-               0.029291788535621626, 0.00618743906552252)),
+               0.029291788535621626, 0.00618743906552252,
+               0.0010729471339054066, 0.00015797087749174111)),
+        (2.999, (0.31682664877023475, 0.22780038387121215,
+                 0.09076345986288357, 0.025309505436406497,
+                 0.005454205145135101, 0.0009600294058680333,
+                 0.0001430008279496017)),
+        (3.0, (0.3167376438773787, 0.22775411870754045, 0.09074862709748652,
+               0.025306013189726716, 0.005453551158979984,
+               0.0009599273914511165, 0.00014298716581259078)),
+        (3.999, (0.24547787854751293, 0.18867769978806878, 0.0778500375623734,
+                 0.02220970970349919, 0.004865455604693042,
+                 0.0008671862287172521, 0.00013045827961281239)),
+        (4.0, (0.24542109027781644, 0.1886447274305459, 0.07783881814236353,
+               0.022206962131075786, 0.0048649261338977205,
+               0.0008671017998589032, 0.0001304467722574964)),
+        (4.999, (0.1986908004968631, 0.16029389868036345, 0.06795481122617254,
+                 0.01974632035216926, 0.004384946252149912,
+                 0.000789835383313347, 0.00011983466804871813)),
+        (5.0, (0.1986524106001829, 0.1602695178799634, 0.06794609642400731,
+               0.01974411404853187, 0.004384510523626959,
+               0.0007897645619412749, 0.00011982486538952281)),
+        (5.999, (0.16628084144546887, 0.1389763558183916, 0.06018063746984638,
+                 0.017750629971131904, 0.003986670561015963,
+                 0.000724564556145586, 0.00011073917865365944)),
+        (6.0, (0.16625354130388895, 0.13895774311601852, 0.060173709480663584,
+               0.01774882619766718, 0.003986306744833247,
+               0.000724504431416681, 0.00011073074291203466)),
+        (6.999, (0.14274713611892942, 0.12248219229619527,
+                 0.053938820932105266, 0.016106278859060068,
+                 0.003652005687613459, 0.0006688566431947242,
+                 0.0001028764460200264)),
+        (7.0, (0.1427268740049208, 0.12246758942786846, 0.05393320151030451,
+               0.016104780736623164, 0.0036516979900062143,
+               0.0006688050490467313, 0.00010286911997745109)),
         (50.0, (0.02, 0.0196, 0.009608, 0.0031411733333333333,
-                0.0007705098666666667)),
+                0.0007705098666666667, 0.00015125646933333332,
+                2.4752648391111113e-05)),
         (1e17, (1e-17, 9.999999999999999e-18, 4.9999999999999996e-18,
-                1.6666666666666667e-18, 4.1666666666666666e-19)),
+                1.6666666666666667e-18, 4.1666666666666666e-19,
+                8.333333333333332e-20, 1.3888888888888888e-20)),
         (1e300, (1e-300, 1e-300, 5e-301, 1.6666666666666665e-301,
-                 4.166666666666666e-302)),
-    ])
+                 4.166666666666666e-302, 8.333333333333333e-303,
+                 1.3888888888888889e-303)),
+    ]
+
+    @pytest.mark.parametrize("x, expected", CASES)
     def test_matches_reference_without_overflow(self, x, expected):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _phi(np.array([x]))
+        assert len(got) == 7
         for k, want in enumerate(expected):
             assert got[k][0] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_one_call_over_every_case(self):
+        # the series runs to as many terms as the largest x below 7 needs:
+        # all cases in one call take the longest series
+        xs = np.array([x for x, _ in self.CASES])
+        got = _phi(xs)
+        for i, (_, expected) in enumerate(self.CASES):
+            for k, want in enumerate(expected):
+                assert got[k][i] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+class TestRelax:
+    @staticmethod
+    def _block_loop(p0, X, g):
+        """The recurrence one block per pass: a block spans the steps over
+        which X grows by at most 500, or a single longer step."""
+        p = np.empty(X.size)
+        p[0] = p0
+        lo = 0
+        while lo < g.size:
+            hi = max(lo + 1,
+                     int(np.searchsorted(X, X[lo] + 500.0, "right")) - 1)
+            scale = np.exp(X[lo + 1:hi + 1] - X[hi])
+            p[lo + 1:hi + 1] = (np.cumsum(g[lo:hi] * scale)
+                                + p[lo] * math.exp(X[lo] - X[hi])) / scale
+            lo = hi
+        return p
+
+    def test_runs_of_lost_steps_match_the_block_loop_bit_for_bit(self):
+        # steps of 1e-3 to 1e20 in one exponent, in runs: short steps that
+        # share a block, lone steps of 500 to 746 and runs of longer ones,
+        # where e^-x is exactly 0
+        rng = np.random.default_rng(3)
+        steps = np.concatenate([rng.choice(
+            [1e-3, 0.7, 30.0, 600.0, 745.0, 746.5, 2e3, 1e20], size=40)
+            for _ in range(30)])
+        X = np.concatenate(([0.0], np.cumsum(steps)))
+        g = rng.uniform(0.0, 1.0, steps.size) * rng.choice([0.0, 1.0],
+                                                           steps.size)
+        got = dynamics._relax(0.3, X, g)
+        assert got.tobytes() == self._block_loop(0.3, X, g).tobytes()
 
 
 class TestErasureSchedules:
@@ -449,10 +562,11 @@ class TestRampWorkCount:
     """Kernel evaluations of a Gaussian ramp's table: deterministic, so a
     regression in the node count shows without timing it."""
 
-    # kT = sigma = 1: integrated over the thermal variable, each table row
-    # took 460 kernel-cdf nodes (400 uniform and 60 graded) and the ramp
-    # 2614 x 460 = 1,202,440 of them
-    THERMAL_ORDER_EVALUATIONS = 1_202_440
+    # kT = sigma = 1, integrated over the kernel's variable: 180 nodes a
+    # table row (120 uniform and 60 graded), and 832 rows, two leads at
+    # each of the quintic table's 416 nodes. Over the thermal variable a
+    # row took 460 nodes; the cubic table had 2614 rows, 470,520 nodes
+    KERNEL_ORDER_EVALUATIONS = 149_760
 
     def test_gaussian_ramp_table_integrates_over_the_kernel(self,
                                                             monkeypatch):
@@ -471,6 +585,9 @@ class TestRampWorkCount:
             def pdf(self, x):
                 return self.inner.pdf(x)
 
+            def dpdf(self, x):
+                return self.inner.dpdf(x)
+
         block = dot_model._lead_block
 
         def counted_block(d, scale, outer, inner, names):
@@ -483,5 +600,5 @@ class TestRampWorkCount:
         monkeypatch.setattr(dot_model, "_lead_block", counted_block)
         traj = simulate(sys_, sched, 0.05)
         assert math.isfinite(traj.total_work)
-        assert 0 < tally["cdf"] <= 0.5 * self.THERMAL_ORDER_EVALUATIONS
+        assert 0 < tally["cdf"] <= self.KERNEL_ORDER_EVALUATIONS
         assert max(tally["levels"]) <= 3
