@@ -20,13 +20,15 @@ and -dp_i/dmu = E_U[F'(U - d)]: each one exp per node, where the kernel
 cdf would be scipy's ndtr. The sum runs over u = U/sigma on fixed 10-node
 Gauss-Legendre panels of width 2 covering |u| <= 12. Every other lead (a
 wider Gaussian, any Lorentzian) integrates over s = Y/kT on the same panels
-covering |s| <= 40 (the logistic mass beyond is 4e-18; far above a lead
-under a wide Gaussian, where p_i is carried beyond it, that tail is added
-in closed form). When the inner distribution is narrower than 2 outer
-scales its transition is sharper than a panel, so the three panels about
-its centre are replaced by panels graded geometrically down to its width,
-on which "dpdf" is taken by parts: at most 3 levels for a Gaussian, whose
-inner width is then over half the outer. T = 0 leads (p_i = K(-d/w))
+covering |s| <= 40. The logistic mass beyond is 4e-18, but far above a
+lead under a wide Gaussian p_i is carried beyond it, and near 40 kT above
+a lead under a Lorentzian narrower than 2 kT it can exceed the kernel's
+algebraic tail: there that tail is added in closed form. When the inner
+distribution is narrower than 2 outer scales its transition is sharper
+than a panel, so the three panels about its centre are replaced by panels
+graded geometrically down to its width, on which "dpdf" is taken by parts:
+at most 3 levels for a Gaussian, whose inner width is then over half the
+outer. T = 0 leads (p_i = K(-d/w))
 and the delta kernel (p_i = Fermi function) are closed forms. The per-lead
 core takes and returns arrays only; the public routines take a float level
 or an array of levels, and ``_combined`` is the one place where a float
@@ -306,69 +308,66 @@ def _lead_values(d: np.ndarray, kt: float, kernel: BroadeningKernel,
 
 
 _TAIL_MASS = math.exp(-_WINDOW)  # the logistic mass beyond the window
-# a total below this (times sigma^j for the j-th derivative) may take a tail
+# a total below this (times w^j for the j-th derivative) may take a tail
 # above its rounding
 _TAIL_REACH = _TAIL_MASS / np.finfo(float).eps
 _DERIVATIVE = {"cdf": 0, "pdf": 1, "dpdf": 2}
-_SQRT2 = math.sqrt(2.0)
-_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
 
 def _add_window_tails(totals: list, flat: np.ndarray, sys: DotSystem,
                       names: tuple[str, ...]) -> None:
-    """Add to the rate-weighted totals what the window cuts of each Gaussian
-    lead integrated over s = Y/kT, on the levels where it may exceed the
+    """Add to the rate-weighted totals what the window cuts of each lead
+    integrated over s = Y/kT, on the levels where it may exceed the
     rounding of a total.
 
-    Far above the lead, p_i carries e^(-s) Phi(a s - b) (a = kT/sigma,
-    b = d/sigma), which peaks at s = (d - sigma^2/kT)/kT, beyond the window
-    once that exceeds 40. Over s > 40 it integrates to e^(-40) Phi(40a - b)
-    + E, E = exp(-d/kT + sigma^2/(2 kT^2) + ln Phi(b - 40a - 1/a)); -d/dd
-    of that is E/kT, and the next derivative (E/kT - e^(-40) K'(40 kT -
-    d))/kT. Below the lead the pdf and its derivative take the mirror
-    image, and p is 1 to rounding. The tail is at most e^(-40)/sigma^j in
-    the j-th name, below the rounding of a total above e^(-40)/eps/sigma^j.
-    d2p/dmu2 crosses zero where p inflects, as at mu_1/2, but its rounding
-    is that of -dp/dmu over sigma, so it follows the pdf's gate when both
-    are requested. A level takes the tail only where p is below 0.019 or
-    -dp/dmu below 0.019/sigma: far from every lead, or between two leads
-    far apart, the only place where mu_1/2 takes it.
+    Above the lead (d > 0) the cut is the integral of e^(-s) K(kT s - d)
+    over s > 40, by parts e^(-40) (K(a) + M(a)), a = 40 kT - d and M the
+    kernel's ``tail_moment``. -d/dd of that is e^(-40) M/kT, and the next
+    derivative e^(-40) (M/kT - K'(a))/kT where the block takes "dpdf"
+    straight (a Gaussian lead). A graded block (a Lorentzian lead) takes it
+    by parts, of the logistic slope, whose cut is e^(-40) M/kT^2 alone: the
+    edge term is in the window's sum already. Below the lead the pdf and its
+    derivative take the mirror image, and p is 1 to rounding. The tail is
+    at most about e^(-40)/w^j in the j-th name, below the rounding of a
+    total above e^(-40)/eps/w^j. d2p/dmu2 crosses zero where p inflects, as
+    at mu_1/2, but its rounding is that of -dp/dmu over w, so it follows
+    the pdf's gate when both are requested.
     """
-    sigma = sys.kernel.width
-    # a narrower Gaussian's lead is taken over U, a T = 0 lead in closed form
-    leads = [(gamma, lead.chemical_potential, lead.thermal_energy)
-             for gamma, lead in sys.coupled
-             if 0.0 < 2.0 * lead.thermal_energy <= sigma]
+    kernel = sys.kernel
+    w = kernel.width
+    mean = math.isfinite(kernel.mad)
+    # it matters under a Gaussian of sigma >= 2 kT, whose e^(sigma^2/2kT^2)
+    # carries p beyond the window once d - sigma^2/kT exceeds about 40 kT,
+    # and under a kernel without a mean narrower than 2 kT, whose algebraic
+    # tail near d = 40 kT can be below the e^(-40) of the Fermi part; a
+    # narrower Gaussian's lead is taken over U, a T = 0 lead in closed form
+    leads = [(gamma * _TAIL_MASS, lead.chemical_potential, lead.thermal_energy)
+             for gamma, lead in sys.coupled if 0.0 < 2.0 * lead.thermal_energy
+             and (2.0 * lead.thermal_energy <= w if mean
+                  else w < 2.0 * lead.thermal_energy)]
     if not leads:
         return
     rows = False
     for n, t in zip(names, totals):
         if n != "dpdf" or "pdf" not in names:
-            rows = rows | (np.abs(t) < _TAIL_REACH / sigma ** _DERIVATIVE[n])
+            rows = rows | (np.abs(t) < _TAIL_REACH / w ** _DERIVATIVE[n])
     if not np.count_nonzero(rows):
         return
-    from scipy.special import erfcx, log_ndtr, ndtr
-    for gamma, mu_i, kt in leads:
+    for mass, mu_i, kt in leads:
         d = flat[rows] - mu_i
-        dist = np.abs(d)
-        edge = _TAIL_MASS * sys.kernel.pdf(_WINDOW * kt - dist)
-        x = (dist - _WINDOW * kt) / sigma - sigma / kt
-        # E by its log where x >= 0, else as e^(-40) K'(40 kT - d) sigma
-        # times Phi(x)/phi(x): the two terms of the log cancel there
-        e = np.where(x >= 0.0, np.exp(np.minimum(
-            -dist / kt + 0.5 * (sigma / kt) ** 2 + log_ndtr(x), 0.0)),
-            edge * sigma * _SQRT_HALF_PI * erfcx(np.maximum(-x, 0.0) / _SQRT2))
+        a = _WINDOW * kt - np.abs(d)
+        m = mass * kernel.tail_moment(a, kt)
+        edge = mass * kernel.pdf(a) if mean and "dpdf" in names else 0.0
         for n, t in zip(names, totals):
-            t[rows] += gamma * (
-                np.where(d > 0.0, _TAIL_MASS * ndtr(
-                    (_WINDOW * kt - dist) / sigma) + e, 0.0) if n == "cdf"
-                else e / kt if n == "pdf"
-                else np.sign(d) * (e / kt - edge) / kt)
+            t[rows] += (
+                np.where(d > 0.0, mass * kernel.cdf(a) + m, 0.0)
+                if n == "cdf" else m / kt if n == "pdf"
+                else np.sign(d) * (m / kt - edge) / kt)
 
 
 def _combined(mu, sys: DotSystem, names: tuple[str, ...]) -> list:
     """Rate-weighted sums over the leads of _lead_values, with the tails
-    that wide Gaussian leads' windows cut (_add_window_tails).
+    that the thermal rule's window cuts (_add_window_tails).
 
     A float level is evaluated as a one-element array and returned as a
     float; an array of levels gives arrays of its shape. A NaN or infinite
@@ -386,7 +385,7 @@ def _combined(mu, sys: DotSystem, names: tuple[str, ...]) -> list:
         for i, v in enumerate(_lead_values(d, lead.thermal_energy, sys.kernel,
                                            names)):
             totals[i] = totals[i] + gamma * v
-    if sys.kernel.width and math.isfinite(sys.kernel.mad):
+    if sys.kernel.width:
         _add_window_tails(totals, flat, sys, names)
     if scalar:
         return [float(t[0]) for t in totals]

@@ -22,14 +22,15 @@ every level mu_eta, one call of the solver of mu_1/2,
 step, and the occupations just above them are read in one more array call.
 The raise work, the integral of p over [mu_1/2, mu_eta], is per lead
 ``_window_integral``, the one integral of a lead's p over a window, for
-every kernel. With a finite mean it is built from the closed forms of W0:
-the Fermi integral over the window plus the broadening excess at either
-end. No quadrature runs over mu, where an adaptive rule misses the sharp
-step of a lead whose kT is far below the window. The Lorentzian, whose
-broadening excess diverges, takes it from the antiderivative A of its cdf:
-lead i contributes E_Y[A(Y - (mu_1/2 - mu_i)) - A(Y - (mu_eta - mu_i))], Y
-logistic of scale kT_i, one adaptive integral over s = Y/kT_i on [-40, 40]
-(the closed form at T = 0) whose integrand is a few ``math`` calls.
+every kernel, which mirrors a lead above the window. With a finite mean
+it is built from the closed forms of W0: the Fermi integral over the
+window plus the broadening excess at either end. No quadrature runs over
+mu, where an adaptive rule misses the sharp step of a lead whose kT is far
+below the window. The Lorentzian, whose broadening excess diverges, takes
+it from the antiderivative A of its cdf: lead i contributes E_Y[A(Y -
+(mu_1/2 - mu_i)) - A(Y - (mu_eta - mu_i))], Y logistic of scale kT_i, one
+adaptive integral over s = Y/kT_i on [-40, 40] (the closed form at T = 0)
+whose integrand is a few ``math`` calls.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import numpy as np
 from .dot_model import (_NORMAL_RULE, _WINDOW, DotSystem, _broadening_excess,
                         _lead_block, _Thermal, dominant_scale,
                         half_occupation_level, occupation, occupation_levels)
-from .leads import fermi_integral, softplus_ramp
 from .numerics import integrate
 
 
@@ -84,6 +84,19 @@ class BoundReport:
     satisfied: bool
     margin_lower: float
     margin_upper: float
+
+
+def softplus_ramp(d: float, kt: float) -> float:
+    """kT*log(1 + e^(d/kT)), overflow-safe; the ramp max(d, 0) at T = 0.
+
+    With d = mu_lead - level it is the integral of the lead's occupation f
+    over [level, inf); with d = level - mu_lead, that of 1 - f over
+    (-inf, level].
+    """
+    if kt == 0.0:
+        return max(d, 0.0)
+    z = d / kt
+    return kt * (max(z, 0.0) + math.log1p(math.exp(-abs(z))))
 
 
 def energy_scales(sys: DotSystem) -> EnergyScales:
@@ -158,20 +171,28 @@ def _window_integral(mu_lead: float, kt: float, lo: float, hi: float,
                      kernel) -> float:
     """integral of one lead's occupation over [lo, hi], lo <= hi.
 
-    For a kernel with a mean, the closed forms of W0: the Fermi integral
-    over the window plus the broadening excess at lo less that at hi.
-    Otherwise (the Lorentzian) by the kernel's antiderivative A:
-    E_Y[A(Y - (lo - mu_lead)) - A(Y - (hi - mu_lead))]. A lead above the
-    window is then mirrored, as in ``leads.fermi_integral``: the window
-    width less the integral of the mirrored lead's occupation.
+    A lead above the window is mirrored: the window width less the integral
+    of the mirrored lead's occupation. For a kernel with a mean, the closed
+    forms of W0: the Fermi integral plus the broadening excess (even in its
+    offset) at lo less that at hi. The Fermi integral, a difference of two
+    softplus ramps that cancels for a window narrow next to kT, is
+    kT*log1p(f(hi)*expm1(width/kT)) below 700 kT, where expm1 cannot
+    overflow. Otherwise (the Lorentzian) by the kernel's antiderivative A:
+    E_Y[A(Y - (lo - mu_lead)) - A(Y - (hi - mu_lead))].
     """
-    if math.isfinite(kernel.mad):
-        return (fermi_integral(mu_lead, lo, hi, kt)
-                + _broadening_excess(mu_lead - lo, kt, kernel)
-                - _broadening_excess(mu_lead - hi, kt, kernel))
     if mu_lead > hi:
         return (hi - lo) - _window_integral(-mu_lead, kt, -hi, -lo, kernel)
     c_lo, c_hi, width = lo - mu_lead, hi - mu_lead, hi - lo
+    if math.isfinite(kernel.mad):
+        if kt == 0.0:
+            fermi = max(-c_lo, 0.0)
+        elif width / kt < 700.0:
+            e = math.exp(-c_hi / kt)
+            fermi = kt * math.log1p(e / (1.0 + e) * math.expm1(width / kt))
+        else:
+            fermi = softplus_ramp(-c_lo, kt) - softplus_ramp(-c_hi, kt)
+        return (fermi + _broadening_excess(-c_lo, kt, kernel)
+                - _broadening_excess(-c_hi, kt, kernel))
     if kt == 0.0:
         return kernel.cdf_integral(-c_hi, -c_lo, width)
 

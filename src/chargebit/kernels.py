@@ -15,13 +15,16 @@ The scalar methods of adaptive integrands are the Gaussian's
 ``partial_expectation``, for the W0/W1 broadening excess (0 without a
 kernel and infinite without a mean, as read from the data), and the
 Lorentzian's ``antiderivative`` with ``cdf_integral``, its difference over
-a window, for the eta raise work. Code outside this module reads a kernel's
-data, not its type: ``width == 0`` is no broadening and an infinite ``mad``
-is a kernel without a mean.
+a window, for the eta raise work. The Gaussian and the Lorentzian also
+have a numpy ``tail_moment``, E[e^((a - X)/kT); X > a], from which
+``dot_model`` adds the logistic tail that its thermal rule's window cuts.
+Code outside this module reads a kernel's data, not its type: ``width ==
+0`` is no broadening and an infinite ``mad`` is a kernel without a mean.
 
-The Gaussian ``cdf`` imports ``scipy.special.ndtr`` on its first call, not
-at module level: scipy.special takes about 0.2 s to import, and a run with
-the Delta or Lorentzian kernel never needs it. After the first call the
+The Gaussian ``cdf`` imports ``scipy.special.ndtr`` on its first call, and
+its ``tail_moment`` ``erfcx`` and ``log_ndtr``, not at module level:
+scipy.special takes about 0.2 s to import, and a run with the Delta or
+Lorentzian kernel never needs it. After the first call the
 import is a ``sys.modules`` lookup. ``dot_model`` reaches it only for a lead
 with sigma >= 2 kT and for a T = 0 lead: a warmer lead integrates over the
 Gaussian instead, of the thermal cdf, and never evaluates ``ndtr``.
@@ -91,6 +94,18 @@ class Gaussian:
         return self.sigma * (math.exp(-0.5 * z * z) / _SQRT2PI
                              - 0.5 * z * math.erfc(z / _SQRT2))
 
+    def tail_moment(self, a, kt: float):
+        """E[e^((a - X)/kT); X > a] = e^(a/kT + r^2/2) Phi(x), r = sigma/kT,
+        x = -a/sigma - r: by its log where x >= 0, else as sqrt(pi/2) sigma
+        pdf(a) erfcx(-x/sqrt2), where the two terms of the log cancel. Each
+        branch is capped where the other is taken, so neither overflows."""
+        from scipy.special import erfcx, log_ndtr
+        r = self.sigma / kt
+        x = -a / self.sigma - r
+        return np.where(x >= 0.0, np.exp(np.minimum(
+            a / kt + 0.5 * r * r + log_ndtr(x), 0.0)), 0.5 * _SQRT2PI
+            * self.sigma * self.pdf(a) * erfcx(np.maximum(-x, 0.0) / _SQRT2))
+
 
 @dataclass(frozen=True)
 class Lorentzian:
@@ -130,6 +145,13 @@ class Lorentzian:
         log_hypot = (0.5 * math.log1p(u * u) if abs(u) < 1.0
                      else math.log(math.hypot(1.0, u)))
         return (x * math.atan2(1.0, -u) - self.scale * log_hypot) / math.pi
+
+    def tail_moment(self, a, kt: float):
+        """E[e^((a - X)/kT); X > a] for a kernel narrower than 2 kT, as
+        e^(min(a, 0)/kT) K(-a), the exponential taken at X = max(a, 0). It
+        misplaces only the kernel's mass beyond about kT, a fraction near
+        w/kT, so the window tail it gives is within about e^(-40) of p."""
+        return np.exp(np.minimum(a, 0.0) / kt) * self.cdf(-a)
 
     def cdf_integral(self, x0: float, x1: float, width: float) -> float:
         """A(x1) - A(x0), the integral of the cdf over [x0, x1].

@@ -401,3 +401,97 @@ class TestWideGaussianTail:
         assert rows == []
         occupation(np.array([-1.0, 0.0, 40.0, 60.0]), self.SYS)
         assert rows == [2, 2]  # the two far levels, once for each lead
+
+
+class TestNarrowLorentzianTail:
+    """Under a Lorentzian narrower than 2 kT, p near d = 40 kT above a lead
+    is the kernel's algebraic tail, about w/(pi d), plus the Fermi part
+    e^(-d/kT), and the thermal rule's window |s| <= 40 cuts the e^(-40) of
+    the latter. kT = 1 on both leads at mu = 0: p, -dp/dmu and d2p/dmu2 at
+    mu = 30, 39, 40, 40 + 3e-6, 41, 45 and 60 against 50-digit mpmath (the
+    logistic density times the kernel's cdf and pdf, and d2p/dmu2 as
+    -E_U[rho'(mu + U)] over the kernel, with rho' the logistic slope; over
+    intervals graded by factors of 4 about the kernel's centre down to w,
+    5-wide ones on |y| <= 300, 2-wide ones within 60 of the logistic's
+    centre, and the two infinite tails; 40 digits agreed to 1e-28)."""
+
+    MU = np.array([30.0, 39.0, 40.0, 40.0 + 3e-6, 41.0, 45.0, 60.0])
+
+    @pytest.mark.parametrize("w, expected", [
+        (1.0, [
+            (0.01064571548451735, 0.00035725295926634877,
+             2.4061529469232833e-05),
+            (0.008177797688469103, 0.00021051530037122622,
+             1.0860135340558894e-05),
+            (0.007972575647440722, 0.00020006213631735065,
+             1.005983281796045e-05),
+            (0.007972575047254358, 0.00020006210613785562,
+             1.0059830537232573e-05),
+            (0.007777419839704917, 0.00019037002462560124,
+             9.336409913147808e-06),
+            (0.007083948997773726, 0.00015788622300438868,
+             7.048453581082831e-06),
+            (0.005309537822890273, 8.863860803323365e-05,
+             2.9619723054403055e-06),
+        ]),
+        (0.001, [
+            (1.0649732290141234e-05, 3.5766076519841134e-07,
+             2.4117026618539472e-08),
+            (8.179609409338126e-06, 2.1065587274713472e-07,
+             1.0874711059651195e-08),
+            (7.974253780093616e-06, 2.001890326001739e-07,
+             1.0072654365106533e-08),
+            (7.974253179526564e-06, 2.0018900238221425e-07,
+             1.0072652079509914e-08),
+            (7.77897722630282e-06, 1.9048487140128147e-07,
+             9.347725106149643e-09),
+            (7.0851245633667996e-06, 1.5796510038274152e-07,
+             7.055521964952124e-09),
+            (5.310031678043608e-06, 8.866338953263267e-08,
+             2.9636318583198755e-09),
+        ]),
+        (1e-06, [
+            (1.0649825776814224e-08, 3.5775424826010234e-10,
+             2.4210509327545857e-11),
+            (8.179609422687252e-09, 2.106558844244778e-10,
+             1.0874722610917666e-11),
+            (7.974253786016496e-09, 2.0018903697125727e-10,
+             1.0072658622046343e-11),
+            (7.97425318544943e-09, 2.0018900675328484e-10,
+             1.0072656336436987e-11),
+            (7.778977229422092e-09, 1.904848730775174e-10,
+             9.347726678794514e-12),
+            (7.085124564571315e-09, 1.5796510049025512e-10,
+             7.0555220006224204e-12),
+            (5.310031678537546e-09, 8.866338955742114e-11,
+             2.963631859980137e-12),
+        ]),
+        (1e-12, [
+            (1.0422596188897753e-13, 9.393389036041465e-14,
+             9.360034662146457e-14),
+            (8.191157635312047e-15, 2.222040970492695e-16,
+             2.2422935235709294e-17),
+            (7.978502136023435e-15, 2.0443738697819474e-16,
+             1.432100862898369e-17),
+            (7.978501522711338e-15, 2.044373440151914e-16,
+             1.4320993598343433e-17),
+            (7.780540110048546e-15, 1.920477537039703e-16,
+             1.0910607305247324e-17),
+            (7.085153189728497e-15, 1.5799372564743552e-16,
+             7.084147157802736e-18),
+            (5.310031678546303e-15, 8.866338956617767e-17,
+             2.9636318687366407e-18),
+        ]),
+    ])
+    def test_matches_mpmath(self, w, expected):
+        # without the tail, p was 5.3e-10 low at w = 1e-6, mu = 40, and
+        # 5.3e-4 low at w = 1e-12; a graded block's d2p/dmu2 that took the
+        # edge term K'(a) with the tail was 13% off at w = 1e-6, mu = 40
+        sys_ = make_system(1.0, 1.0, 0.0, 0.5, Lorentzian(w))
+        got = _combined(self.MU, sys_, ("cdf", "pdf", "dpdf"))
+        for g, want, rtol in zip(got, np.array(expected).T,
+                                 (1e-12, 1e-10, 1e-10)):
+            np.testing.assert_allclose(g, want, rtol=rtol, atol=0.0)
+        for mu, want in zip(self.MU, np.array(expected)[:, 0]):
+            assert occupation(float(mu), sys_) == pytest.approx(
+                want, rel=1e-12, abs=0.0)

@@ -275,6 +275,17 @@ class TestOccupationLevel:
         (record,) = caplog.records
         assert f"returning {mu!r}," in record.getMessage()
 
+    def test_bracket_of_adjacent_doubles_evaluates_its_upper_end(self, caplog):
+        # p jumps across 1/2 at the drain's T = 0 atom, 0.65 at 0 and 0.3
+        # just above: the first step stops, and the |p - target| it logs is
+        # read at hi, where no step went
+        sys_ = make_system(0.0, 0.0, 3.0, 0.3)
+        with caplog.at_level(logging.INFO, logger="chargebit"):
+            levels = occupation_levels(sys_, [0.5], [0.0], [5e-324], [0.0])
+        assert levels == [5e-324]
+        (record,) = caplog.records
+        assert record.getMessage().endswith("|p - target| = 0.2")
+
 
 _TWELVE_DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
 

@@ -31,6 +31,10 @@ class TestSegments:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             Segment(**values)
 
+    def test_empty_schedule_rejected(self):
+        with pytest.raises(ValueError, match="at least one segment"):
+            ProtocolSchedule(())
+
     def test_schedule_contiguity(self):
         with pytest.raises(ValueError):
             ProtocolSchedule((Segment(0.0, 1.0, 1.0),

@@ -16,7 +16,8 @@ from scipy.special import ndtr
 
 from chargebit.dot_model import DotSystem, TunnelRates, unbroadened_occupation
 from chargebit.kernels import Delta, Gaussian, Lorentzian
-from chargebit.leads import LeadParams, fermi_integral, softplus_ramp
+from chargebit.erasure import _window_integral, softplus_ramp
+from chargebit.leads import LeadParams
 
 from conftest import decimal_ramp, occupation_density, reference_quad
 
@@ -105,8 +106,9 @@ _SIGNED_DECADES = st.builds(lambda sign, e: sign * 10.0 ** e,
 
 
 class TestFermiIntegral:
-    """The integral of f over a window against the difference of two
-    softplus ramps in 50-digit decimals."""
+    """The integral of f over a window, the window integral without a
+    kernel, against the difference of two softplus ramps in 50-digit
+    decimals."""
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
@@ -120,19 +122,19 @@ class TestFermiIntegral:
             exact = float(decimal_ramp(Decimal(mu) - Decimal(lo), Decimal(kt))
                           - decimal_ramp(Decimal(mu) - Decimal(hi),
                                          Decimal(kt)))
-        got = fermi_integral(mu, lo, hi, kt)
+        got = _window_integral(mu, kt, lo, hi, Delta())
         assert abs(got - exact) <= 1e-14 * exact + 1e-15 * (
             abs(mu) + abs(lo) + abs(hi)), (got, exact)
 
     def test_half_filled_window_is_half_its_width(self):
         # a window centred on the lead: f - 1/2 is odd about mu_lead
-        assert fermi_integral(3.0, 3.0 - 1e-9, 3.0 + 1e-9, 5.0) == (
-            pytest.approx(1e-9, rel=1e-12))
+        got = _window_integral(3.0, 5.0, 3.0 - 1e-9, 3.0 + 1e-9, Delta())
+        assert got == pytest.approx(1e-9, rel=1e-12)
 
     def test_zero_temperature_is_the_occupied_part(self):
-        assert fermi_integral(2.0, 0.5, 3.0, 0.0) == 1.5
-        assert fermi_integral(2.0, 2.5, 3.0, 0.0) == 0.0
-        assert fermi_integral(2.0, -1.0, 1.0, 0.0) == 2.0
+        assert _window_integral(2.0, 0.0, 0.5, 3.0, Delta()) == 1.5
+        assert _window_integral(2.0, 0.0, 2.5, 3.0, Delta()) == 0.0
+        assert _window_integral(2.0, 0.0, -1.0, 1.0, Delta()) == 2.0
 
 
 class TestNonFiniteInputs:

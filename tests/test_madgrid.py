@@ -52,6 +52,21 @@ class TestGridPdf:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             GridPdf(*args)
 
+    @pytest.mark.parametrize("step", [0.0, -0.1])
+    def test_rejects_non_positive_step(self, step):
+        with pytest.raises(ValueError, match="step must be strictly positive"):
+            GridPdf(0.0, step, np.array([1.0]))
+
+    @pytest.mark.parametrize("densities", [[], [[1.0, 1.0]]])
+    def test_rejects_empty_or_2d_densities(self, densities):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            GridPdf(0.0, 0.5, np.array(densities))
+
+    def test_from_samples_rejects_zero_mass(self):
+        # negative samples are clipped to 0, so these carry none
+        with pytest.raises(ValueError, match="samples carry no mass"):
+            GridPdf.from_samples(0.0, 0.5, np.array([0.0, -1.0]))
+
     def test_from_samples_normalises(self):
         pdf = GridPdf.from_samples(0.0, 0.5, np.array([3.0, 1.0]))
         assert pdf.step * pdf.densities.sum() == pytest.approx(1.0)
@@ -251,6 +266,25 @@ class TestLemma2:
         sym = gaussian_pdf(0.0, 0.5, -4, 4, step)
         with pytest.raises(AsymmetricInput):
             verify_lemma2(skew, sym, 0.5)
+
+    def test_grids_of_different_steps_rejected(self):
+        f = gaussian_pdf(0.0, 0.5, -4, 4, GRID_STEP)
+        g = gaussian_pdf(0.0, 0.5, -4, 4, 2.0 * GRID_STEP)
+        with pytest.raises(StepMismatch, match="steps differ"):
+            verify_lemma2(f, g, 0.5)
+
+    def test_misaligned_grids_rejected(self):
+        f = gaussian_pdf(0.0, 0.5, -4, 4, GRID_STEP)
+        g = gaussian_pdf(0.5 * GRID_STEP, 0.5, -4 + 0.5 * GRID_STEP,
+                         4 + 0.5 * GRID_STEP, GRID_STEP)
+        with pytest.raises(StepMismatch, match="not aligned"):
+            verify_lemma2(f, g, 0.5)
+
+    @pytest.mark.parametrize("p_f", [0.0, 1.0, -0.2, 1.5])
+    def test_weight_outside_the_open_unit_interval_rejected(self, p_f):
+        f = gaussian_pdf(0.0, 0.5, -4, 4, GRID_STEP)
+        with pytest.raises(ValueError, match=r"p_f must lie strictly"):
+            verify_lemma2(f, f, p_f)
 
     def test_random_pairs(self, rng):
         for _ in range(60):

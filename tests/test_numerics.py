@@ -63,6 +63,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             NumericsConfig(max_subdivisions=5)
 
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+    def test_non_positive_tolerance_named(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be strictly"):
+            NumericsConfig(**{field: 0.0})
+
     def test_defaults_sane(self):
         cfg = NumericsConfig()
         assert cfg.rel_tol < 1e-6 and cfg.abs_tol < cfg.rel_tol
