@@ -389,7 +389,7 @@ def _combined(mu, sys: DotSystem, names: tuple[str, ...]) -> list:
         _add_window_tails(totals, flat, sys, names)
     if scalar:
         return [float(t[0]) for t in totals]
-    return [np.reshape(t, mu.shape) for t in totals]
+    return [t.reshape(mu.shape) for t in totals]
 
 
 def occupation(mu, sys: DotSystem, _unread=None):
@@ -416,14 +416,14 @@ def occupation_levels(sys: DotSystem, targets, los, his, starts) -> list:
 
     Each bracket has p(lo) >= target >= p(hi). A safeguarded Newton
     iteration per target from starts[k], with -dp/dmu from the same nodes;
-    each step evaluates every level still open in one call, a float when
-    one is. It keeps each bracket and bisects whenever a Newton step would
-    leave it or would be longer than half the step before last, and stops
-    once |p - target| <= LEVEL_TOL * target. A Newton step within an ulp of
-    mu goes to the neighbouring double across the target instead: where p
-    jumps across the target (the atom of a T = 0 lead) or doubles cannot
-    resolve it, the bracket shrinks to adjacent doubles and its end beyond
-    the target, hi, is returned and logged at INFO with its |p - target|.
+    each step evaluates every level still open in one array call. It keeps
+    each bracket and bisects whenever a Newton step would leave it or would
+    be longer than half the step before last, and stops once |p - target|
+    <= LEVEL_TOL * target. A Newton step within an ulp of mu goes to the
+    neighbouring double across the target instead: where p jumps across the
+    target (the atom of a T = 0 lead) or doubles cannot resolve it, the
+    bracket shrinks to adjacent doubles and its end beyond the target, hi,
+    is returned and logged at INFO with its |p - target|.
     """
     # per open target: index, target, lo, hi, mu, step, prev_step, p(hi)
     state = [[k, t, lo, hi, mu, hi - lo, hi - lo, math.nan] for k, (
@@ -433,11 +433,8 @@ def occupation_levels(sys: DotSystem, targets, los, his, starts) -> list:
     for _ in range(2200):
         if not state:
             return levels
-        if len(state) == 1:  # a float: no array is built here
-            values = [_combined(state[0][4], sys, ("cdf", "pdf"))]
-        else:
-            values = zip(*(v.tolist() for v in _combined(
-                np.array([s[4] for s in state]), sys, ("cdf", "pdf"))))
+        values = zip(*(v.tolist() for v in _combined(
+            np.array([s[4] for s in state]), sys, ("cdf", "pdf"))))
         still = []
         for (k, target, lo, hi, mu, step, prev_step, p_hi), (p, dens) in zip(
                 state, values):

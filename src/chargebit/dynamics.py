@@ -1,9 +1,9 @@
 """Finite-time driving of the dot level and work accumulation.
 
-The occupation relaxes towards the (broadened) steady state at the total
-tunnelling rate, dp/dt = Gamma_tot * (p_ss(mu) - p). Work accumulates as
-p * dmu/dt along ramps; an instantaneous level shift freezes p and costs
-(mu_end - mu_start) * p.
+The occupation starts in the (broadened) steady state p_ss at the first level
+and relaxes towards p_ss at the total tunnelling rate, dp/dt = Gamma_tot *
+(p_ss(mu) - p). Work accumulates as p * dmu/dt along ramps; an instantaneous
+level shift freezes p and costs (mu_end - mu_start) * p.
 
 A linear ramp is integrated exactly for an interpolant of p_ss over the ramp
 fraction u = t/tau, where dp/du = Gamma_tot tau (p_ss - p): the duration
@@ -34,7 +34,7 @@ from .dot_model import (DotSystem, _combined, dominant_scale,
 from .units import store_finite
 
 _CUTOFF = 40.0      # smoothing scales from the far lead to a ramp's end
-_SAMPLES = 200      # output steps per ramp
+_U_OUT = np.linspace(0.0, 1.0, 201)  # the output fractions of each ramp
 _TABLE_TOL = 1e-12  # |Hermite quintic - p_ss| at a table step's midpoint
 
 
@@ -53,7 +53,6 @@ class Segment:
 @dataclass(frozen=True)
 class ProtocolSchedule:
     segments: tuple[Segment, ...]
-    initial_occupation: float | None = None  # None: p_ss at the start
 
     def __post_init__(self):
         if not self.segments:
@@ -84,27 +83,19 @@ def simulate(sys: DotSystem, sched: ProtocolSchedule,
              _unread=None) -> Trajectory:
     """Integrate the relaxation equation through a schedule, tracking work.
 
-    p starts at the schedule's ``initial_occupation``, or at p_ss of the
-    first segment's start when that is None. Each linear ramp is sampled at
-    201 equal fractions of its duration, which may be any finite positive
-    time. A third positional argument is accepted and not read: the ramp
-    table sets its own steps, and the integration, exact for the table's
-    interpolant, has no stability limit.
+    p starts at p_ss of the first segment's start; to start elsewhere, open
+    with a quench. Each linear ramp is sampled at 201 equal fractions of its
+    duration, which may be any finite positive time. A third positional
+    argument is accepted and not read: the ramp table sets its own steps, and
+    the integration, exact for the table's interpolant, has no stability limit.
     """
-    if sched.initial_occupation is None:
-        p = occupation(sched.segments[0].mu_start, sys)
-    else:
-        p = float(sched.initial_occupation)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("initial occupation must lie in [0, 1]")
-
+    p = occupation(sched.segments[0].mu_start, sys)
     ts = [0.0]
     mus = [sched.segments[0].mu_start]
     ps = [p]
     works = [0.0]
     t = 0.0
     work = 0.0
-    u_out = np.linspace(0.0, 1.0, _SAMPLES + 1)
     for seg in sched.segments:
         if seg.duration == 0.0:
             work += (seg.mu_end - seg.mu_start) * p
@@ -112,10 +103,10 @@ def simulate(sys: DotSystem, sched: ProtocolSchedule,
             mus[-1] = seg.mu_end
             works[-1] = work
             continue
-        seg_p, seg_work = _exact_ramp(sys, seg, u_out, p)
+        seg_p, seg_work = _exact_ramp(sys, seg, p)
         seg_p = np.clip(seg_p, 0.0, 1.0)
-        ts.extend(t + seg.duration * u_out[1:])
-        mus.extend(seg.mu_start + (seg.mu_end - seg.mu_start) * u_out[1:])
+        ts.extend(t + seg.duration * _U_OUT[1:])
+        mus.extend(seg.mu_start + (seg.mu_end - seg.mu_start) * _U_OUT[1:])
         ps.extend(seg_p[1:])
         works.extend(work + seg_work[1:])
         t += seg.duration
@@ -125,10 +116,10 @@ def simulate(sys: DotSystem, sched: ProtocolSchedule,
                       np.asarray(ps), np.asarray(works))
 
 
-def _exact_ramp(sys: DotSystem, seg: Segment, u_out: np.ndarray,
+def _exact_ramp(sys: DotSystem, seg: Segment,
                 p0: float) -> tuple[np.ndarray, np.ndarray]:
-    """p and the cumulative work of one linear ramp at the fractions u_out."""
-    u, q, m, a = _ramp_table(sys, seg, u_out)
+    """p and the cumulative work of one linear ramp at the fractions _U_OUT."""
+    u, q, m, a = _ramp_table(sys, seg)
     X = sys.rates.total * seg.duration * u
     h, x = np.diff(u), np.diff(X)
     # Hermite quintic of step k in s = (u - u_k)/h, sum_j c_j s^j: c0..c2
@@ -150,12 +141,11 @@ def _exact_ramp(sys: DotSystem, seg: Segment, u_out: np.ndarray,
     mean = p[:-1] * f[0] + x * sum(t * fj for t, fj in zip(terms, f[1:]))
     span = seg.mu_end - seg.mu_start
     work = np.concatenate(([0.0], np.cumsum(span * h * mean)))
-    at = np.searchsorted(u, u_out)
+    at = np.searchsorted(u, _U_OUT)
     return p[at], work[at]
 
 
-def _ramp_table(sys: DotSystem, seg: Segment,
-                u_out: np.ndarray) -> tuple[np.ndarray, ...]:
+def _ramp_table(sys: DotSystem, seg: Segment) -> tuple[np.ndarray, ...]:
     """Fractions u, p_ss, dp_ss/du and d2p_ss/du2 for one ramp, one value
     per node.
 
@@ -165,17 +155,18 @@ def _ramp_table(sys: DotSystem, seg: Segment,
     parent missed p_ss at the midpoint by more than 64 _TABLE_TOL; the
     quintic's error falls as the sixth power of the step, so its own
     midpoint error is then about _TABLE_TOL. p_ss steps at each atom of the
-    device (``DotSystem.atoms``) that a moving ramp crosses: two nodes at
-    the same u, the first with the limit of p_ss from before it, the second
-    from after it. The zero-length step between them changes neither p nor
-    the work.
+    device (``DotSystem.atoms``) that a moving ramp crosses: two nodes at the
+    same u, the first with the limit of p_ss from before it, the second from
+    after it. The zero-length step between them changes neither p nor the work.
+    Without them the bisection chases each jump to adjacent doubles: a thousand
+    passes for a two-atom ramp, not two.
     """
     span = seg.mu_end - seg.mu_start
     atoms = np.array(sys.atoms if span != 0.0 else (), dtype=float)
     u_atoms = (atoms - seg.mu_start) / span
     inside = (u_atoms >= 0.0) & (u_atoms <= 1.0)
     atoms, u_atoms = atoms[inside], u_atoms[inside]
-    u = np.setdiff1d(u_out, u_atoms)
+    u = np.setdiff1d(_U_OUT, u_atoms)
     mu = np.concatenate((seg.mu_start + span * u,
                          np.nextafter(atoms, seg.mu_start),
                          np.nextafter(atoms, seg.mu_end)))

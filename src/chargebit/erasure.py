@@ -184,9 +184,7 @@ def _window_integral(mu_lead: float, kt: float, lo: float, hi: float,
         return (hi - lo) - _window_integral(-mu_lead, kt, -hi, -lo, kernel)
     c_lo, c_hi, width = lo - mu_lead, hi - mu_lead, hi - lo
     if math.isfinite(kernel.mad):
-        if kt == 0.0:
-            fermi = max(-c_lo, 0.0)
-        elif width / kt < 700.0:
+        if kt > 0.0 and width / kt < 700.0:
             e = math.exp(-c_hi / kt)
             fermi = kt * math.log1p(e / (1.0 + e) * math.expm1(width / kt))
         else:

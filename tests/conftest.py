@@ -1,5 +1,6 @@
 """Shared fixtures and builders for the test suite."""
 
+import functools
 from decimal import Decimal
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 
 from chargebit import DotSystem, TunnelRates
 from chargebit.dot_model import _combined
-from chargebit.kernels import Delta, Gaussian
+from chargebit.kernels import Delta, Gaussian, Lorentzian
 from chargebit.leads import LeadParams
 
 
@@ -31,6 +32,28 @@ def random_system(rng, kernel=None):
     if kernel is None:
         kernel = Gaussian(10.0 ** rng.uniform(-1, 2))
     return make_system(kt_s, kt_d, bias, gamma_s, kernel)
+
+
+@functools.cache
+def _twelve_decade_corpus():
+    rng = np.random.default_rng(1)
+    corpus = []
+    for i in range(300):
+        kt_s, kt_d, bias, w = 10.0 ** rng.uniform(-6, 6, 4)
+        gamma_s = rng.uniform(0.05, 0.95)
+        kernel = (Delta(), Gaussian(w), Lorentzian(w))[i % 3]
+        corpus.append((kt_s, kt_d, bias, gamma_s, kernel))
+    return corpus
+
+
+def corpus_device(i):
+    """make_system's arguments for device i of the 12-decade corpus.
+
+    default_rng(1), 300 draws of kT_S, kT_D, bias, w = 10**U(-6, 6) each,
+    then gamma_S = U(0.05, 0.95); the kernel is Delta, Gaussian(w) or
+    Lorentzian(w) by i % 3.
+    """
+    return _twelve_decade_corpus()[i]
 
 
 def occupation_density(mu, sys_):

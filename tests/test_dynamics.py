@@ -9,12 +9,12 @@ from scipy.integrate import solve_ivp
 
 from chargebit import DotSystem, LeadParams, TunnelRates, dynamics
 from chargebit.dot_model import occupation
-from chargebit.dynamics import (ProtocolSchedule, Segment, _phi, _ramp_table,
-                                make_erasure_schedule, simulate)
+from chargebit.dynamics import (ProtocolSchedule, Segment, _exact_ramp, _phi,
+                                _ramp_table, make_erasure_schedule, simulate)
 from chargebit.erasure import erasure_costs, eta_erasure_work
 from chargebit.kernels import Delta, Gaussian, Lorentzian
 
-from conftest import make_system, reference_quad
+from conftest import corpus_device, make_system, reference_quad
 
 SYM = make_system(1.0, 1.0, 0.0, 0.5)  # total rate exactly 1
 
@@ -39,11 +39,6 @@ class TestSegments:
         with pytest.raises(ValueError):
             ProtocolSchedule((Segment(0.0, 1.0, 1.0),
                               Segment(2.0, 3.0, 1.0)))
-
-    def test_bad_initial_occupation(self):
-        with pytest.raises(ValueError):
-            simulate(SYM, ProtocolSchedule((Segment(0.0, 1.0, 1.0),),
-                                           initial_occupation=1.5), 0.05)
 
 
 class TestSimulate:
@@ -72,22 +67,35 @@ class TestSimulate:
         assert np.all(traj.p == p0)
         assert traj.total_work == pytest.approx(10.0 * p0, rel=1e-12)
 
+    @pytest.mark.parametrize("sys_, mu0", [
+        (SYM, 0.7), (make_system(1.0, 0.5, 3.0, 0.4, Gaussian(0.8)), 2.0),
+        (make_system(1.0, 0.5, 3.0, 0.4, Lorentzian(0.8)), -1.0),
+        (make_system(0.0, 0.0, 1.0, 0.3), 0.5)])
+    def test_starts_at_the_first_level_steady_state(self, sys_, mu0):
+        # a schedule that opens with a quench holds p_ss of its first level
+        traj = simulate(sys_, ProtocolSchedule((Segment(mu0, 4.0, 0.0),)))
+        assert traj.p[0] == occupation(mu0, sys_)
+        assert traj.total_work == (4.0 - mu0) * traj.p[0]
+
     def test_constant_level_exponential_relaxation(self):
-        sched = ProtocolSchedule((Segment(3.0, 3.0, 6.0),),
-                                 initial_occupation=0.9)
+        # the quench from -2 starts p at p_ss(-2) = 0.88
+        p0 = occupation(-2.0, SYM)
+        sched = ProtocolSchedule((Segment(-2.0, 3.0, 0.0),
+                                  Segment(3.0, 3.0, 6.0)))
         traj = simulate(SYM, sched, 0.05)
         p_ss = occupation(3.0, SYM)
-        exact = p_ss + (0.9 - p_ss) * np.exp(-traj.t)
+        exact = p_ss + (p0 - p_ss) * np.exp(-traj.t)
         assert np.max(np.abs(traj.p - exact)) < 1e-7
-        assert traj.total_work == 0.0
+        assert traj.total_work == 5.0 * p0
 
     def test_long_coarse_steps_relax_exactly(self):
         # steps of 10/Gamma over 2000/Gamma: past any single exponential
-        sched = ProtocolSchedule((Segment(3.0, 3.0, 2000.0),),
-                                 initial_occupation=0.9)
+        p0 = occupation(-2.0, SYM)
+        sched = ProtocolSchedule((Segment(-2.0, 3.0, 0.0),
+                                  Segment(3.0, 3.0, 2000.0)))
         traj = simulate(SYM, sched, 1000.0)
         p_ss = occupation(3.0, SYM)
-        exact = p_ss + (0.9 - p_ss) * np.exp(-traj.t)
+        exact = p_ss + (p0 - p_ss) * np.exp(-traj.t)
         assert np.max(np.abs(traj.p - exact)) < 1e-14
 
     def test_pure_quench_work(self):
@@ -98,11 +106,11 @@ class TestSimulate:
         assert traj.final_occupation == pytest.approx(occupation(1.0, SYM))
 
     def test_quench_work_linear_in_distance(self):
+        p0 = occupation(0.85, SYM)  # 0.30
         for d in (2.0, 4.0):
-            sched = ProtocolSchedule((Segment(0.0, d, 0.0),),
-                                     initial_occupation=0.3)
+            sched = ProtocolSchedule((Segment(0.85, 0.85 + d, 0.0),))
             traj = simulate(SYM, sched, 0.05)
-            assert traj.total_work == pytest.approx(0.3 * d, rel=1e-12)
+            assert traj.total_work == pytest.approx(p0 * d, rel=1e-12)
 
     def test_occupation_stays_physical(self):
         sched = make_erasure_schedule(SYM, "zero", 3.0)
@@ -111,17 +119,17 @@ class TestSimulate:
         assert np.all(np.diff(traj.t) > 0)
 
     def test_work_additivity(self):
+        # both start at p_ss(0) = 1/2; the second half runs from the first
+        # half's final p
         full = ProtocolSchedule((Segment(0.0, 4.0, 5.0),
-                                 Segment(4.0, 1.0, 3.0)),
-                                initial_occupation=0.5)
+                                 Segment(4.0, 1.0, 3.0)))
         traj = simulate(SYM, full, 0.05)
-        first = simulate(SYM, ProtocolSchedule(
-            (Segment(0.0, 4.0, 5.0),), initial_occupation=0.5), 0.05)
-        second = simulate(SYM, ProtocolSchedule(
-            (Segment(4.0, 1.0, 3.0),),
-            initial_occupation=first.final_occupation), 0.05)
+        first = simulate(SYM, ProtocolSchedule((Segment(0.0, 4.0, 5.0),)),
+                         0.05)
+        _, second = _exact_ramp(SYM, Segment(4.0, 1.0, 3.0),
+                                first.final_occupation)
         assert traj.total_work == pytest.approx(
-            first.total_work + second.total_work, abs=1e-9)
+            first.total_work + second[-1], abs=1e-9)
 
 
 class TestExactRamps:
@@ -154,23 +162,25 @@ class TestExactRamps:
         return p, work
 
     def test_ramp_across_two_atoms(self):
-        # T = 0 leads at 0 and 1 without broadening: p_ss is 1, g_S, 0
+        # T = 0 leads at 0 and 1 without broadening: p_ss is 1, g_S, 0; the
+        # quench from between the atoms starts p at g_S
         sys_ = make_system(0.0, 0.0, 1.0, 0.3)
-        sched = ProtocolSchedule((Segment(-0.5, 1.6, 3.0),),
-                                 initial_occupation=0.9)
+        p0 = occupation(0.5, sys_)
+        sched = ProtocolSchedule((Segment(0.5, -0.5, 0.0),
+                                  Segment(-0.5, 1.6, 3.0)))
         traj = simulate(sys_, sched, 0.05)
         rate = 0.7
         p, work = self._piecewise_relaxation(
-            traj.t, rate, -0.5, 0.9, [(-0.5, 1.0), (0.0, 0.3), (1.0, 0.0)])
+            traj.t, rate, -0.5, p0, [(-0.5, 1.0), (0.0, 0.3), (1.0, 0.0)])
         assert np.max(np.abs(traj.p - p)) < 1e-12
-        assert np.max(np.abs(traj.work - work)) < 1e-12
+        assert np.max(np.abs(traj.work - (work - p0))) < 1e-12
 
     def test_atoms_are_table_nodes_with_one_sided_limits(self):
         # p_ss is constant between the atoms, so the table is the 201
         # samples, each atom twice and one pass of midpoints, none split again
         sys_ = make_system(0.0, 0.0, 1.0, 0.3)
         seg = Segment(-0.5, 1.6, 3.0)
-        u, q, m, a = _ramp_table(sys_, seg, np.linspace(0.0, 1.0, 201))
+        u, q, m, a = _ramp_table(sys_, seg)
         assert u.size == 205 + 202
         assert np.all(np.diff(u) >= 0.0)
         at = np.flatnonzero(np.diff(u) == 0.0)
@@ -191,33 +201,35 @@ class TestExactRamps:
 
     def test_ramp_across_the_shared_atom_at_zero_bias(self):
         # both T = 0 leads at 0: p_ss is 1 below it and 0 above, and the
-        # atom is one pair of nodes however many leads sit on it
+        # atom is one pair of nodes however many leads sit on it; the quench
+        # from above it starts p at 0
         sys_ = make_system(0.0, 0.0, 0.0, 0.3)
         seg = Segment(-0.5, 1.6, 3.0)
-        traj = simulate(sys_, ProtocolSchedule((seg,), initial_occupation=0.9),
+        traj = simulate(sys_, ProtocolSchedule((Segment(0.5, -0.5, 0.0), seg)),
                         0.05)
         p, work = self._piecewise_relaxation(
-            traj.t, 0.7, -0.5, 0.9, [(-0.5, 1.0), (0.0, 0.0)])
+            traj.t, 0.7, -0.5, 0.0, [(-0.5, 1.0), (0.0, 0.0)])
         assert np.max(np.abs(traj.p - p)) < 1e-12
         assert np.max(np.abs(traj.work - work)) < 1e-12
-        u, q, _, _ = _ramp_table(sys_, seg, np.linspace(0.0, 1.0, 201))
+        u, q, _, _ = _ramp_table(sys_, seg)
         at = np.flatnonzero(u == 0.5 / 2.1)
         assert list(q[at]) == [1.0, 0.0]
 
     def test_constant_level_on_an_atom_crosses_nothing(self):
-        # a zero-span ramp sits on the drain atom: p relaxes to its
-        # midpoint value there, g_S + g_D/2
+        # a zero-span ramp sits on the drain atom: p relaxes from g_S, set
+        # by the quench from between the atoms, to its midpoint value there,
+        # g_S + g_D/2
         sys_ = make_system(0.0, 0.0, 1.0, 0.3)
-        traj = simulate(sys_, ProtocolSchedule((Segment(0.0, 0.0, 3.0),),
-                                               initial_occupation=0.9))
-        exact = 0.65 + (0.9 - 0.65) * np.exp(-traj.t)
+        p0 = occupation(0.5, sys_)
+        traj = simulate(sys_, ProtocolSchedule((Segment(0.5, 0.0, 0.0),
+                                                Segment(0.0, 0.0, 3.0))))
+        exact = 0.65 + (p0 - 0.65) * np.exp(-traj.t)
         assert np.max(np.abs(traj.p - exact)) < 1e-14
-        assert traj.total_work == 0.0
+        assert traj.total_work == -0.5 * p0
 
     def test_table_depends_on_the_level_path_alone(self):
         sys_ = make_system(1.0, 0.7, 4.0, 0.4, Gaussian(0.5))
-        u_out = np.linspace(0.0, 1.0, 201)
-        first, *rest = (_ramp_table(sys_, Segment(-1.0, 9.0, d), u_out)
+        first, *rest = (_ramp_table(sys_, Segment(-1.0, 9.0, d))
                         for d in (1e-300, 5.0, 1e20))
         for table in rest:
             for row, first_row in zip(table, first):
@@ -231,7 +243,7 @@ class TestExactRamps:
         # at the step's quarter points: within twice the midpoint tolerance
         sys_ = make_system(1.0, 0.7, 4.0, 0.4, kernel)
         seg = make_erasure_schedule(sys_, target, 5.0).segments[0]
-        u, q, m, a = _ramp_table(sys_, seg, np.linspace(0.0, 1.0, 201))
+        u, q, m, a = _ramp_table(sys_, seg)
         k = np.flatnonzero(np.diff(u) > 0.0)
         h = u[k + 1] - u[k]
         c0, c1, c2 = q[k], h * m[k], 0.5 * h * h * a[k]
@@ -279,11 +291,11 @@ class TestExactRamps:
         assert traj.total_work == pytest.approx(work[-1] + quench, abs=1e-12)
 
     def test_very_fast_ramp_is_a_quench(self):
-        sched = ProtocolSchedule((Segment(0.0, 5.0, 1e-9),),
-                                 initial_occupation=0.4)
+        # p keeps its start value p_ss(0) = 1/2
+        sched = ProtocolSchedule((Segment(0.0, 5.0, 1e-9),))
         traj = simulate(SYM, sched, 0.05)
-        assert traj.final_occupation == pytest.approx(0.4, abs=1e-8)
-        assert traj.total_work == pytest.approx(2.0, rel=1e-8)
+        assert traj.final_occupation == pytest.approx(0.5, abs=1e-8)
+        assert traj.total_work == pytest.approx(2.5, rel=1e-8)
 
     @pytest.mark.parametrize("tau_gamma", [50.0, 100.0, 200.0, 400.0])
     def test_slow_ramp_linear_response(self, tau_gamma):
@@ -510,10 +522,8 @@ class TestErasureSchedules:
 
 class TestTwelveDecades:
     """Erasure ramps over the whole domain: the first 40 devices of the
-    12-decade corpus (default_rng(1): kT_S, kT_D, bias, w = 10**U(-6, 6)
-    each, then gamma_S = U(0.05, 0.95); Delta, Gaussian(w), Lorentzian(w) by
-    i % 3), each at a tau Gamma log-uniform on [1e-3, 1e4] (default_rng(5)),
-    1e-300 and 1e20."""
+    12-decade corpus (conftest.corpus_device), each at a tau Gamma
+    log-uniform on [1e-3, 1e4] (default_rng(5)), 1e-300 and 1e20."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_ramps_are_finite_and_cost_at_least_the_eta_work(self,
@@ -524,22 +534,18 @@ class TestTwelveDecades:
         tables = {}
         build = dynamics._ramp_table
 
-        def shared(sys_, seg, u_out):
+        def shared(sys_, seg):
             key = (seg.mu_start, seg.mu_end)
             if key not in tables:
-                tables[key] = build(sys_, seg, u_out)
+                tables[key] = build(sys_, seg)
             return tables[key]
 
         monkeypatch.setattr(dynamics, "_ramp_table", shared)
-        devices = np.random.default_rng(1)
         durations = np.random.default_rng(5)
         checked = 0
         for i in range(40):
             tables.clear()
-            kt_s, kt_d, bias, w = 10.0 ** devices.uniform(-6, 6, 4)
-            gamma_s = devices.uniform(0.05, 0.95)
-            kernel = (Delta(), Gaussian(w), Lorentzian(w))[i % 3]
-            sys_ = make_system(kt_s, kt_d, bias, gamma_s, kernel)
+            sys_ = make_system(*corpus_device(i))
             tau_gamma = 10.0 ** durations.uniform(-3, 4)
             for duration in (tau_gamma, 1e-300, 1e20):
                 sched = make_erasure_schedule(sys_, "zero", duration)

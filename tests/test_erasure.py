@@ -23,8 +23,8 @@ from chargebit.erasure import DivergentInput, absolute_deviation_integral
 from chargebit.kernels import Delta, Gaussian, Lorentzian
 from chargebit.units import broadening_energy_uev, thermal_energy_uev
 
-from conftest import (decimal_fermi, decimal_ramp, make_system,
-                      random_system, reference_quad)
+from conftest import (corpus_device, decimal_fermi, decimal_ramp,
+                      make_system, random_system, reference_quad)
 
 LN2 = math.log(2.0)
 _TWELVE_DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
@@ -330,31 +330,15 @@ class TestEtaErasure:
         _check_delta_eta_work(make_system(kt_s, kt_d, bias, gamma_s), eta)
 
 
-# Lorentzian devices of the 12-decade corpus: default_rng(1), 300 draws of
-# kT_S, kT_D, bias, w = 10**U(-6, 6) each, then gamma_S = U(0.05, 0.95);
-# device i takes the Lorentzian kernel when i % 3 == 2. Integrating p over mu
-# adaptively raised NonConvergence on devices 65 and 167 at eta 0.001 and
-# on 161 at 0.01, and was 5.4e-6 off on 236 at eta 0.01.
-_CORPUS_LORENTZIAN = {
-    65: (5.024228647611836e-06, 47.87697468473212, 3.6174157479544307e-06,
-         6.620878626553347e-06, 0.121948255047307),
-    161: (8.470046305034738e-06, 159333.1200082609, 263529.70374223497,
-          0.6822547691128151, 0.09809846283499678),
-    167: (115845.40183182998, 0.09499134631498969, 2.5699924056065144e-06,
-          0.000148607586199253, 0.30900405324745284),
-    236: (0.4193015741717245, 838594.0086626075, 253.71932185895957,
-          4.888988101100683e-06, 0.8685964334645372),
-    # a window 7e-4 kT_D wide, 4 kT_D above the drain, with w = 5e-8 kT_D
-    158: (0.12470290671089845, 426.04995425631625, 1770.9960306254436,
-          2.031545837200645e-05, 0.9013376907983857),
-    # a window 1e6 wide whose lower end sits 0.08 kT_D above the drain
-    284: (443025.72478280705, 1.8721880203105022e-05, 319.3753472358052,
-          0.0002833515206699626, 0.9032920605262569),
-    # kT_S is 1e-9 of the bias, so no double near mu_0.1 meets the level
-    # tolerance: that level stops at adjacent doubles, the other three meet it
-    14: (6.401739016889713e-05, 0.6117143356434784, 54524.331094924324,
-         0.11819602830031115, 0.5805518558756433),
-}
+# Lorentzian devices of the 12-decade corpus (conftest.corpus_device).
+# Integrating p over mu adaptively raised NonConvergence on devices 65 and
+# 167 at eta 0.001 and on 161 at 0.01, and was 5.4e-6 off on 236 at eta 0.01.
+# On 158 a window 7e-4 kT_D wide sits 4 kT_D above the drain, with w = 5e-8
+# kT_D; on 284 a window 1e6 wide has its lower end 0.08 kT_D above the
+# drain. On 14 kT_S is 1e-9 of the bias, so no double near mu_0.1 meets the
+# level tolerance: that level stops at adjacent doubles, the other three
+# meet it.
+_CORPUS_LORENTZIAN = (14, 65, 158, 161, 167, 236, 284)
 
 
 # device-1 rates (6.3 GHz, 250 GHz) at 40 mK and a 200 ueV bias
@@ -365,8 +349,7 @@ _DEVICE1_LORENTZIAN = DotSystem(LeadParams(thermal_energy_uev(0.04), 200.0),
 
 
 def _corpus_device(index):
-    kt_s, kt_d, bias, w, gamma_s = _CORPUS_LORENTZIAN[index]
-    return make_system(kt_s, kt_d, bias, gamma_s, Lorentzian(w))
+    return make_system(*corpus_device(index))
 
 
 class TestLorentzianEtaTwelveDecades:
@@ -407,6 +390,12 @@ class TestLorentzianEtaTwelveDecades:
             for eta in (0.1, 0.01, 0.001):
                 eta_erasure_work(_corpus_device(index), eta)
         assert caplog.records == []
+
+    def test_corpus_stream_is_pinned(self):
+        # device 236 as first drawn: any change to the stream moves it
+        assert corpus_device(236) == (
+            0.4193015741717245, 838594.0086626075, 253.71932185895957,
+            0.8685964334645372, Lorentzian(4.888988101100683e-06))
 
     def test_device_236_to_1e_12(self):
         assert eta_erasure_work(_corpus_device(236), 0.01) == pytest.approx(
@@ -464,13 +453,9 @@ class TestEtaBelowTheReachableOccupation:
     def test_twelve_decade_corpus_at_1e_310(self):
         # the first 40 devices of the 12-decade corpus; a ladder doubled
         # without a cap overflowed a level or an offset over a scale on 23
-        rng = np.random.default_rng(1)
         outcomes = []
         for i in range(40):
-            kt_s, kt_d, bias, w = 10.0 ** rng.uniform(-6, 6, 4)
-            gamma_s = rng.uniform(0.05, 0.95)
-            kernel = (Delta(), Gaussian(w), Lorentzian(w))[i % 3]
-            sys_ = make_system(kt_s, kt_d, bias, gamma_s, kernel)
+            sys_ = _corpus_device(i)
             try:
                 work = eta_erasure_work(sys_, 1e-310)
             except ValueError as exc:
@@ -552,7 +537,7 @@ class TestBatchedLevels:
         (call,) = calls
         return call
 
-    @pytest.mark.parametrize("index", sorted(_CORPUS_LORENTZIAN))
+    @pytest.mark.parametrize("index", _CORPUS_LORENTZIAN)
     def test_each_level_as_if_solved_alone(self, index):
         sys_ = _corpus_device(index)
         args, levels = self._levels(sys_)
@@ -591,7 +576,7 @@ class TestBatchedLevels:
                 assert abs(occupation(alone[0], sys_) / target - 1.0) <= (
                     LEVEL_TOL)
 
-    @pytest.mark.parametrize("index", sorted(_CORPUS_LORENTZIAN))
+    @pytest.mark.parametrize("index", _CORPUS_LORENTZIAN)
     def test_passed_mu_half_gives_the_same_works(self, index):
         sys_ = _corpus_device(index)
         assert eta_erasure_work(sys_, self.ETAS, half_occupation_level(
