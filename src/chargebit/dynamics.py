@@ -11,14 +11,14 @@ enters only as c = Gamma_tot tau. The table of p_ss, dp_ss/du and
 d2p_ss/du2 (four rows with u) depends on the level path alone; it comes
 from a few array calls of the steady-state core for the names "cdf", "pdf"
 and "dpdf", refined by bisection until the piecewise quintic Hermite
-interpolant q(u) is good to about 1e-12. On each table step the equation is
-linear with a quintic forcing, so p at the step's end and the integral of p
-over the step are exact combinations of the phi-functions of exponential
-integrators, phi_k(z) = sum_n z^n / (n + k)!, k up to 7, at z = -c du
-(Hochbruck & Ostermann, Acta Numerica 19, 209 (2010)). That is the
-particular solution q - q'/c + q''/c^2 - ... plus the decaying homogeneous
-term, written without the cancellation the particular solution suffers on
-steps much shorter than 1/Gamma.
+interpolant q(u) is good to about 1e-12, or to p_ss's rounding if coarser.
+On each table step the equation is linear with a quintic forcing, so p at
+the step's end and the integral of p over the step are exact combinations
+of the phi-functions of exponential integrators, phi_k(z) = sum_n z^n /
+(n + k)!, k up to 7, at z = -c du (Hochbruck & Ostermann, Acta Numerica 19,
+209 (2010)). That is the particular solution q - q'/c + q''/c^2 - ... plus
+the decaying homogeneous term, written without the cancellation the
+particular solution suffers on steps much shorter than 1/Gamma.
 """
 
 from __future__ import annotations
@@ -152,9 +152,10 @@ def _ramp_table(sys: DotSystem, seg: Segment) -> tuple[np.ndarray, ...]:
     The output fractions are refined by bisection: each pass evaluates the
     midpoints of the steps still open in one array call and makes every
     midpoint a node. A step stays open while the Hermite quintic of its
-    parent missed p_ss at the midpoint by more than 64 _TABLE_TOL; the
-    quintic's error falls as the sixth power of the step, so its own
-    midpoint error is then about _TABLE_TOL. p_ss steps at each atom of the
+    parent missed p_ss at the midpoint by more than 64 _TABLE_TOL and more
+    than 4 times p_ss's own rounding there; the quintic's error falls as the
+    sixth power of the step, so the table is good to about _TABLE_TOL, or to
+    p_ss's rounding where that is coarser. p_ss steps at each atom of the
     device (``DotSystem.atoms``) that a moving ramp crosses: two nodes at the
     same u, the first with the limit of p_ss from before it, the second from
     after it. The zero-length step between them changes neither p nor the work.
@@ -187,14 +188,18 @@ def _ramp_table(sys: DotSystem, seg: Segment) -> tuple[np.ndarray, ...]:
         # across an atom has no length
         split = (u[k] < mid) & (mid < u[k + 1])
         k, mid = k[split], mid[split]
-        q_mid, m_mid, a_mid = steady(seg.mu_start + span * mid)
+        mu_mid = seg.mu_start + span * mid
+        q_mid, m_mid, a_mid = steady(mu_mid)
         h = u[k + 1] - u[k]
         guess = (0.5 * (q[k] + q[k + 1]) + 5.0 / 32.0 * h * (m[k] - m[k + 1])
                  + h * h / 64.0 * (a[k] + a[k + 1]))
+        # p_ss's rounding: |dp_ss/dmu| ulp(mu) + eps p_ss; m = 0 if span = 0
+        floor = (np.abs(m_mid * np.spacing(mu_mid)) / (abs(span) or 1.0)
+                 + np.finfo(float).eps * q_mid)
         table = np.insert(table, k + 1, np.stack((mid, q_mid, m_mid, a_mid)),
                           axis=1)
-        new = (k + 1 + np.arange(k.size))[
-            np.abs(guess - q_mid) > 64.0 * _TABLE_TOL]
+        new = (k + 1 + np.arange(k.size))[np.abs(guess - q_mid) > np.maximum(
+            64.0 * _TABLE_TOL, 4.0 * floor)]
         k = np.sort(np.concatenate((new - 1, new)))
     return tuple(table)
 
@@ -206,21 +211,14 @@ def _relax(p0: float, X: np.ndarray, g: np.ndarray) -> np.ndarray:
     summed over thousands of steps whose rounding would drift. p_n is the sum
     of p0 e^{-X_n} and of g_k e^{-(X_n - X_{k+1})}, run in blocks over which
     X grows by at most 500, scaled to the block's end, so every exponential
-    stays finite. Over a step where X grows by more than 746, e^{X_k -
-    X_{k+1}} is exactly 0 and p_{k+1} = g_k: a run of such steps is one
-    assignment.
+    stays finite; where e^{X_k - X_{k+1}} underflows, p_{k+1} = g_k exactly.
+    p is as good as the ramp table behind g: about 1e-12, or p_ss's own
+    rounding where that is coarser.
     """
     p = np.empty(X.size)
     p[0] = p0
-    lost = np.diff(X) > 746.0
-    kept = np.append(np.flatnonzero(~lost), g.size)
     lo = 0
     while lo < g.size:
-        if lost[lo]:
-            hi = int(kept[np.searchsorted(kept, lo)])
-            p[lo + 1:hi + 1] = g[lo:hi]
-            lo = hi
-            continue
         hi = max(lo + 1, int(np.searchsorted(X, X[lo] + 500.0, "right")) - 1)
         scale = np.exp(X[lo + 1:hi + 1] - X[hi])
         p[lo + 1:hi + 1] = (np.cumsum(g[lo:hi] * scale)

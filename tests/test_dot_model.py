@@ -21,7 +21,8 @@ from chargebit.dot_model import (LEVEL_TOL, AmbiguousMedianWarning, DotSystem,
 from chargebit.kernels import Delta, Gaussian, Lorentzian
 from chargebit.leads import LeadParams
 
-from conftest import make_system, occupation_density, reference_quad
+from conftest import (corpus_device, make_system, occupation_density,
+                      reference_quad)
 
 
 class TestTunnelRates:
@@ -310,6 +311,25 @@ class TestHalfOccupationTwelveDecades:
         tol = (LEVEL_TOL + 2.0 * slope * math.ulp(mu)
                + 4.0 * sys.float_info.epsilon)
         assert abs(occupation(mu, sys_) - 0.5) <= tol
+
+    def test_corpus_levels_stop_at_the_rounding_of_p(self):
+        """On all 300 corpus devices |p(mu_1/2) - 1/2| is within LEVEL_TOL/2,
+        or within p's own rounding, rho ulp(mu_1/2) + eps, where adjacent
+        doubles straddle 1/2: there the next double down lies on the other
+        side of 1/2."""
+        coarse = 0
+        for i in range(300):
+            sys_ = make_system(*corpus_device(i))
+            mu = half_occupation_level(sys_)
+            miss = occupation(mu, sys_) - 0.5
+            floor = (occupation_density(mu, sys_) * math.ulp(mu)
+                     + sys.float_info.epsilon)
+            assert abs(miss) <= max(LEVEL_TOL / 2.0, floor), (i, miss, floor)
+            if abs(miss) > LEVEL_TOL / 2.0:
+                below = occupation(math.nextafter(mu, -math.inf), sys_) - 0.5
+                assert miss * below <= 0.0, (i, miss, below)
+                coarse += 1
+        assert coarse > 0
 
 
 class TestMonotoneTwelveDecades:

@@ -407,35 +407,22 @@ class TestPhi:
 
 
 class TestRelax:
-    @staticmethod
-    def _block_loop(p0, X, g):
-        """The recurrence one block per pass: a block spans the steps over
-        which X grows by at most 500, or a single longer step."""
-        p = np.empty(X.size)
-        p[0] = p0
-        lo = 0
-        while lo < g.size:
-            hi = max(lo + 1,
-                     int(np.searchsorted(X, X[lo] + 500.0, "right")) - 1)
-            scale = np.exp(X[lo + 1:hi + 1] - X[hi])
-            p[lo + 1:hi + 1] = (np.cumsum(g[lo:hi] * scale)
-                                + p[lo] * math.exp(X[lo] - X[hi])) / scale
-            lo = hi
-        return p
-
-    def test_runs_of_lost_steps_match_the_block_loop_bit_for_bit(self):
+    def test_matches_the_plain_recurrence(self):
         # steps of 1e-3 to 1e20 in one exponent, in runs: short steps that
         # share a block, lone steps of 500 to 746 and runs of longer ones,
-        # where e^-x is exactly 0
+        # where e^-x underflows to 0
         rng = np.random.default_rng(3)
         steps = np.concatenate([rng.choice(
             [1e-3, 0.7, 30.0, 600.0, 745.0, 746.5, 2e3, 1e20], size=40)
             for _ in range(30)])
-        X = np.concatenate(([0.0], np.cumsum(steps)))
-        g = rng.uniform(0.0, 1.0, steps.size) * rng.choice([0.0, 1.0],
-                                                           steps.size)
-        got = dynamics._relax(0.3, X, g)
-        assert got.tobytes() == self._block_loop(0.3, X, g).tobytes()
+        X = np.concatenate(([0.0], np.cumsum(steps))).tolist()
+        g = (rng.uniform(0.0, 1.0, steps.size)
+             * rng.choice([0.0, 1.0], steps.size)).tolist()
+        p = [0.3]
+        for k, g_k in enumerate(g):
+            p.append(math.exp(X[k] - X[k + 1]) * p[-1] + g_k)
+        got = dynamics._relax(0.3, np.array(X), np.array(g))
+        assert got.tolist() == pytest.approx(p, rel=1e-14, abs=0.0)
 
 
 class TestErasureSchedules:
@@ -566,6 +553,35 @@ class TestTwelveDecades:
                     i, duration, traj.total_work, w_eta)
                 checked += 1
         assert checked >= 40
+
+
+class TestRoundingFloor:
+    """Corpus device 15 (Delta, kT_S 2e-6 at mu_S = 1.07e5): near the source
+    p_ss is only good to |dp/dmu| ulp(mu) ~ 1e-6, and a table that bisected
+    until its quintic met 64 _TABLE_TOL there took 21,716 nodes for the
+    zero-target ramp at tau Gamma = 10, most of them across adjacent
+    doubles."""
+
+    # p_f and work of that ramp from the 21,716-node table
+    P_F, WORK = 2.2699917690352563e-05, 241.17417312661118
+
+    def test_table_stops_at_the_rounding_of_p_ss(self):
+        sys_ = make_system(*corpus_device(15))
+        sched = make_erasure_schedule(sys_, "zero", 10.0)
+        assert _ramp_table(sys_, sched.segments[0])[0].size < 1000
+        traj = simulate(sys_, sched)
+        assert traj.final_occupation == pytest.approx(self.P_F, rel=0.0,
+                                                      abs=1e-13)
+        assert traj.total_work == pytest.approx(self.WORK, rel=1e-11, abs=0.0)
+
+    def test_mirrored_table_stops_too(self):
+        # mu -> -mu with the leads swapped: the steep lead sits at -1.07e5,
+        # where the spacing of doubles is negative in numpy's sign
+        kt_s, kt_d, bias, gamma_s, kernel = corpus_device(15)
+        mirror = DotSystem(LeadParams(kt_d, 0.0), LeadParams(kt_s, -bias),
+                           TunnelRates(1.0 - gamma_s, gamma_s), kernel)
+        seg = make_erasure_schedule(mirror, "one", 10.0).segments[0]
+        assert _ramp_table(mirror, seg)[0].size < 1000
 
 
 class TestRampWorkCount:
