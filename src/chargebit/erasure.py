@@ -80,10 +80,7 @@ class EnergyScales:
 class BoundReport:
     lower: float
     upper: float
-    w_bar: float
     satisfied: bool
-    margin_lower: float
-    margin_upper: float
 
 
 def softplus_ramp(d: float, kt: float) -> float:
@@ -163,8 +160,7 @@ def check_bound(costs: ErasureCosts, scales: EnergyScales) -> BoundReport:
         raise DivergentInput("bound check requires finite costs and scales")
     slack = 1e-9 * upper
     satisfied = (lower - slack <= costs.w_bar <= upper + slack)
-    return BoundReport(lower, upper, costs.w_bar, satisfied,
-                       costs.w_bar - lower, upper - costs.w_bar)
+    return BoundReport(lower, upper, satisfied)
 
 
 def _window_integral(mu_lead: float, kt: float, lo: float, hi: float,

@@ -82,13 +82,15 @@ def _assert_core_matches(sys_):
         assert abs(di - _reference(mu, sys_, _kernel_pdf)) <= TOL, mu
 
 
-def _corpus():
+def _criterion5_corpus():
+    """Eight of 200 ``random_system`` draws (default_rng(42)): three decades
+    of each scale, not the 12-decade corpus of ``conftest.corpus_device``."""
     rng = np.random.default_rng(42)
     systems = [random_system(rng) for _ in range(200)]
     return systems[::25]
 
 
-@pytest.mark.parametrize("sys_", _corpus())
+@pytest.mark.parametrize("sys_", _criterion5_corpus())
 def test_criterion5_corpus(sys_):
     _assert_core_matches(sys_)
 
@@ -156,7 +158,7 @@ def _reference_costs(sys_, mu_half):
             for sign in (1.0, -1.0)]
 
 
-@pytest.mark.parametrize("sys_", _corpus() + [
+@pytest.mark.parametrize("sys_", _criterion5_corpus() + [
     make_system(0.0, 0.6, 4.0, 0.3, Gaussian(0.5)),
     make_system(0.0, 0.0, 4.0, 0.7, Gaussian(2.0)),
     make_system(0.7, 0.7, 2.0, 0.4, Gaussian(0.7e-4)),
@@ -225,7 +227,7 @@ class TestShapes:
 
 
 def test_newton_half_level_on_corpus():
-    for sys_ in _corpus():
+    for sys_ in _criterion5_corpus():
         mu = half_occupation_level(sys_)
         assert abs(occupation(mu, sys_) - 0.5) <= 1e-12
 
