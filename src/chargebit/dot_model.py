@@ -28,15 +28,16 @@ distribution is narrower than 2 outer scales its transition is sharper
 than a panel, so the three panels about its centre are replaced by panels
 graded geometrically down to its width, on which "dpdf" is taken by parts:
 at most 3 levels for a Gaussian, whose inner width is then over half the
-outer. T = 0 leads (p_i = K(-d/w))
-and the delta kernel (p_i = Fermi function) are closed forms. The per-lead
-core takes and returns arrays only; the public routines take a float level
-or an array of levels, and ``_combined`` is the one place where a float
-becomes a one-element array and back, and where a NaN or infinite level is
-rejected. Node matrices are built in blocks of at most about 128 kB. The
-levels where p crosses targets (1/2 for mu_1/2, each eta for eta-erasure)
-are safeguarded Newton solves side by side, one core call per step; one
-that stops at adjacent doubles logs at INFO on this module's logger.
+outer. T = 0 leads (p_i = K(-d/w)) and the delta kernel (p_i = Fermi
+function) are closed forms. The device's ``plan`` groups the leads on one
+path, and a group is one pass on its leads' stacked rows, each lead summed
+in the shapes it has alone. The core takes and returns arrays only;
+``_combined`` is the one place where a float becomes a one-element array
+and back, and where a NaN or infinite level is rejected. Node matrices are
+built in blocks of at most about 128 kB. The levels where p crosses targets
+(1/2 for mu_1/2, each eta for eta-erasure) are safeguarded Newton solves
+side by side, one core call per step; one that stops at adjacent doubles
+logs at INFO on this module's logger.
 
 The integrals of p are assembled in ``erasure``; this module keeps their
 one primitive, the broadening excess ``_broadening_excess``, and the device
@@ -50,6 +51,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -99,8 +101,8 @@ class TunnelRates:
 class DotSystem:
     """A dot between two leads. Built with it: ``coupled``, (gamma, lead)
     for each lead with a positive share of the rate (a decoupled one adds
-    nothing to p); ``scales``, its positive smoothing widths, a coupled
-    lead's kT or the kernel width, none for a step p; ``atoms``, its jumps."""
+    nothing to p); ``scales``, the positive ones of its coupled leads' kT
+    and kernel width; ``atoms``, its jumps; ``plan``, its groups of leads."""
     source: LeadParams
     drain: LeadParams
     rates: TunnelRates
@@ -119,6 +121,7 @@ class DotSystem:
         object.__setattr__(self, "atoms", () if self.kernel.width else tuple(
             sorted({lead.chemical_potential for _, lead in coupled
                     if lead.thermal_energy == 0.0})))
+        object.__setattr__(self, "plan", _plan(coupled, self.kernel))
 
     @property
     def bias(self) -> float:
@@ -211,10 +214,11 @@ def _graded_rule(levels: int) -> tuple[np.ndarray, np.ndarray]:
     return _panel_rule(np.concatenate(([0.0], 2.0 ** -np.arange(levels, -1, -1))))
 
 
-def _lead_block(d: np.ndarray, scale: float, outer: _Rule, inner,
-                names: tuple[str, ...]) -> list[np.ndarray]:
-    """E_V[inner.<name>(scale*V - d)] for a block of offsets d = mu - mu_lead,
-    V of the outer rule's standard density.
+def _lead_block(d: np.ndarray, kt, kernel: BroadeningKernel, outer: _Rule,
+                levels: int, names: tuple[str, ...]) -> list[np.ndarray]:
+    """E_V[inner.<name>(scale*V - d)] for offsets d = mu - mu_lead of a lead
+    of kT ``kt``, or a row per lead and kt a column; V of the outer rule,
+    graded ``levels`` deep: U/sigma (inner thermal) or Y/kT (the kernel).
 
     On graded panels "dpdf", the inner pdf's derivative, is taken by parts
     over the whole line, E_V[score(V) inner.pdf(scale*V - d)] / scale, from
@@ -224,8 +228,10 @@ def _lead_block(d: np.ndarray, scale: float, outer: _Rule, inner,
     the window it is cut in half; by parts, an inner much wider than the
     outer cancels instead, so ungraded blocks take it straight.
     """
-    xs = scale * outer.nodes - d[:, None]
-    levels = _grading_levels(inner.width / scale)
+    scale, inner = ((kernel.width, _Thermal(kt)) if outer is _NORMAL_RULE
+                    else (kt, kernel))
+    d = d[..., None]
+    xs = scale * outer.nodes - d
     if not levels:
         return [getattr(inner, name)(xs) @ outer.weights for name in names]
     values = {name: getattr(inner, name)(xs) for name in dict.fromkeys(
@@ -239,72 +245,92 @@ def _lead_block(d: np.ndarray, scale: float, outer: _Rule, inner,
     first = np.minimum(np.maximum(np.floor(0.5 * (c + window)) - 1.0, 0.0),
                        round(window) - 3.0)
     a = 2.0 * first - window
-    right, left = (a + 6.0 - c)[:, None], (c - a)[:, None]
-    offsets = np.concatenate((right * t, -left * t), axis=1)
-    near_v = c[:, None] + offsets
-    near_w = (np.concatenate((right * tw, left * tw), axis=1)
+    right, left = a + 6.0 - c, c - a
+    offsets = np.concatenate((right * t, -left * t), axis=-1)
+    near_v = c + offsets
+    near_w = (np.concatenate((right * tw, left * tw), axis=-1)
               * outer.density(near_v))
     # scale*(c + offset) - d, keeping the small offset exact near the centre
-    near_x = scale * offsets + (scale * c - d)[:, None]
-    # the node columns of the three replaced panels, which are consecutive
-    rows = np.arange(d.size)[:, None]
-    cols = (first.astype(int)[:, None] * _GL_X.size
-            + np.arange(3 * _GL_X.size))
+    near_x = scale * offsets + (scale * c - d)
+    # the nodes of the three replaced panels, consecutive in each row
+    at = (np.arange(0, xs.size, xs.shape[-1]).reshape(first.shape)
+          + first.astype(int) * _GL_X.size + np.arange(3 * _GL_X.size))
     near = {}
     for name, v in values.items():
-        v[rows, cols] = 0.0
+        v.put(at, 0.0)
         near[name] = getattr(inner, name)(near_x)
     out = []
     for name in names:
         if name == "dpdf":
             weights = outer.weights * outer.score(outer.nodes)
-            out.append((values["pdf"] @ weights + (
-                near["pdf"] * near_w * outer.score(near_v)).sum(axis=1))
-                / scale)
+            by_parts = values["pdf"] @ weights + (
+                near["pdf"] * near_w * outer.score(near_v)).sum(axis=-1)
+            out.append((by_parts[..., None] / scale)[..., 0])
         else:
             out.append(values[name] @ outer.weights
-                       + (near[name] * near_w).sum(axis=1))
+                       + (near[name] * near_w).sum(axis=-1))
     return out
 
 
-def _lead_values(d: np.ndarray, kt: float, kernel: BroadeningKernel,
-                 names: tuple[str, ...]) -> list[np.ndarray]:
-    """[E_Y[kernel.<name>(Y - d)] for name in names], Y logistic of scale kt.
+_Group = namedtuple("_Group", "path levels tail gammas mus kts")
 
-    ``d`` is a 1-D array of lead-local offsets mu - mu_lead; each result has
-    its shape. ``names`` are "cdf" for the lead's smoothed occupation,
-    "pdf" for its -d/dmu and "dpdf" for its d2/dmu2. The expectation runs
-    over the narrower of the two
-    distributions: over the kernel's (the Gaussian's) when it has a mean and
-    sigma < 2 kt, of the thermal cdf and pdf; otherwise over the thermal
-    one, of the kernel's.
-    """
-    if kt == 0.0:
+
+def _plan(coupled: tuple, kernel: BroadeningKernel) -> tuple[_Group, ...]:
+    """The coupled leads in order, grouped by path: "step" (T = 0), "fermi"
+    (no kernel), or the narrower distribution's rule graded ``levels`` deep,
+    "normal" (over U, sigma < 2 kT) or "thermal" (over Y/kT), with the
+    leads' gamma, mu and kT as columns. A thermal lead's window ``tail`` can
+    matter under a Gaussian, whose e^(sigma^2/2kT^2) carries p beyond the
+    window once d - sigma^2/kT exceeds about 40 kT, and under a kernel
+    without a mean narrower than 2 kT, whose algebraic tail near d = 40 kT
+    can be below the e^(-40) of the Fermi part."""
+    w, mean = kernel.width, math.isfinite(kernel.mad)
+    groups = {}
+    for gamma, lead in coupled:
+        kt = lead.thermal_energy
+        key = (("step" if kt == 0.0 else "fermi", 0) if kt == 0.0 or w == 0.0
+               else ("normal", _grading_levels(kt / w)) if mean and w < 2 * kt
+               else ("thermal", _grading_levels(w / kt)))
+        groups.setdefault(key, []).append((gamma, lead.chemical_potential, kt))
+    return tuple(
+        _Group(path, levels, path == "thermal" and (mean or levels > 0),
+               *np.array(leads).T[..., None].copy())
+        for (path, levels), leads in groups.items())
+
+
+def _lead_values(d: np.ndarray, group: _Group, kernel: BroadeningKernel,
+                 names: tuple[str, ...]) -> list[np.ndarray]:
+    """[E_Y[kernel.<name>(Y - d)] for name in names], Y logistic of scale kT,
+    for a group's offsets d = mu - mu_lead, a row per lead, each result of
+    their shape: "cdf" for p_i, "pdf" for -dp_i/dmu, "dpdf" for d2p_i/dmu2."""
+    if group.path == "step":
         # the kernel itself; without one an atom: a step occupation and no
         # density away from mu_lead
         return [0.0 * d if n != "cdf" and kernel.width == 0.0
                 else getattr(kernel, n)(-d) for n in names]
-    if kernel.width == 0.0:
+    levels, kts = group.levels, group.kts
+    if group.path == "fermi":
         # the Fermi closed form, every name from one exp of -|x|: it is all
         # a Delta ramp computes, and _Thermal's one exp per name made those
         # ramps about a tenth slower
-        x = d / kt
+        x = d / kts
         e = np.exp(-np.abs(x))
         return [np.where(x >= 0.0, e, 1.0) / (1.0 + e) if n == "cdf"
-                else e / (kt * (1.0 + e) ** 2) if n == "pdf"
-                else np.sign(x) * (1.0 - e) * e / (kt * kt * (1.0 + e) ** 3)
+                else e / (kts * (1.0 + e) ** 2) if n == "pdf"
+                else np.sign(x) * (1.0 - e) * e / (kts * kts * (1.0 + e) ** 3)
                 for n in names]
-    if math.isfinite(kernel.mad) and kernel.width < 2.0 * kt:
-        scale, outer, inner = kernel.width, _NORMAL_RULE, _Thermal(kt)
-    else:
-        scale, outer, inner = kt, _THERMAL_RULE, kernel
-    levels = _grading_levels(inner.width / scale)
+    outer = _NORMAL_RULE if group.path == "normal" else _THERMAL_RULE
     nodes = outer.nodes.size + (2 * _GL_X.size * (levels + 1) if levels else 0)
     rows = max(1, _BLOCK_ELEMENTS // nodes)
-    # at least one block, so that no levels give empty results
-    blocks = [_lead_block(d[lo:lo + rows], scale, outer, inner, names)
-              for lo in range(0, d.size or 1, rows)]
-    return [np.concatenate(parts) for parts in zip(*blocks)]
+    # the leads share a block while all their levels fit in one, else each
+    # takes blocks of its own, at least one, so no levels give empty results
+    if d.size <= rows:
+        return _lead_block(d, kts[..., None], kernel, outer, levels, names)
+    blocks = [_lead_block(row[lo:lo + rows], kt, kernel, outer, levels, names)
+              for row, kt in zip(d, kts[:, 0].tolist())
+              for lo in range(0, row.size or 1, rows)]
+    return [(np.concatenate(parts) if len(parts) > 1 else parts[0]).reshape(
+        d.shape) for parts in zip(*blocks)]
 
 
 _TAIL_MASS = math.exp(-_WINDOW)  # the logistic mass beyond the window
@@ -333,36 +359,28 @@ def _add_window_tails(totals: list, flat: np.ndarray, sys: DotSystem,
     at mu_1/2, but its rounding is that of -dp/dmu over w, so it follows
     the pdf's gate when both are requested.
     """
-    kernel = sys.kernel
-    w = kernel.width
-    mean = math.isfinite(kernel.mad)
-    # it matters under a Gaussian of sigma >= 2 kT, whose e^(sigma^2/2kT^2)
-    # carries p beyond the window once d - sigma^2/kT exceeds about 40 kT,
-    # and under a kernel without a mean narrower than 2 kT, whose algebraic
-    # tail near d = 40 kT can be below the e^(-40) of the Fermi part; a
-    # narrower Gaussian's lead is taken over U, a T = 0 lead in closed form
-    leads = [(gamma * _TAIL_MASS, lead.chemical_potential, lead.thermal_energy)
-             for gamma, lead in sys.coupled if 0.0 < 2.0 * lead.thermal_energy
-             and (2.0 * lead.thermal_energy <= w if mean
-                  else w < 2.0 * lead.thermal_energy)]
-    if not leads:
+    groups = [group for group in sys.plan if group.tail]
+    if not groups:
         return
+    kernel = sys.kernel
+    w, mean = kernel.width, math.isfinite(kernel.mad)
     rows = False
     for n, t in zip(names, totals):
         if n != "dpdf" or "pdf" not in names:
             rows = rows | (np.abs(t) < _TAIL_REACH / w ** _DERIVATIVE[n])
     if not np.count_nonzero(rows):
         return
-    for mass, mu_i, kt in leads:
-        d = flat[rows] - mu_i
+    for group in groups:  # a row per lead, added in turn
+        mass, kt = group.gammas * _TAIL_MASS, group.kts
+        d = flat[rows] - group.mus
         a = _WINDOW * kt - np.abs(d)
         m = mass * kernel.tail_moment(a, kt)
         edge = mass * kernel.pdf(a) if mean and "dpdf" in names else 0.0
         for n, t in zip(names, totals):
-            t[rows] += (
+            t[rows] = sum(
                 np.where(d > 0.0, mass * kernel.cdf(a) + m, 0.0)
                 if n == "cdf" else m / kt if n == "pdf"
-                else np.sign(d) * (m / kt - edge) / kt)
+                else np.sign(d) * (m / kt - edge) / kt, t[rows])
 
 
 def _combined(mu, sys: DotSystem, names: tuple[str, ...]) -> list:
@@ -380,13 +398,11 @@ def _combined(mu, sys: DotSystem, names: tuple[str, ...]) -> list:
         raise ValueError(
             f"mu must be finite, got {flat[~np.isfinite(flat)][0]}")
     totals = [0.0] * len(names)
-    for gamma, lead in sys.coupled:
-        d = flat - lead.chemical_potential
-        for i, v in enumerate(_lead_values(d, lead.thermal_energy, sys.kernel,
-                                           names)):
-            totals[i] = totals[i] + gamma * v
-    if sys.kernel.width:
-        _add_window_tails(totals, flat, sys, names)
+    for group in sys.plan:
+        # 0.0 + gamma_S v_S + gamma_D v_D, a row of v per lead
+        values = _lead_values(flat - group.mus, group, sys.kernel, names)
+        totals = [sum(group.gammas * v, t) for t, v in zip(totals, values)]
+    _add_window_tails(totals, flat, sys, names)
     if scalar:
         return [float(t[0]) for t in totals]
     return [t.reshape(mu.shape) for t in totals]

@@ -90,30 +90,25 @@ def simulate(sys: DotSystem, sched: ProtocolSchedule,
     the integration, exact for the table's interpolant, has no stability limit.
     """
     p = occupation(sched.segments[0].mu_start, sys)
-    ts = [0.0]
-    mus = [sched.segments[0].mu_start]
-    ps = [p]
-    works = [0.0]
-    t = 0.0
-    work = 0.0
+    # the samples of t, mu, p and work: the start's, then each ramp's
+    parts = [[np.array([x]) for x in (
+        0.0, sched.segments[0].mu_start, p, 0.0)]]
+    t = work = 0.0
     for seg in sched.segments:
         if seg.duration == 0.0:
             work += (seg.mu_end - seg.mu_start) * p
             # quench happens "at" the current time; update the last sample
-            mus[-1] = seg.mu_end
-            works[-1] = work
+            parts[-1][1][-1], parts[-1][3][-1] = seg.mu_end, work
             continue
         seg_p, seg_work = _exact_ramp(sys, seg, p)
         seg_p = np.clip(seg_p, 0.0, 1.0)
-        ts.extend(t + seg.duration * _U_OUT[1:])
-        mus.extend(seg.mu_start + (seg.mu_end - seg.mu_start) * _U_OUT[1:])
-        ps.extend(seg_p[1:])
-        works.extend(work + seg_work[1:])
+        parts.append([t + seg.duration * _U_OUT[1:],
+                      seg.mu_start + (seg.mu_end - seg.mu_start) * _U_OUT[1:],
+                      seg_p[1:], work + seg_work[1:]])
         t += seg.duration
         p = float(seg_p[-1])
         work += float(seg_work[-1])
-    return Trajectory(np.asarray(ts), np.asarray(mus),
-                      np.asarray(ps), np.asarray(works))
+    return Trajectory(*map(np.concatenate, zip(*parts)))
 
 
 def _exact_ramp(sys: DotSystem, seg: Segment,
@@ -212,17 +207,25 @@ def _relax(p0: float, X: np.ndarray, g: np.ndarray) -> np.ndarray:
     of p0 e^{-X_n} and of g_k e^{-(X_n - X_{k+1})}, run in blocks over which
     X grows by at most 500, scaled to the block's end, so every exponential
     stays finite; where e^{X_k - X_{k+1}} underflows, p_{k+1} = g_k exactly.
-    p is as good as the ramp table behind g: about 1e-12, or p_ss's own
-    rounding where that is coarser.
+    A run of steps each over 500 is one expression, its factors by math.exp
+    as a block's, with p_k = g_{k-1}: where they differ, both times e^(X_k -
+    X_{k+1}) round to 0. p is as good as the ramp table behind g: about
+    1e-12, or p_ss's own rounding where that is coarser.
     """
     p = np.empty(X.size)
     p[0] = p0
     lo = 0
     while lo < g.size:
-        hi = max(lo + 1, int(np.searchsorted(X, X[lo] + 500.0, "right")) - 1)
-        scale = np.exp(X[lo + 1:hi + 1] - X[hi])
-        p[lo + 1:hi + 1] = (np.cumsum(g[lo:hi] * scale)
-                            + p[lo] * math.exp(X[lo] - X[hi])) / scale
+        hi = int(np.searchsorted(X, X[lo] + 500.0, "right")) - 1
+        if hi > lo:
+            scale = np.exp(X[lo + 1:hi + 1] - X[hi])
+            p[lo + 1:hi + 1] = (np.cumsum(g[lo:hi] * scale)
+                                + p[lo] * math.exp(X[lo] - X[hi])) / scale
+        else:  # a run of steps over 500, to the first one under it or the end
+            hi = lo + 1 + int(np.argmax(np.append(
+                X[lo + 2:] <= X[lo + 1:-1] + 500.0, True)))
+            p[lo + 1:hi + 1] = g[lo:hi] + np.append(p[lo], g[lo:hi - 1]) * [
+                math.exp(x) for x in (X[lo:hi] - X[lo + 1:hi + 1]).tolist()]
         lo = hi
     return p
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dot_model import (_NORMAL_RULE, _WINDOW, DotSystem, _broadening_excess,
-                        _lead_block, _Thermal, dominant_scale,
+                        _grading_levels, _lead_block, _Thermal, dominant_scale,
                         half_occupation_level, occupation, occupation_levels)
 from .numerics import integrate
 
@@ -122,8 +122,9 @@ def absolute_deviation_integral(sys: DotSystem, point: float) -> float:
         elif kernel.width == 0.0:
             mad = _Thermal(kt).absolute_moment(c)
         else:
-            mad = _lead_block(np.array([-c]), kernel.width, _NORMAL_RULE,
-                              _Thermal(kt), ("absolute_moment",))[0][0]
+            mad = _lead_block(np.array([-c]), kt, kernel, _NORMAL_RULE,
+                              _grading_levels(kt / kernel.width),
+                              ("absolute_moment",))[0][0]
         total += gamma * float(mad)
     return total
 

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from chargebit import DotSystem, TunnelRates
-from chargebit.dot_model import _combined
+from chargebit.dot_model import _combined, _lead_values
 from chargebit.kernels import Delta, Gaussian, Lorentzian
 from chargebit.leads import LeadParams
 
@@ -54,6 +54,14 @@ def corpus_device(i):
     Lorentzian(w) by i % 3.
     """
     return _twelve_decade_corpus()[i]
+
+
+def lead_values(d, kt, kernel, names):
+    """The core's values of one lead at 0 of temperature kt for the offsets
+    d (a 1-D array): ``_lead_values`` for the one group of the device whose
+    source alone is coupled."""
+    (group,) = make_system(kt, kt, 0.0, 1.0, kernel).plan
+    return [v[0] for v in _lead_values(d[None], group, kernel, names)]
 
 
 def occupation_density(mu, sys_):

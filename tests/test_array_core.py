@@ -18,10 +18,11 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from chargebit import erasure_costs, half_occupation_level
-from chargebit.dot_model import _combined, _lead_values, occupation
+from chargebit.dot_model import _combined, occupation
 from chargebit.kernels import Delta, Gaussian, Lorentzian
 
-from conftest import make_system, occupation_density, random_system
+from conftest import (lead_values, make_system, occupation_density,
+                      random_system)
 
 TIGHT = dict(epsabs=1e-16, epsrel=1e-13, limit=2000)
 TOL = 1e-10
@@ -300,7 +301,7 @@ class TestCurvature:
     @pytest.mark.parametrize("kt, kernel", _curvature_leads())
     def test_twelve_decades(self, kt, kernel):
         ds = self.OFFSETS * max(kt, kernel.width)
-        (got,) = _lead_values(ds, kt, kernel, ("dpdf",))
+        (got,) = lead_values(ds, kt, kernel, ("dpdf",))
         want = np.array([_reference_curvature(d, kt, kernel) for d in ds])
         assert np.max(np.abs(got - want)) <= TOL * np.max(np.abs(want))
 
@@ -310,7 +311,7 @@ class TestCurvature:
         # the rest is 13% off; by parts it is within the e^-40 cut
         kernel = Lorentzian(1e-6)
         ds = np.array([40.0 - 1e-6, 40.0, 40.0 + 3e-6, -40.0])
-        (got,) = _lead_values(ds, 1.0, kernel, ("dpdf",))
+        (got,) = lead_values(ds, 1.0, kernel, ("dpdf",))
         want = [_reference_curvature(d, 1.0, kernel) for d in ds]
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=0.0)
 
@@ -319,17 +320,17 @@ class TestCurvature:
     def test_zero_temperature_leads(self, kernel):
         # p_i = K(-d), so d2p_i/dmu2 = K''(-d); without a kernel, 0
         ds = np.array([-3.0, -0.5, 0.0, 1e-5, 0.7, 6.0]) * kernel.width
-        (got,) = _lead_values(ds, 0.0, kernel, ("dpdf",))
+        (got,) = lead_values(ds, 0.0, kernel, ("dpdf",))
         want = [_kernel_dpdf(-d, kernel) for d in ds]
         np.testing.assert_allclose(got, want, rtol=TOL, atol=0.0)
-        (atom,) = _lead_values(ds, 0.0, Delta(), ("dpdf",))
+        (atom,) = lead_values(ds, 0.0, Delta(), ("dpdf",))
         assert not np.any(atom)
 
     @pytest.mark.parametrize("kt", [1e-6, 1e-3, 1.0, 1e3, 1e6])
     def test_delta_kernel(self, kt):
         # the Fermi function's second derivative, -rho'(d)
         ds = np.array([-50.0, -3.0, -0.2, 0.0, 1e-9, 0.5, 2.0, 35.0]) * kt
-        (got,) = _lead_values(ds, kt, Delta(), ("dpdf",))
+        (got,) = lead_values(ds, kt, Delta(), ("dpdf",))
         want = [-_logistic_slope(d, kt) for d in ds]
         np.testing.assert_allclose(got, want, rtol=TOL, atol=0.0)
 
@@ -402,7 +403,8 @@ class TestWideGaussianTail:
         _combined(0.0, self.SYS, ("cdf", "pdf", "dpdf"))
         assert rows == []
         occupation(np.array([-1.0, 0.0, 40.0, 60.0]), self.SYS)
-        assert rows == [2, 2]  # the two far levels, once for each lead
+        # the two far levels of each lead, in one call for the leads' group
+        assert rows == [4]
 
 
 class TestNarrowLorentzianTail:
@@ -497,3 +499,52 @@ class TestNarrowLorentzianTail:
         for mu, want in zip(self.MU, np.array(expected)[:, 0]):
             assert occupation(float(mu), sys_) == pytest.approx(
                 want, rel=1e-12, abs=0.0)
+
+
+class TestGroupedLeads:
+    """Leads that share a path are evaluated together (``DotSystem.plan``),
+    each summed as it would be alone: the device's p, -dp/dmu and d2p/dmu2
+    are the rate-weighted sums of its two one-lead devices (gamma_source 1
+    and 0), on levels across both leads, the graded panels' centres and the
+    window tails."""
+
+    # (kT_S, kT_D, kernel, the plan's paths and grading levels)
+    DEVICES = {
+        "delta": (0.3, 0.5, Delta(), [("fermi", 0)]),
+        "zero-temperature": (0.0, 0.0, Gaussian(0.5), [("step", 0)]),
+        "wide-gaussian": (0.3, 0.5, Gaussian(3.0), [("thermal", 0)]),
+        "lorentzian": (0.3, 0.5, Lorentzian(3.0), [("thermal", 0)]),
+        "narrow-gaussian": (1.0, 2.0, Gaussian(0.5), [("normal", 0)]),
+        "graded-gaussian": (0.6, 0.7, Gaussian(1.0), [("normal", 3)]),
+        "graded-lorentzian": (0.3, 0.35, Lorentzian(0.1), [("thermal", 4)]),
+        "two-groups": (0.5, 0.7, Gaussian(1.0),
+                       [("thermal", 0), ("normal", 3)]),
+    }
+
+    @pytest.mark.parametrize("name", DEVICES)
+    def test_device_sums_its_leads_alone(self, name):
+        kt_s, kt_d, kernel, paths = self.DEVICES[name]
+        bias, g_s = 2.0, 0.4
+        sys_ = make_system(kt_s, kt_d, bias, g_s, kernel)
+        assert [(g.path, g.levels) for g in sys_.plan] == paths
+        scale = max(kt_s, kt_d, kernel.width)
+        # across both leads, about each lead's centre (where a graded
+        # block's panels are centred) and out to the window tails
+        mus = np.concatenate((
+            np.linspace(-2.0, bias + 2.0, 41),
+            [m + s * x for m in (0.0, bias) for s in (-1, 1)
+             for x in (1e-9, 1e-3, 0.05)],
+            bias + scale * np.array([20.0, 39.5, 40.0, 41.0, 45.0, 60.0]),
+            -scale * np.array([20.0, 40.0, 45.0, 60.0])))
+        names = ("cdf", "pdf", "dpdf")
+        # all levels in one call, where a lead may take blocks of its own,
+        # and one level a call, where the group's leads share one block
+        for call in (lambda s: _combined(mus, s, names),
+                     lambda s: np.transpose([_combined(float(m), s, names)
+                                             for m in mus])):
+            source, drain = (
+                np.array(call(make_system(kt_s, kt_d, bias, g, kernel)))
+                for g in (1.0, 0.0))
+            np.testing.assert_allclose(call(sys_),
+                                       g_s * source + (1.0 - g_s) * drain,
+                                       rtol=1e-15, atol=0.0)

@@ -615,15 +615,19 @@ class TestRampWorkCount:
                 return self.inner.dpdf(x)
 
         block = dot_model._lead_block
+        thermal = dot_model._Thermal
 
-        def counted_block(d, scale, outer, inner, names):
-            tally["levels"].append(
-                dot_model._grading_levels(inner.width / scale))
-            return block(d, scale, outer, Counted(inner), names)
+        # the inner distribution is the kernel over the thermal variable, a
+        # _Thermal over the kernel's: both are counted
+        def counted_block(d, kt, kernel, outer, levels, names):
+            tally["levels"].append(levels)
+            return block(d, kt, Counted(kernel), outer, levels, names)
 
         sys_ = make_system(1.0, 1.0, 4.0, 0.5, Gaussian(1.0))
         sched = make_erasure_schedule(sys_, "zero", 10.0)
         monkeypatch.setattr(dot_model, "_lead_block", counted_block)
+        monkeypatch.setattr(dot_model, "_Thermal",
+                            lambda kt: Counted(thermal(kt)))
         traj = simulate(sys_, sched, 0.05)
         assert math.isfinite(traj.total_work)
         assert 0 < tally["cdf"] <= self.KERNEL_ORDER_EVALUATIONS

@@ -16,15 +16,14 @@ from scipy.integrate import quad
 from chargebit import (DotSystem, EnergyScales, LeadParams, TunnelRates,
                        check_bound, dot_model, energy_scales, erasure,
                        erasure_costs, eta_erasure_work)
-from chargebit.dot_model import (LEVEL_TOL, _lead_values,
-                                 half_occupation_level, occupation,
-                                 occupation_levels)
+from chargebit.dot_model import (LEVEL_TOL, half_occupation_level,
+                                 occupation, occupation_levels)
 from chargebit.erasure import DivergentInput, absolute_deviation_integral
 from chargebit.kernels import Delta, Gaussian, Lorentzian
 from chargebit.units import broadening_energy_uev, thermal_energy_uev
 
 from conftest import (corpus_device, decimal_fermi, decimal_ramp,
-                      make_system, random_system, reference_quad)
+                      lead_values, make_system, random_system, reference_quad)
 
 LN2 = math.log(2.0)
 _TWELVE_DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
@@ -680,7 +679,7 @@ def _reference_lead_mad(lead, kernel, point):
     reach = 45.0 * kt + 12.0 * kernel.width
 
     def f(x):
-        (dens,) = _lead_values(np.array([x]), kt, kernel, ("pdf",))
+        (dens,) = lead_values(np.array([x]), kt, kernel, ("pdf",))
         return abs(x + c) * dens[0]
     pts = [p for p in (-c, 0.0) if -reach < p < reach]
     return quad(f, -reach, reach, points=pts or None, epsabs=0.0,

@@ -21,10 +21,12 @@ from the kernel's data, not from a method that returns a constant.
 ``dynamics.py`` reads no lead temperature and no kernel: the levels where a
 ramp's p_ss jumps are the device's own ``DotSystem.atoms``.
 
-The array core of ``dot_model`` (``_lead_values`` and ``_lead_block``)
-calls no ``isinstance`` either: it takes and returns arrays only, so no
-float fork beside the numpy path can return. ``_combined`` is the one
-place where a float level becomes a one-element array and back.
+The array core of ``dot_model`` (``_lead_values``, one pass for a group of
+leads that share a path in the device's ``plan``, and ``_lead_block``, one
+block of offsets for one lead or for a group's stacked rows) calls no
+``isinstance`` either: it takes and returns arrays only, so no float fork
+beside the numpy path can return. ``_combined`` is the one place where a
+float level becomes a one-element array and back.
 
 No module imports scipy at module level: ``import chargebit.cli`` loads
 numpy and the package only, and scipy is imported inside the functions
