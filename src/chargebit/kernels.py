@@ -11,11 +11,11 @@ have one numpy body each: they take a numpy array of energy offsets
 value); on graded panels, where a kernel is much narrower than kT, the
 core takes ``dpdf`` by parts from the ``pdf`` instead. The delta kernel has
 neither ``pdf`` nor ``dpdf``: its callers branch on ``width == 0`` first.
-The scalar methods of adaptive integrands are the Gaussian's
-``partial_expectation``, for the W0/W1 broadening excess (0 without a
-kernel and infinite without a mean, as read from the data), and the
-Lorentzian's ``antiderivative`` with ``cdf_integral``, its difference over
-a window, for the eta raise work. The Gaussian and the Lorentzian also
+The Gaussian's scalar ``partial_expectation`` is the integrand of the
+W0/W1 broadening excess (0 without a kernel and infinite without a mean, as
+read from the data). The Lorentzian's numpy ``antiderivative`` and
+``cdf_integral``, its difference over a window, give the eta raise work on
+fixed panels; neither warns at any input. The Gaussian and the Lorentzian also
 have a numpy ``tail_moment``, E[e^((a - X)/kT); X > a], from which
 ``dot_model`` adds the logistic tail that its thermal rule's window cuts.
 Code outside this module reads a kernel's data, not its type: ``width ==
@@ -137,14 +137,17 @@ class Lorentzian:
         with np.errstate(over="ignore"):
             return self.pdf(x) * (-2.0 * x / (self.scale * self.scale + x * x))
 
-    def antiderivative(self, x: float) -> float:
+    def antiderivative(self, x):
         """A(x) = integral of the cdf over [0, x] = x*K(x) - (w/pi)*ln
         hypot(1, x/w); the lower tail, about -(w/pi)*(1 + ln|x/w|), is a sum
-        of two terms of one sign."""
-        u = x / self.scale
-        log_hypot = (0.5 * math.log1p(u * u) if abs(u) < 1.0
-                     else math.log(math.hypot(1.0, u)))
-        return (x * math.atan2(1.0, -u) - self.scale * log_hypot) / math.pi
+        of two terms of one sign. ln hypot is 0.5*log1p(u^2) below |u| = 1;
+        both forms are computed, so the other's overflow is silenced."""
+        with np.errstate(all="ignore"):
+            u = x / self.scale
+            log_hypot = np.where(np.abs(u) < 1.0, 0.5 * np.log1p(u * u),
+                                 np.log(np.hypot(1.0, u)))
+            return (x * np.arctan2(1.0, -u)
+                    - self.scale * log_hypot) / math.pi
 
     def tail_moment(self, a, kt: float):
         """E[e^((a - X)/kT); X > a] for a kernel narrower than 2 kT, as
@@ -153,7 +156,7 @@ class Lorentzian:
         w/kT, so the window tail it gives is within about e^(-40) of p."""
         return np.exp(np.minimum(a, 0.0) / kt) * self.cdf(-a)
 
-    def cdf_integral(self, x0: float, x1: float, width: float) -> float:
+    def cdf_integral(self, x0, x1, width):
         """A(x1) - A(x0), the integral of the cdf over [x0, x1].
 
         ``width`` is x1 - x0 as the caller computed it, free of the rounding
@@ -163,19 +166,23 @@ class Lorentzian:
         would cancel; there the difference is taken term by term, in units
         of w (u = x1/w, v = x0/w, t = width/w): t*K(u) + v*(K(u) - K(v)) -
         ln((1 + u^2)/(1 + v^2))/(2 pi), with K(u) - K(v) = atan(t/(1 + u*v))/pi
-        and the log ratio through log1p.
+        and the log ratio through log1p. As in ``antiderivative``, both forms
+        are computed and the other's overflows silenced.
         """
-        u = x1 / self.scale
-        v = x0 / self.scale
-        if v < 0.0 < u or 0.5 * v < u <= 0.0:
-            return self.antiderivative(x1) - self.antiderivative(x0)
-        t = width / self.scale
-        ratio = t * (u + v) / (1.0 + v * v)
-        log_ratio = (math.log1p(ratio) if abs(ratio) <= 0.5 else
-                     2.0 * math.log(math.hypot(1.0, u) / math.hypot(1.0, v)))
-        return self.scale * (t * math.atan2(1.0, -u) / math.pi
-                             + v * math.atan(t / (1.0 + u * v)) / math.pi
-                             - log_ratio / (2.0 * math.pi))
+        with np.errstate(all="ignore"):
+            u = x1 / self.scale
+            v = x0 / self.scale
+            t = width / self.scale
+            ratio = t * (u + v) / (1.0 + v * v)
+            log_ratio = np.where(np.abs(ratio) <= 0.5, np.log1p(ratio),
+                                 2.0 * np.log(np.hypot(1.0, u)
+                                              / np.hypot(1.0, v)))
+            term = self.scale * (t * np.arctan2(1.0, -u) / math.pi
+                                 + v * np.arctan(t / (1.0 + u * v)) / math.pi
+                                 - log_ratio / (2.0 * math.pi))
+            return np.where((v < 0.0) & (0.0 < u) | (0.5 * v < u) & (u <= 0.0),
+                            self.antiderivative(x1) - self.antiderivative(x0),
+                            term)
 
 
 BroadeningKernel = Union[Delta, Gaussian, Lorentzian]

@@ -415,6 +415,67 @@ class TestLorentzianEtaTwelveDecades:
                 eta_erasure_work(_DEVICE1_LORENTZIAN, eta)
             assert 0 < spy.call_count <= 11, (eta, spy.call_count)
 
+    # 40-digit mpmath as above, at the levels listed (the code's own), each
+    # expectation split at 0 and at the kernel centres +- (w/kT)*8^k; with
+    # 3^k at 50 digits no value moves in its first 28 digits. Device 191
+    # has a lead of kT 2.12 with w/kT = 1.8e-4: adaptive quadrature missed
+    # its eta = 0.1 work by 2.9e-11, and fixed panels graded by 8 in place
+    # of 3 miss it by 2.2e-13. Graded by 4, they miss device 110, whose
+    # leads have w/kT = 0.093 and 6.5, by 1.6e-13.
+    @pytest.mark.parametrize("index, eta, levels, expected", [
+        (110, 0.1, (4.538773257925056e-06, 89107.32646149163),
+         7367.6442447741069167473489746),
+        (191, 0.1, (0.1374511317250045, 45.59492078281779),
+         2.6761816583651345445367685266),
+        (191, 0.01, (0.1374511317250045, 166.1540891914795),
+         10.5451351841607653573834308343),
+        (236, 0.1, (253.7193026669654, 255.05740982646344),
+         0.191871912515591488559368785716),
+        (236, 0.01, (253.7193026669654, 2093579.430662528),
+         46708.952039280351463432969902),
+    ])
+    def test_graded_panels_to_1e_13(self, index, eta, levels, expected):
+        work, mu_half, mu_eta = _eta_work_and_levels(_corpus_device(index),
+                                                     eta)
+        assert (mu_half, mu_eta) == levels
+        assert abs(work - expected) <= 1e-13 * expected, (work, expected)
+
+    def test_no_adaptive_quadrature(self):
+        with mock.patch.object(erasure, "integrate",
+                               wraps=erasure.integrate) as spy:
+            eta_erasure_work(_DEVICE1_LORENTZIAN, [0.1, 0.01, 0.001])
+            eta_erasure_work(_corpus_device(191), [0.1, 0.01, 0.001])
+        assert spy.call_count == 0
+
+
+class TestWideGaussianNearHalf:
+    """A window narrow next to sigma: kT = 1 on both leads at 0, gamma_S =
+    1/2, where the broadening excess at the two ends of [mu_1/2, mu_eta]
+    cancels to about width/sigma. The references are 40-digit mpmath at the
+    code's own levels, the raise work as E_U[kT*(softplus((U - mu_1/2)/kT)
+    - softplus((U - mu_eta)/kT))] and p as E_U[f(mu_eta+ - U)]; the two
+    excesses of W0, subtracted, missed them by 6e-9 and 1.2e-6 relative.
+    What remains is mostly the rounding of p(mu_eta+) times the window."""
+
+    @pytest.mark.parametrize("sigma, eta, levels, expected", [
+        (100.0, 0.4999, (0.0, 0.025070405501298052),
+         1.253520268496272842537053e-6),
+        (1e4, 0.49999, (0.0, 0.25066283160291436),
+         1.25331415790058293943338e-6),
+    ])
+    def test_matches_mpmath(self, sigma, eta, levels, expected):
+        sys_ = make_system(1.0, 1.0, 0.0, 0.5, Gaussian(sigma))
+        work, mu_half, mu_eta = _eta_work_and_levels(sys_, eta)
+        assert (mu_half, mu_eta) == levels
+        assert abs(work - expected) <= 1e-10 * expected, (work, expected)
+
+    def test_one_quadrature_per_lead_and_eta(self):
+        sys_ = make_system(1.0, 0.5, 3.0, 0.3, Gaussian(0.8))
+        with mock.patch.object(erasure, "integrate",
+                               wraps=erasure.integrate) as spy:
+            eta_erasure_work(sys_, [0.1, 0.01])
+        assert spy.call_count == 4
+
 
 class TestEtaBelowTheReachableOccupation:
     """An eta below every occupation the ladder reaches before a level or an

@@ -3,6 +3,7 @@ in-process and the first in a fresh interpreter, as ``mismatches`` compares
 them; the corpus's closed forms exactly, its other values within REL."""
 
 import json
+import logging
 import math
 
 from make_golden import (COMMANDS, CORPUS, LOOSER, REL, corpus_values,
@@ -19,8 +20,10 @@ def test_a_fresh_interpreter_matches_the_golden_file():
     assert mismatches(saved()[:1], run_all(run_fresh, COMMANDS[:1])) == []
 
 
-def test_corpus_matches_the_golden_file():
-    want, got = json.loads(CORPUS.read_text("utf-8")), corpus_values()
+def test_corpus_matches_the_golden_file(caplog):
+    with caplog.at_level(logging.WARNING, logger="chargebit"):
+        want, got = json.loads(CORPUS.read_text("utf-8")), corpus_values()
+    assert caplog.records == []  # no quadrature accepted with a flag
     assert [list(row) for row in got] == [list(row) for row in want]
     misses = [(0.0, "all equal")]  # (difference over tolerance, where)
     for i, (w, g) in enumerate(zip(want, got)):

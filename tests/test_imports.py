@@ -12,9 +12,10 @@ outside its own class.
 
 ``kernels.py`` calls no ``isinstance`` at all, so each kernel method keeps
 one body: numpy for ``cdf`` and ``pdf`` (the delta kernel, whose callers
-branch on its zero width, has a ``cdf`` only), ``math`` for the scalar-only
-``partial_expectation``, ``antiderivative`` and ``cdf_integral`` of the
-adaptive integrands. Only the Gaussian has ``partial_expectation``: the
+branch on its zero width, has a ``cdf`` only) and for the Lorentzian's
+``antiderivative`` and ``cdf_integral`` on the eta window's panels,
+``math`` for the scalar-only ``partial_expectation`` of the adaptive
+integrands. Only the Gaussian has ``partial_expectation``: the
 broadening excess without a kernel (0) or without a mean (infinite) is read
 from the kernel's data, not from a method that returns a constant.
 
@@ -30,7 +31,8 @@ float level becomes a one-element array and back.
 
 No module imports scipy at module level: ``import chargebit.cli`` loads
 numpy and the package only, and scipy is imported inside the functions
-that call it. Commands that never reach those functions run without it.
+that call it. Commands that never reach those functions run without it,
+a Lorentzian ``analyze`` among them.
 
 The adaptive quadrature of ``chargebit.numerics`` is internal: the package
 exports neither it nor any submodule (``chargebit.__all__`` holds the
@@ -38,8 +40,10 @@ public names its ``__init__`` imports, no module), and only its own tests
 (``test_numerics.py`` and ``test_logging.py``) import that module. The
 other tests take their quadrature oracle from scipy directly. In the
 package, ``integrate`` is called only by ``dot_model._broadening_excess``
-and ``erasure._window_integral``, the two integrals over a lead's thermal
-variable that have no fixed-panel form yet; no third caller may appear.
+and ``erasure._window_integral``, the W0/W1 excess and the Gaussian eta
+window, the two integrals over a lead's thermal variable that have no
+fixed-panel form yet (the Lorentzian window has one); no third caller may
+appear.
 """
 
 import ast
@@ -339,12 +343,15 @@ kernel      = delta
 def test_delta_commands_and_lemmas_run_without_scipy(tmp_path):
     config = tmp_path / "delta.cfg"
     config.write_text(_DELTA_DEVICE)
+    lorentzian = tmp_path / "lorentzian.cfg"
+    lorentzian.write_text(_DELTA_DEVICE.replace("delta", "lorentzian"))
     script = textwrap.dedent(f"""\
         import sys
         import chargebit.cli as cli
         assert not [m for m in sys.modules if m.startswith("scipy")]
         cfg, out = {str(config)!r}, {str(tmp_path / "out.csv")!r}
         for argv in (["analyze", "--config", cfg, "--eta", "0.1"],
+                     ["analyze", "--config", {str(lorentzian)!r}],
                      ["protocol", "--config", cfg, "--target", "zero",
                       "--duration", "20", "--out", out],
                      ["occupation", "--config", cfg, "--mu-min", "-100",
