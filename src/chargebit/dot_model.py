@@ -39,11 +39,12 @@ built in blocks of at most about 128 kB. The levels where p crosses targets
 side by side, one core call per step; one that stops at adjacent doubles
 logs at INFO on this module's logger.
 
-The integrals of p are assembled in ``erasure``; this module keeps their
-one primitive, the broadening excess ``_broadening_excess``, and the device
-facts that every module reads, the attributes of ``DotSystem``. The MAD
-cross-check of W-bar runs the same core over a Gaussian's variable with
-the inner function ``_Thermal.absolute_moment``, E_Y|Y - x| in closed form.
+The integrals of p are assembled in ``erasure``; this module keeps the
+broadening excess of W0/W1 ``_broadening_excess``, the logistic's eta
+remainder ``_Thermal.remainder``, and the device facts that every module
+reads, the attributes of ``DotSystem``. The MAD cross-check of W-bar runs
+the same core over a Gaussian's variable with the inner function
+``_Thermal.absolute_moment``, E_Y|Y - x| in closed form.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .kernels import BroadeningKernel, Delta, Gaussian
+from .kernels import (_GL_X, _GL_W, BroadeningKernel, Delta, Gaussian,
+                      _narrow_remainder)
 from .leads import LeadParams
 from .numerics import TAIL_CUTOFF_GAUSSIAN, NonConvergence, integrate
 from .units import store_finite
@@ -136,7 +138,6 @@ def dominant_scale(sys: DotSystem) -> float:
 # -- the fixed-panel rules -----------------------------------------------------
 
 _WINDOW = 40.0  # the thermal rule's cut, in units of kT
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _BLOCK_ELEMENTS = 1 << 14  # 128 kB of float64 per node matrix, cache-sized
 
 
@@ -185,6 +186,25 @@ class _Thermal:
         e = np.exp(-np.abs(x) / self.width)
         return (np.sign(x) * (e - 1.0) * e
                 / (self.width * self.width * (1.0 + e) ** 3))
+
+    def remainder(self, a, b, width):
+        """B(a, b) = kT (softplus(b/kT) - softplus(a/kT)) - width F(a),
+        numpy: with e = e^(-|a|/kT) and g(x) = kT ln(1 + e^(-|x|/kT)),
+        max(b, 0) + g(b) - g(a) - width e/(1 + e) for a <= 0, and from the
+        upper tail g(b) - g(a) + width e/(1 + e) for a > 0, where 1 - F(a)
+        would cancel. A window narrower than 2 kT takes the shared rule. At
+        T = 0, the step, F(a) is its limit from below, p at mu_eta+."""
+        kt = self.width
+        if kt == 0.0:
+            return np.where(a > 0.0, 0.0, np.maximum(b, 0.0))
+        e = np.exp(-np.abs(a) / kt)
+        tail = width * e / (1.0 + e)
+        out = kt * (np.log1p(np.exp(-np.abs(b) / kt)) - np.log1p(e)) + np.where(
+            a > 0.0, tail, np.maximum(b, 0.0) - tail)
+        narrow = width < 2.0 * kt
+        if narrow.any():
+            out[narrow] = _narrow_remainder(self.pdf, a[narrow], width[narrow])
+        return out
 
     def absolute_moment(self, x):
         """E_Y|Y - x| = |x| + 2 kT ln(1 + e^(-|x|/kT)), the quotient capped

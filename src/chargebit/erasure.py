@@ -17,22 +17,20 @@ one, at a small cost next to the mu_1/2 solve.
 
 eta-erasure does one pass for any number of eta: mu_1/2 is solved once or
 passed in, one array call of p on a ladder of levels above it brackets
-every level mu_eta, one call of the solver of mu_1/2,
+every level mu_eta, and one call of the solver of mu_1/2,
 ``dot_model.occupation_levels``, finds them all, each within its ladder
-step, and the occupations just above them are read in one more array call.
-The raise work, the integral of p over [mu_1/2, mu_eta], is per lead and
-for all eta at once ``_window_integrals``, which mirrors a lead above a
-window. With a finite mean each window is ``_window_integral``, built from
-the closed forms of W0: the Fermi integral over the window plus the
-difference of the broadening excess at its two ends, one adaptive integral
-of the term-by-term difference of the kernel's partial expectations. No
-quadrature runs over mu, where an adaptive rule misses the sharp step of a
-lead whose kT is far below the window. The Lorentzian, whose broadening
-excess diverges, takes it from the antiderivative A of its cdf: lead i
-contributes E_Y[A(Y - (mu_1/2 - mu_i)) - A(Y - (mu_eta - mu_i))], Y
-logistic of scale kT_i, on fixed Gauss-Legendre panels over s = Y/kT_i in
-[-40, 40] graded about both kernel centres (the closed form at T = 0): one
-array pass per lead for every eta, and no scipy.
+step. The work is the integral of p - p(mu_eta) over [mu_1/2, mu_eta], a
+sum of non-negative per-lead terms with nothing subtracted at the end: lead
+i adds E_Y[B(Y - (mu_eta - mu_i), Y - (mu_1/2 - mu_i))], Y logistic of
+scale kT_i and B(a, b) = integral of (b - z) k(z) over [a, b] >= 0 the
+``remainder`` of the inner distribution of pdf k (the kernel, or the
+logistic without one). Per lead and for all eta at once
+``_lead_remainders`` takes it closed without a kernel and at T = 0; for a
+Lorentzian on fixed Gauss-Legendre panels over s = Y/kT_i in [-40, 40]
+graded about both kernel centres, one array pass and no scipy; and for a
+Gaussian as one adaptive integral over s per eta
+(``_adaptive_remainder``). No quadrature runs over mu, where an adaptive
+rule misses the sharp step of a lead whose kT is far below the window.
 """
 
 from __future__ import annotations
@@ -167,95 +165,66 @@ def check_bound(costs: ErasureCosts, scales: EnergyScales) -> BoundReport:
     return BoundReport(lower, upper, satisfied)
 
 
-def _window_integral(mu_lead: float, kt: float, lo: float, hi: float,
-                     kernel) -> float:
-    """integral of one lead's occupation over [lo, hi], lo <= hi, for a
-    kernel with a mean.
-
-    A lead above the window is mirrored: the window width less the integral
-    of the mirrored lead's occupation. Then the closed forms of W0: the
-    Fermi integral, a difference of two softplus ramps that cancels for a
-    window narrow next to kT, is kT*log1p(f(hi)*expm1(width/kT)) below
-    700 kT, where expm1 cannot overflow. The broadening excess at lo less
-    that at hi is E_Y[D(Y - c_hi)], D(b) = PE(|b + width|) - PE(|b|) with PE
-    the kernel's partial expectation: one adaptive integral over s = Y/kT
-    (D itself at T = 0). For a window narrower than the kernel, where the
-    two PE cancel, D is the integral of their derivative, -sign(x) K(-|x|),
-    over [b, b + width] on Gauss-Legendre panels split at 0.
-    """
-    if mu_lead > hi:
-        return (hi - lo) - _window_integral(-mu_lead, kt, -hi, -lo, kernel)
-    c_lo, c_hi, width = lo - mu_lead, hi - mu_lead, hi - lo
-    if kt > 0.0 and width / kt < 700.0:
-        e = math.exp(-c_hi / kt)
-        fermi = kt * math.log1p(e / (1.0 + e) * math.expm1(width / kt))
-    else:
-        fermi = softplus_ramp(-c_lo, kt) - softplus_ramp(-c_hi, kt)
-    w = kernel.width
-    if w == 0.0:
-        return fermi
-
-    def excess(y):
-        b = y - c_hi
-        if width >= w:
-            return (kernel.partial_expectation(abs(y - c_lo))
-                    - kernel.partial_expectation(abs(b)))
-        x, weights = _panel_rule(np.array(
-            [b, 0.0, b + width] if b < 0.0 < b + width else [b, b + width]))
-        return float(-np.sign(x) * kernel.cdf(-np.abs(x)) @ weights)
+def _adaptive_remainder(kt: float, c_lo: float, c_hi: float, width: float,
+                        kernel) -> float:
+    """E_Y[B(Y - c_hi, Y - c_lo)], B the remainder of a kernel with a mean:
+    one adaptive integral over s = Y/kT, B itself at T = 0. B vanishes where
+    Y is past [c_lo, c_hi] by the kernel's reach, so the integral runs
+    between those points, clipped to the thermal window, and is split at
+    them, at both kernel centres and at 0. A reach of at least 1e-9 keeps
+    ``integrate`` from merging away the upper centre, where B drops by the
+    window's width: that cost 5e-13 of W at sigma/kT = 1e-13."""
     if kt == 0.0:
-        return fermi + excess(0.0)
-    # D vanishes where both |b| and |b + width| exceed the kernel's reach
-    reach = TAIL_CUTOFF_GAUSSIAN * w / kt
+        return kernel.remainder(-c_hi, -c_lo, width)
+    reach = max(TAIL_CUTOFF_GAUSSIAN * kernel.width / kt, 1e-9)
     s_lo, s_hi = c_lo / kt, c_hi / kt
     a, b = max(-_WINDOW, s_lo - reach), min(_WINDOW, s_hi + reach)
     if not a < b:
-        return fermi
+        return 0.0
 
     def f(s):
-        e = math.exp(-abs(s))
-        return e / (1.0 + e) ** 2 * excess(kt * s)
-    return fermi + integrate(f, a, b, breakpoints=[
+        e, y = math.exp(-abs(s)), kt * s
+        return e / (1.0 + e) ** 2 * kernel.remainder(y - c_hi, y - c_lo, width)
+    return integrate(f, a, b, breakpoints=[
         0.0, s_lo, s_hi, s_lo + reach, s_hi - reach]).value
 
 
-def _window_integrals(mu_lead: float, kt: float, lo: float, his: np.ndarray,
-                      kernel) -> np.ndarray:
-    """``_window_integral`` over [lo, hi] for each hi of ``his``.
+def _lead_remainders(mu_lead: float, kt: float, lo: float, his: np.ndarray,
+                     kernel) -> np.ndarray:
+    """E_Y[B(Y - c_hi, Y - c_lo)], the integral of p_i - p_i(hi) over
+    [lo, hi], for each hi of ``his``: c = lo - mu_lead, hi - mu_lead, Y
+    logistic of scale kT and B the remainder of the inner distribution.
 
-    Without a mean, in one array pass and with a lead above a window
-    mirrored, E_Y[A(Y - c_lo) - A(Y - c_hi)], A the antiderivative of the
-    kernel's cdf and c = lo - mu_lead, hi - mu_lead: at T = 0 closed, else
-    on the thermal rule's panels over s = Y/kT, with edges at each kernel
-    centre c/kT and about it at w/kT times powers of 3 below 8. No panel is
-    then more than 3 times as far from A's log-like corner at one end as at
-    the other: by 4, 10 nodes missed corpus device 110 by 1.6e-13.
+    Closed without a kernel (the logistic's, the step's at T = 0) and at
+    T = 0 (the kernel's). A kernel with a mean takes ``_adaptive_remainder``.
+    Without one, in one array pass, on the thermal rule's panels over
+    s = Y/kT, with edges at each kernel centre c/kT and about it at w/kT
+    times powers of 3 below 8. No panel is then more than 3 times as far
+    from a kernel centre at one end as at the other: by 4, 10 nodes missed
+    corpus device 110 by 1.6e-13.
     """
+    c_lo, c_hi, width = lo - mu_lead, his - mu_lead, his - lo
+    if kernel.width == 0.0:
+        return _Thermal(kt).remainder(-c_hi, -c_lo, width)
     if math.isfinite(kernel.mad):
-        return np.array([_window_integral(mu_lead, kt, lo, hi, kernel)
-                         for hi in his.tolist()])
-    width = his - lo
-    mirror = mu_lead > his
-    c_lo = np.where(mirror, mu_lead - his, lo - mu_lead)
-    c_hi = np.where(mirror, mu_lead - lo, his - mu_lead)
+        return np.array([_adaptive_remainder(kt, c_lo, c, w, kernel)
+                         for c, w in zip(c_hi.tolist(), width.tolist())])
     if kt == 0.0:
-        values = kernel.cdf_integral(-c_hi, -c_lo, width)
-    else:
-        r = max(kernel.width / kt, 1e-15)  # finer rungs split s's rounding
-        rungs = r * 3.0 ** np.arange(max(0, math.ceil(math.log(8.0 / r, 3))))
-        offsets = np.concatenate(([0.0], rungs, -rungs))
-        uniform = np.linspace(-_WINDOW, _WINDOW, round(_WINDOW) + 1)
-        rules = [_panel_rule(np.unique(np.clip(np.concatenate(
-            (uniform, lo_k / kt + offsets, hi_k / kt + offsets)),
-            -_WINDOW, _WINDOW))) for lo_k, hi_k in zip(c_lo.tolist(),
-                                                       c_hi.tolist())]
-        s, weights = map(np.concatenate, zip(*rules))
-        rows = np.repeat(np.arange(len(rules)), [n.size for n, _ in rules])
-        values = np.bincount(rows, weights * _THERMAL_RULE.density(s)
-                             * kernel.cdf_integral(kt * s - c_hi[rows],
-                                                   kt * s - c_lo[rows],
-                                                   width[rows]))
-    return np.where(mirror, width - values, values)
+        return kernel.remainder(-c_hi, -c_lo, width)
+    r = max(kernel.width / kt, 1e-15)  # finer rungs split s's rounding
+    rungs = r * 3.0 ** np.arange(max(0, math.ceil(math.log(8.0 / r, 3))))
+    offsets = np.concatenate(([0.0], rungs, -rungs))
+    common = np.concatenate((np.linspace(-_WINDOW, _WINDOW, round(_WINDOW) + 1),
+                             c_lo / kt + offsets))
+    rules = [_panel_rule(np.unique(np.clip(np.concatenate(
+        (common, c / kt + offsets)), -_WINDOW, _WINDOW)))
+        for c in c_hi.tolist()]
+    s, weights = map(np.concatenate, zip(*rules))
+    rows = np.repeat(np.arange(len(rules)), [n.size for n, _ in rules])
+    y = kt * s
+    return np.bincount(rows, weights * _THERMAL_RULE.density(s)
+                       * kernel.remainder(y - c_hi[rows], y - c_lo,
+                                          width[rows]))
 
 
 def _level_ladder(sys: DotSystem, mu_half: float,
@@ -296,11 +265,12 @@ def _level_ladder(sys: DotSystem, mu_half: float,
 def eta_erasure_work(sys: DotSystem, eta, mu_half: float | None = None):
     """Work to drive the occupation from 1/2 down to eta and reset the level.
 
-    W = integral of p over [mu_half, mu_eta] minus (mu_eta - mu_half) times
-    the occupation reached just above mu_eta, which is eta unless p jumps
-    past eta at the atom of a T = 0 lead. Finite for every kernel, which is
-    the point: it is the supported erasure notion when exact erasure
-    diverges (Lorentzian broadening).
+    W = integral of p - p(mu_eta) over [mu_half, mu_eta], the work to reach
+    the occupation at the returned level, eta to the level tolerance; where
+    p jumps past eta at the atom of a T = 0 lead, p(mu_eta) is its limit
+    from above. Finite for every kernel, which is the point: it is the
+    supported erasure notion when exact erasure diverges (Lorentzian
+    broadening).
 
     ``eta`` is a float, which gives a float, or a sequence, which gives a
     list in its order; all of them are checked before anything is solved.
@@ -335,10 +305,7 @@ def eta_erasure_work(sys: DotSystem, eta, mu_half: float | None = None):
             sys, targets, *zip(*brackets))) if mu_eta > mu_half}
         if levels:
             his = np.array(list(levels.values()))
-            reached = occupation(np.nextafter(his, math.inf), sys).tolist()
-            raised = sum(gamma * _window_integrals(
+            works.update(zip(levels, sum(gamma * _lead_remainders(
                 lead.chemical_potential, lead.thermal_energy, mu_half, his,
-                sys.kernel) for gamma, lead in sys.coupled).tolist()
-            for (e, mu_eta), r, work in zip(levels.items(), reached, raised):
-                works[e] = work - (mu_eta - mu_half) * r
+                sys.kernel) for gamma, lead in sys.coupled).tolist()))
     return works[etas[0]] if scalar else [works[e] for e in etas]

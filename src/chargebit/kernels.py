@@ -13,9 +13,14 @@ core takes ``dpdf`` by parts from the ``pdf`` instead. The delta kernel has
 neither ``pdf`` nor ``dpdf``: its callers branch on ``width == 0`` first.
 The Gaussian's scalar ``partial_expectation`` is the integrand of the
 W0/W1 broadening excess (0 without a kernel and infinite without a mean, as
-read from the data). The Lorentzian's numpy ``antiderivative`` and
-``cdf_integral``, its difference over a window, give the eta raise work on
-fixed panels; neither warns at any input. The Gaussian and the Lorentzian also
+read from the data). The eta work takes from each kernel its
+``remainder`` B(a, b) = integral of (b - z) pdf(z) over [a, b] >= 0, the
+integral of cdf - cdf(a) over the window: numpy for the Lorentzian on fixed
+panels, without a warning at any input, scalar ``math`` for the Gaussian
+under adaptive quadrature. Both are closed forms, the logistic's too
+(``dot_model._Thermal``); a window too narrow for them, where their terms
+cancel, takes the one 10-node Gauss-Legendre rule ``_narrow_remainder``.
+The Gaussian and the Lorentzian also
 have a numpy ``tail_moment``, E[e^((a - X)/kT); X > a], from which
 ``dot_model`` adds the logistic tail that its thermal rule's window cuts.
 Code outside this module reads a kernel's data, not its type: ``width ==
@@ -42,6 +47,18 @@ from .units import store_finite
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
+_GL_SLOPE = _GL_W * (1.0 - _GL_X)  # the weights times (b - z)/half
+
+
+def _narrow_remainder(pdf, a, width):
+    """B(a, a + width) = integral of (b - z) pdf(z) over [a, b], on the
+    10-node Gauss-Legendre rule, b - z formed as width (1 - x)/2: the
+    remainder of any inner distribution over a window too narrow for its
+    closed form. numpy; a float gives a 0-d value."""
+    half = 0.5 * np.asarray(width)
+    z = np.asarray(a)[..., None] + half[..., None] * (1.0 + _GL_X)
+    return half * (pdf(z) @ _GL_SLOPE * half)
 
 
 @dataclass(frozen=True)
@@ -94,6 +111,22 @@ class Gaussian:
         return self.sigma * (math.exp(-0.5 * z * z) / _SQRT2PI
                              - 0.5 * z * math.erfc(z / _SQRT2))
 
+    def remainder(self, a: float, b: float, width: float) -> float:
+        """B(a, b) = b (Phi(b) - Phi(a)) + sigma^2 (pdf(b) - pdf(a)), scalar,
+        the mass of [a, b] from the upper tail Q when a > 0, so that it is
+        not a difference of two numbers near 1. A window narrower than
+        sigma, or than sigma^2 over its distance from 0, where the pdf
+        changes by a factor e, takes the shared rule."""
+        s = self.sigma
+        if width * max(s, a, -b) < s * s:
+            return float(_narrow_remainder(self.pdf, a, width))
+        r = s * _SQRT2
+        mass = 0.5 * (math.erfc(a / r) - math.erfc(b / r) if a > 0.0
+                      else math.erfc(-b / r) - math.erfc(-a / r))
+        za, zb = a / s, b / s
+        return b * mass + s * (math.exp(-0.5 * zb * zb)
+                               - math.exp(-0.5 * za * za)) / _SQRT2PI
+
     def tail_moment(self, a, kt: float):
         """E[e^((a - X)/kT); X > a] = e^(a/kT + r^2/2) Phi(x), r = sigma/kT,
         x = -a/sigma - r: by its log where x >= 0, else as sqrt(pi/2) sigma
@@ -137,18 +170,6 @@ class Lorentzian:
         with np.errstate(over="ignore"):
             return self.pdf(x) * (-2.0 * x / (self.scale * self.scale + x * x))
 
-    def antiderivative(self, x):
-        """A(x) = integral of the cdf over [0, x] = x*K(x) - (w/pi)*ln
-        hypot(1, x/w); the lower tail, about -(w/pi)*(1 + ln|x/w|), is a sum
-        of two terms of one sign. ln hypot is 0.5*log1p(u^2) below |u| = 1;
-        both forms are computed, so the other's overflow is silenced."""
-        with np.errstate(all="ignore"):
-            u = x / self.scale
-            log_hypot = np.where(np.abs(u) < 1.0, 0.5 * np.log1p(u * u),
-                                 np.log(np.hypot(1.0, u)))
-            return (x * np.arctan2(1.0, -u)
-                    - self.scale * log_hypot) / math.pi
-
     def tail_moment(self, a, kt: float):
         """E[e^((a - X)/kT); X > a] for a kernel narrower than 2 kT, as
         e^(min(a, 0)/kT) K(-a), the exponential taken at X = max(a, 0). It
@@ -156,33 +177,21 @@ class Lorentzian:
         w/kT, so the window tail it gives is within about e^(-40) of p."""
         return np.exp(np.minimum(a, 0.0) / kt) * self.cdf(-a)
 
-    def cdf_integral(self, x0, x1, width):
-        """A(x1) - A(x0), the integral of the cdf over [x0, x1].
-
-        ``width`` is x1 - x0 as the caller computed it, free of the rounding
-        of the two ends. Across 0 the two antiderivatives have opposite
-        signs and are subtracted as they are. With both ends on one side of
-        0 and the nearer end at least half as far out as the other, they
-        would cancel; there the difference is taken term by term, in units
-        of w (u = x1/w, v = x0/w, t = width/w): t*K(u) + v*(K(u) - K(v)) -
-        ln((1 + u^2)/(1 + v^2))/(2 pi), with K(u) - K(v) = atan(t/(1 + u*v))/pi
-        and the log ratio through log1p. As in ``antiderivative``, both forms
-        are computed and the other's overflows silenced.
-        """
-        with np.errstate(all="ignore"):
-            u = x1 / self.scale
-            v = x0 / self.scale
-            t = width / self.scale
-            ratio = t * (u + v) / (1.0 + v * v)
-            log_ratio = np.where(np.abs(ratio) <= 0.5, np.log1p(ratio),
-                                 2.0 * np.log(np.hypot(1.0, u)
-                                              / np.hypot(1.0, v)))
-            term = self.scale * (t * np.arctan2(1.0, -u) / math.pi
-                                 + v * np.arctan(t / (1.0 + u * v)) / math.pi
-                                 - log_ratio / (2.0 * math.pi))
-            return np.where((v < 0.0) & (0.0 < u) | (0.5 * v < u) & (u <= 0.0),
-                            self.antiderivative(x1) - self.antiderivative(x0),
-                            term)
+    def remainder(self, a, b, width):
+        """B(a, b), numpy: (b (K(b) - K(a)) - w ln(hypot(1, v)/hypot(1, u)))/pi
+        in units u, v = a/w, b/w, with K(b) - K(a) = atan2(t, 1 + u*v)/pi,
+        t = width/w, both arguments divided by max(1, |u|) so that u*v
+        cannot overflow. A window narrower than half of max(w, its distance
+        from 0) takes the shared rule, where the two terms cancel."""
+        w = self.scale
+        u, v = a / w, b / w
+        m = np.maximum(np.abs(u), 1.0)
+        out = (b * np.arctan2(width / (w * m), 1.0 / m + u / m * v)
+               - w * np.log(np.hypot(1.0, v) / np.hypot(1.0, u))) / math.pi
+        narrow = width < 0.5 * np.maximum(np.maximum(a, -b), w)
+        if narrow.any():
+            out[narrow] = _narrow_remainder(self.pdf, a[narrow], width[narrow])
+        return out
 
 
 BroadeningKernel = Union[Delta, Gaussian, Lorentzian]

@@ -6,7 +6,7 @@ tolerances, and building one validates its fields.
 
 ``integrate`` imports ``scipy.integrate.quad`` when it is called, not at
 module level: scipy.integrate takes about 0.3 s to import, and only the
-broadening excess of W0/W1 and the eta raise work under a Gaussian call it.
+broadening excess of W0/W1 and the eta work under a Gaussian call it.
 After the first call the import is a ``sys.modules`` lookup. A result that
 QUADPACK flagged but that meets the loosened tolerance is accepted and
 logged as a WARNING on this module's logger; no handler is configured here.

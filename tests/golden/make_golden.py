@@ -1,8 +1,9 @@
 """The one list of CLI smoke runs, and golden values of the 12-decade corpus.
 ``PYTHONPATH=src:tests python tests/golden/make_golden.py`` writes both files
-beside it; tests/test_golden.py reruns the commands in-process and smoke.py
-in fresh interpreters. A change that moves a saved number regenerates the
-files and says which keys moved, and why."""
+beside it, and prints each saved number that moved by more than REL;
+tests/test_golden.py reruns the commands in-process and smoke.py in fresh
+interpreters. A change that moves a saved number regenerates the files and
+says which keys moved, and why."""
 
 import contextlib
 import io
@@ -137,6 +138,12 @@ LOOSER = {  # key -> absolute tolerance beside REL
 }
 
 
+def _close(key: str, x: str, y: str) -> bool:
+    """Two number tokens the same within REL (LOOSER for the key)."""
+    return x == y or math.isclose(float(x), float(y), rel_tol=REL,
+                                  abs_tol=LOOSER.get(key, 0.0))
+
+
 def mismatches(want: list[dict], got: list[dict]) -> list[str]:
     """Each way the reruns ``got`` differ from the saved entries ``want``:
     the commands, an exit code, the text of a line of stdout, stderr or CSV,
@@ -155,8 +162,7 @@ def mismatches(want: list[dict], got: list[dict]) -> list[str]:
             for a, b in zip(lines, new):
                 key = a.split()[0].rstrip(":") if a.strip() else ""
                 if NUMBER.sub("#", b) != NUMBER.sub("#", a) or not all(
-                        x == y or math.isclose(float(x), float(y), rel_tol=REL,
-                                               abs_tol=LOOSER.get(key, 0.0))
+                        _close(key, x, y)
                         for x, y in zip(NUMBER.findall(a), NUMBER.findall(b))):
                     found.append(f"{where}: {field} {b!r}, saved {a!r}")
     return found
@@ -197,7 +203,36 @@ def corpus_values() -> list[dict]:
     return values
 
 
+def moved(want: list[dict], got: list[dict],
+          corpus: bool) -> list[str]:
+    """"where: key old -> new (relative change)" for each number of the
+    saved entries (or corpus rows) ``want`` that ``got`` moved by more than
+    REL (LOOSER for its key)."""
+    pairs = []
+    for i, (w, g) in enumerate(zip(want, got)):
+        if corpus:
+            pairs += [(f"device {i}", key, text, g[key])
+                      for key, text in w.items() if key in g]
+        elif w["argv"] == g["argv"]:
+            for field in ("stdout", "stderr", "csv"):
+                for a, b in zip(*(e.get(field, "").splitlines()
+                                  for e in (w, g))):
+                    key = a.split()[0].rstrip(":") if a.strip() else ""
+                    pairs += [(" ".join(w["argv"]), key, x, y) for x, y in zip(
+                        NUMBER.findall(a), NUMBER.findall(b))]
+    return [f"{where}: {key} {x} -> {y} "
+            f"({abs(float(y) / float(x) - 1.0) if float(x) else math.inf:.2g})"
+            for where, key, x, y in pairs if not _close(key, x, y)]
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(run_all(), indent=1) + "\n", "utf-8")
-    rows = ",\n".join(map(json.dumps, corpus_values()))
+    entries, values = run_all(), corpus_values()
+    for path, new, corpus in ((GOLDEN, entries, False),
+                              (CORPUS, values, True)):
+        if path.exists():
+            old = json.loads(path.read_text(encoding="utf-8"))
+            for line in moved(old, new, corpus):
+                print(line)
+    GOLDEN.write_text(json.dumps(entries, indent=1) + "\n", "utf-8")
+    rows = ",\n".join(map(json.dumps, values))
     CORPUS.write_text(f"[\n{rows}\n]\n", "utf-8")

@@ -177,9 +177,9 @@ def _delta_eta_work(sys_, mu_half, mu_eta):
 
     Per lead the softplus closed form of the raise work,
     kT [softplus((mu_i - mu_half)/kT) - softplus((mu_i - mu_eta)/kT)] (ramps
-    at T = 0), less (mu_eta - mu_half) times its occupation just above
-    mu_eta. The digits spare the reference the cancellation of the two
-    ramps.
+    at T = 0), less (mu_eta - mu_half) times its occupation at mu_eta, just
+    above it for the step of a T = 0 lead. The digits spare the reference
+    the cancellation of the two ramps.
     """
     with decimal.localcontext() as ctx:
         ctx.prec = 50
@@ -191,7 +191,8 @@ def _delta_eta_work(sys_, mu_half, mu_eta):
             mu_i = Decimal(lead.chemical_potential)
             total += Decimal(gamma) * (
                 decimal_ramp(mu_i - lo, kt) - decimal_ramp(mu_i - hi, kt)
-                - (hi - lo) * decimal_fermi(above - mu_i, kt))
+                - (hi - lo) * decimal_fermi((above if kt == 0 else hi) - mu_i,
+                                            kt))
         return float(total)
 
 
@@ -301,6 +302,16 @@ class TestEtaErasure:
         assert eta_erasure_work(sys_, 0.1) == pytest.approx(expected,
                                                             rel=1e-12)
 
+    # a Gaussian far narrower than kT: W_eta is the Delta one, to O(sigma^2),
+    # although each lead's remainder drops by the window's width over about
+    # sigma/kT of s at the upper kernel centre
+    @pytest.mark.parametrize("sigma", [1e-13, 1e-15])
+    def test_narrow_gaussian_is_the_delta_work(self, sigma):
+        gaussian, delta = (eta_erasure_work(make_system(
+            1.0, 0.5, 3.0, 0.3, kernel), [0.1, 1e-2])
+            for kernel in (Gaussian(sigma), Delta()))
+        assert gaussian == pytest.approx(delta, rel=1e-14, abs=0.0)
+
     @settings(max_examples=100, deadline=None, derandomize=True,
               database=None)
     @given(kt_s=st.just(0.0) | _TWELVE_DECADES,
@@ -353,7 +364,8 @@ class TestLorentzianEtaTwelveDecades:
     # double above mu_eta, and each expectation one tanh-sinh quadrature
     # over s in (-inf, inf) split at 0 and at each kernel centre +- (w/kT)*8^k
     # up to 50. Changing that grading to 3^k moves no value by more than
-    # 1e-53 relative.
+    # 1e-53 relative. The work subtracts p(mu_eta), not p(mu_eta+): on these
+    # devices the two differ by far less than the tolerance.
     @pytest.mark.parametrize("index, eta, expected", [
         (65, 0.1, 14.23332073236564255401),
         (65, 0.01, 26.52026165174135208273),
@@ -405,10 +417,10 @@ class TestLorentzianEtaTwelveDecades:
         assert 0.0 <= works[0] <= works[1] <= works[2], works
 
     def test_work_counts_stay_off_the_occupation(self):
-        # the raise work integrates the kernel's antiderivative over each
-        # lead's thermal variable, so p(mu) is evaluated only by the two
-        # level solves, the ladder and the level reached; integrating p over
-        # mu took 97-263 evaluations; these take 8-9
+        # the work integrates the kernel's remainder over each lead's
+        # thermal variable, so p(mu) is evaluated only by the two level
+        # solves and the ladder; integrating p over mu took 97-263
+        # evaluations; these take 7-8
         for eta in (0.1, 0.01, 0.001):
             with mock.patch.object(dot_model, "_combined",
                                    wraps=dot_model._combined) as spy:
@@ -421,7 +433,11 @@ class TestLorentzianEtaTwelveDecades:
     # has a lead of kT 2.12 with w/kT = 1.8e-4: adaptive quadrature missed
     # its eta = 0.1 work by 2.9e-11, and fixed panels graded by 8 in place
     # of 3 miss it by 2.2e-13. Graded by 4, they miss device 110, whose
-    # leads have w/kT = 0.093 and 6.5, by 1.6e-13.
+    # leads have w/kT = 0.093 and 6.5, by 1.6e-13. Device 59's reference is
+    # per lead gamma_i*E_Y[B(Y - (mu_eta - mu_i), Y - (mu_1/2 - mu_i))], B
+    # the remainder of the kernel, graded by 3^k: its W_eta = 0.0128 is
+    # 1e-4 of the source's raise work, and subtracting the reached
+    # occupation's share from that sum missed it by 2.5e-12.
     @pytest.mark.parametrize("index, eta, levels, expected", [
         (110, 0.1, (4.538773257925056e-06, 89107.32646149163),
          7367.6442447741069167473489746),
@@ -433,6 +449,8 @@ class TestLorentzianEtaTwelveDecades:
          0.191871912515591488559368785716),
         (236, 0.01, (253.7193026669654, 2093579.430662528),
          46708.952039280351463432969902),
+        (59, 0.1, (1.946678589899855e-05, 195.40163728462494),
+         0.012780849387031535039322657212288),
     ])
     def test_graded_panels_to_1e_13(self, index, eta, levels, expected):
         work, mu_half, mu_eta = _eta_work_and_levels(_corpus_device(index),
@@ -452,22 +470,25 @@ class TestWideGaussianNearHalf:
     """A window narrow next to sigma: kT = 1 on both leads at 0, gamma_S =
     1/2, where the broadening excess at the two ends of [mu_1/2, mu_eta]
     cancels to about width/sigma. The references are 40-digit mpmath at the
-    code's own levels, the raise work as E_U[kT*(softplus((U - mu_1/2)/kT)
-    - softplus((U - mu_eta)/kT))] and p as E_U[f(mu_eta+ - U)]; the two
-    excesses of W0, subtracted, missed them by 6e-9 and 1.2e-6 relative.
-    What remains is mostly the rounding of p(mu_eta+) times the window."""
+    code's own levels, per lead E_Y[B(Y - mu_eta, Y - mu_1/2)], B the
+    Gaussian's remainder in closed form, one tanh-sinh quadrature over
+    Y/kT split at 0 and at both kernel centres +- sigma/kT times 1/4 to 16.
+    The two excesses of W0, subtracted, missed them by 6e-9 and 1.2e-6
+    relative; their difference, less the reached occupation's share of the
+    raise work, by 4.2e-12 and 8.9e-11. Subtracting p(mu_eta+) in place of
+    p(mu_eta) would move them by 2.8e-16 and 4.4e-16."""
 
     @pytest.mark.parametrize("sigma, eta, levels, expected", [
         (100.0, 0.4999, (0.0, 0.025070405501298052),
-         1.253520268496272842537053e-6),
+         1.253520268496272495592365e-6),
         (1e4, 0.49999, (0.0, 0.25066283160291436),
-         1.25331415790058293943338e-6),
+         1.253314157900582384321868e-6),
     ])
     def test_matches_mpmath(self, sigma, eta, levels, expected):
         sys_ = make_system(1.0, 1.0, 0.0, 0.5, Gaussian(sigma))
         work, mu_half, mu_eta = _eta_work_and_levels(sys_, eta)
         assert (mu_half, mu_eta) == levels
-        assert abs(work - expected) <= 1e-10 * expected, (work, expected)
+        assert abs(work - expected) <= 1e-13 * expected, (work, expected)
 
     def test_one_quadrature_per_lead_and_eta(self):
         sys_ = make_system(1.0, 0.5, 3.0, 0.3, Gaussian(0.8))
@@ -475,6 +496,23 @@ class TestWideGaussianNearHalf:
                                wraps=erasure.integrate) as spy:
             eta_erasure_work(sys_, [0.1, 0.01])
         assert spy.call_count == 4
+
+
+class TestLeadRemaindersAreNonNegative:
+    """Each lead's share of W_eta, the integral of p_i - p_i(mu_eta) over
+    [mu_1/2, mu_eta], is non-negative: on every 12-decade corpus device."""
+
+    def test_corpus_at_three_etas(self):
+        real, values = erasure._lead_remainders, []
+
+        def record(*args):
+            values.append(real(*args))
+            return values[-1]
+        with mock.patch.object(erasure, "_lead_remainders", record):
+            for i in range(300):
+                eta_erasure_work(_corpus_device(i), [0.1, 1e-2, 1e-6])
+        assert len(values) >= 300
+        assert all(v.shape == (3,) and (v >= 0.0).all() for v in values)
 
 
 class TestEtaBelowTheReachableOccupation:

@@ -13,8 +13,8 @@ outside its own class.
 ``kernels.py`` calls no ``isinstance`` at all, so each kernel method keeps
 one body: numpy for ``cdf`` and ``pdf`` (the delta kernel, whose callers
 branch on its zero width, has a ``cdf`` only) and for the Lorentzian's
-``antiderivative`` and ``cdf_integral`` on the eta window's panels,
-``math`` for the scalar-only ``partial_expectation`` of the adaptive
+``remainder`` on the eta window's panels, ``math`` for the scalar-only
+``partial_expectation`` and Gaussian ``remainder`` of the adaptive
 integrands. Only the Gaussian has ``partial_expectation``: the
 broadening excess without a kernel (0) or without a mean (infinite) is read
 from the kernel's data, not from a method that returns a constant.
@@ -40,9 +40,9 @@ public names its ``__init__`` imports, no module), and only its own tests
 (``test_numerics.py`` and ``test_logging.py``) import that module. The
 other tests take their quadrature oracle from scipy directly. In the
 package, ``integrate`` is called only by ``dot_model._broadening_excess``
-and ``erasure._window_integral``, the W0/W1 excess and the Gaussian eta
-window, the two integrals over a lead's thermal variable that have no
-fixed-panel form yet (the Lorentzian window has one); no third caller may
+and ``erasure._adaptive_remainder``, the W0/W1 excess and the Gaussian eta
+work, the two integrals over a lead's thermal variable that have no
+fixed-panel form yet (the Lorentzian eta work has one); no third caller may
 appear.
 """
 
@@ -280,7 +280,7 @@ def test_guard_flags_an_import_of_numerics():
 
 
 ADAPTIVE_CALLERS = {("dot_model", "_broadening_excess"),
-                    ("erasure", "_window_integral")}
+                    ("erasure", "_adaptive_remainder")}
 
 
 def _integrate_callers(module: str, source: str) -> set[tuple[str, str]]:
@@ -305,7 +305,7 @@ def test_adaptive_quadrature_is_called_only_where_listed():
 
 
 def test_guard_names_each_caller_of_integrate():
-    source = ("def _window_integral(kt):\n"
+    source = ("def _adaptive_remainder(kt):\n"
               "    def f(s):\n"
               "        return s\n"
               "    return integrate(f, -1.0, 1.0).value\n"
@@ -316,7 +316,7 @@ def test_guard_names_each_caller_of_integrate():
               "def other():\n"
               "    return integrated(abs)\n")
     assert _integrate_callers("erasure", source) == {
-        ("erasure", "_window_integral"), ("erasure", "Solver"),
+        ("erasure", "_adaptive_remainder"), ("erasure", "Solver"),
         ("erasure", "line 8")}
 
 

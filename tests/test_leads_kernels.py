@@ -12,14 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import ndtr
 
-from chargebit.dot_model import DotSystem, TunnelRates, unbroadened_occupation
+from chargebit.dot_model import (DotSystem, TunnelRates, _Thermal,
+                                 unbroadened_occupation)
 from chargebit.kernels import Delta, Gaussian, Lorentzian
-from chargebit.erasure import _window_integral, softplus_ramp
+from chargebit.erasure import softplus_ramp
 from chargebit.leads import LeadParams
 
-from conftest import decimal_ramp, occupation_density, reference_quad
+from conftest import (decimal_fermi, decimal_ramp, occupation_density,
+                      reference_quad)
 
 
 def _fermi(energy, lead):
@@ -105,10 +108,17 @@ _SIGNED_DECADES = st.builds(lambda sign, e: sign * 10.0 ** e,
                             st.floats(-6.0, 6.0))
 
 
+def _logistic_remainder(kt, a, b, width):
+    return float(_Thermal(kt).remainder(np.array([a]), np.array([b]),
+                                        np.array([width]))[0])
+
+
 class TestFermiIntegral:
-    """The integral of f over a window, the window integral without a
-    kernel, against the difference of two softplus ramps in 50-digit
-    decimals."""
+    """The logistic remainder, the integral of f - f(hi) over a window
+    [lo, hi] of a lead at mu, against the difference of two softplus ramps
+    less the window times f(hi) in 50-digit decimals, at the window's ends
+    a = mu - hi and b = mu - lo as passed; at T = 0 f(hi) is its limit from
+    above."""
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
@@ -117,24 +127,49 @@ class TestFermiIntegral:
            kt=st.just(0.0) | st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e))
     def test_matches_decimal_ramps(self, mu, lo, width, kt):
         hi = lo + width
+        a, b = mu - hi, mu - lo
         with decimal.localcontext() as ctx:
             ctx.prec = 50
-            exact = float(decimal_ramp(Decimal(mu) - Decimal(lo), Decimal(kt))
-                          - decimal_ramp(Decimal(mu) - Decimal(hi),
-                                         Decimal(kt)))
-        got = _window_integral(mu, kt, lo, hi, Delta())
+            da, db, dkt = Decimal(a), Decimal(b), Decimal(kt)
+            f_hi = Decimal(a > 0) if kt == 0.0 else decimal_fermi(-da, dkt)
+            exact = float(decimal_ramp(db, dkt) - decimal_ramp(da, dkt)
+                          - (db - da) * f_hi)
+        got = _logistic_remainder(kt, a, b, hi - lo)
+        assert got >= 0.0
         assert abs(got - exact) <= 1e-14 * exact + 1e-15 * (
             abs(mu) + abs(lo) + abs(hi)), (got, exact)
 
+    # a window 30 kT from the lead, where f is within 1e-13 of 1 or 0: the
+    # remainder takes the tail of f on the window's side, not 1 - F
+    @pytest.mark.parametrize("a, b", [(30.0, 33.0), (-33.0, -30.0),
+                                      (30.0, 330.0), (-330.0, -30.0)])
+    def test_far_window_from_the_tail(self, a, b):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            da, db, one = Decimal(a), Decimal(b), Decimal(1)
+            exact = float(decimal_ramp(db, one) - decimal_ramp(da, one)
+                          - (db - da) * decimal_fermi(-da, one))
+        assert _logistic_remainder(1.0, a, b, b - a) == pytest.approx(
+            exact, rel=1e-13, abs=0.0)
+
     def test_half_filled_window_is_half_its_width(self):
-        # a window centred on the lead: f - 1/2 is odd about mu_lead
-        got = _window_integral(3.0, 5.0, 3.0 - 1e-9, 3.0 + 1e-9, Delta())
-        assert got == pytest.approx(1e-9, rel=1e-12)
+        # a window centred on the lead: f - 1/2 is odd about mu_lead, so the
+        # integral of f is half the width, and the remainder is
+        # h (F(h) - F(-h)) = h tanh(h/2kT)
+        h, kt = 1e-9, 5.0
+        got = _logistic_remainder(kt, -h, h, 2.0 * h)
+        assert got == pytest.approx(h * math.tanh(0.5 * h / kt), rel=1e-12,
+                                  abs=0.0)
+        f_hi = 1.0 / (1.0 + math.exp(h / kt))
+        assert got + 2.0 * h * f_hi == pytest.approx(h, rel=1e-12, abs=0.0)
 
     def test_zero_temperature_is_the_occupied_part(self):
-        assert _window_integral(2.0, 0.0, 0.5, 3.0, Delta()) == 1.5
-        assert _window_integral(2.0, 0.0, 2.5, 3.0, Delta()) == 0.0
-        assert _window_integral(2.0, 0.0, -1.0, 1.0, Delta()) == 2.0
+        # a lead at mu = 2: the occupied part of [lo, hi] less the window
+        # times the occupation just above hi
+        for lo, hi, expected in ((0.5, 3.0, 1.5), (2.5, 3.0, 0.0),
+                                 (-1.0, 1.0, 0.0), (0.5, 2.0, 1.5)):
+            assert _logistic_remainder(0.0, 2.0 - hi, 2.0 - lo,
+                                       hi - lo) == expected
 
 
 class TestNonFiniteInputs:
@@ -230,46 +265,94 @@ class TestKernelMad:
         assert Lorentzian(0.3).width == 0.3
 
 
+class TestGaussianRemainder:
+    """B(a, b) = integral of (b - z) k(z) over [a, b] for the Gaussian,
+    against QUADPACK at 1e-13: on each side of the centre, across it, far
+    out (where the mass of [a, b] is taken from the tail beyond it) and on
+    windows narrow next to sigma or to sigma^2 over their distance."""
+
+    SIGMA = 1.3
+
+    @pytest.mark.parametrize("a, b", [
+        (6.0, 9.0), (-9.0, -6.0), (-1.0, 2.0), (-30.0, 25.0), (3.0, 3.01),
+        (-4.2, -4.1), (0.1, 0.2), (-1e-7, 1e-7), (2.0, 40.0)])
+    def test_matches_quadpack(self, a, b):
+        kernel = Gaussian(self.SIGMA)
+        a, b = a * self.SIGMA, b * self.SIGMA
+        expected = quad(lambda z: (b - z) * float(kernel.pdf(z)), a, b,
+                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        got = kernel.remainder(a, b, b - a)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 class TestLorentzianAntiderivative:
-    """A(x) = integral of the Lorentzian cdf over [0, x], and its
-    differences over a window, which the eta raise work takes per lead."""
+    """The integral of the Lorentzian cdf K over a window, through the
+    remainder B(a, b) = integral of K - K(a) over [a, b], which the eta work
+    takes per lead."""
 
     W = 0.37
 
+    def _remainder(self, a, b, width=None):
+        return float(Lorentzian(self.W).remainder(
+            np.array([a]), np.array([b]),
+            np.array([b - a if width is None else width]))[0])
+
+    # dB/db = K(b) - K(a), on a window as wide as max(w, |b|) and on one a
+    # tenth of that, which takes the narrow rule
     @pytest.mark.parametrize("u", [sign * 10.0 ** e for sign in (-1.0, 1.0)
                                    for e in range(-6, 13)])
     def test_derivative_is_the_cdf(self, u):
-        kernel, x = Lorentzian(self.W), u * self.W
-        h = 1e-3 * abs(x)
-        slope = (kernel.antiderivative(x + h)
-                 - kernel.antiderivative(x - h)) / (2.0 * h)
-        assert slope == pytest.approx(float(kernel.cdf(x)), rel=1e-6)
+        kernel, b = Lorentzian(self.W), u * self.W
+        for width in (max(self.W, abs(b)), 0.1 * max(self.W, abs(b))):
+            a, h = b - width, 1e-4 * width
+            slope = (self._remainder(a, b + h, width + h)
+                     - self._remainder(a, b - h, width - h)) / (2.0 * h)
+            # from the upper tail above the centre, where K is near 1
+            expected = float(kernel.cdf(-a) - kernel.cdf(-b) if a > 0.0
+                             else kernel.cdf(b) - kernel.cdf(a))
+            assert slope == pytest.approx(expected, rel=1e-6, abs=0.0), width
 
     def test_lower_tail_does_not_cancel(self):
-        kernel, x = Lorentzian(self.W), -1e12 * self.W
-        tail = -self.W / math.pi * (1.0 + math.log(abs(x / self.W)))
-        assert kernel.antiderivative(x) == pytest.approx(tail, rel=1e-12)
-        assert kernel.antiderivative(0.0) == 0.0
+        # B(x, 0) = integral of -z k(z) over [x, 0] = (w/pi) ln hypot(1, x/w)
+        x = -1e12 * self.W
+        expected = self.W / math.pi * math.log(math.hypot(1.0, x / self.W))
+        assert self._remainder(x, 0.0) == pytest.approx(expected, rel=1e-12)
+        assert self._remainder(0.0, 0.0) == 0.0
+
+    # both ends 1e200 w out, where u*v would overflow: to 1e-200 relative
+    # B = (w/pi) ((b - a)/a - ln(b/a)) on each side
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_far_window_does_not_overflow(self, sign):
+        a, b = sorted((sign * 1e200 * self.W, sign * 3e200 * self.W))
+        expected = self.W / math.pi * (2.0 - math.log(3.0) if sign > 0.0
+                                       else math.log(3.0) - 2.0 / 3.0)
+        assert self._remainder(a, b) == pytest.approx(expected, rel=1e-13,
+                                                      abs=0.0)
 
     # a window far narrower than its distance from the centre: the integral
-    # is width * K(midpoint) to (width/x)^2, while the two antiderivatives
-    # agree to all but a few of their digits
+    # of the cdf is width * K(midpoint) to (width/x)^2, and the remainder is
+    # width^2 k/2 at the centroid a + width/3 of its weight b - z, to the
+    # same order, where the closed form would cancel
     @pytest.mark.parametrize("u", [-1e12, -1e6, -3.0, -1e-3, 0.0, 1e-3, 3.0,
                                    1e6, 1e12])
     @pytest.mark.parametrize("t", [1e-9, 1e-4])
     def test_narrow_window_is_width_times_cdf(self, u, t):
         kernel = Lorentzian(self.W)
-        x0, width = u * self.W, t * max(1.0, abs(u)) * self.W
-        got = kernel.cdf_integral(x0, x0 + width, width)
-        expected = width * float(kernel.cdf(x0 + 0.5 * width))
-        assert got == pytest.approx(expected, rel=1e-12)
+        a, width = u * self.W, t * max(1.0, abs(u)) * self.W
+        got = self._remainder(a, a + width, width)
+        assert got == pytest.approx(0.5 * width * width * float(
+            kernel.pdf(a + width / 3.0)), rel=1e-12 + t * t, abs=0.0)
+        assert got + width * float(kernel.cdf(a)) == pytest.approx(
+            width * float(kernel.cdf(a + 0.5 * width)), rel=1e-12 + t * t,
+            abs=0.0)
 
+    # B(x0, x2) = B(x0, x1) + B(x1, x2) + (x2 - x1) (K(x1) - K(x0))
     @pytest.mark.parametrize("x0, x1, x2", [
         (-1e9, -4e8, -1.0), (-5.0, 0.2, 7.0), (-2e6, 3.0, 1e6),
         (0.5, 3e3, 1e10)])
     def test_windows_add_up(self, x0, x1, x2):
         kernel = Lorentzian(self.W)
-        left = kernel.cdf_integral(x0, x1, x1 - x0)
-        right = kernel.cdf_integral(x1, x2, x2 - x1)
-        assert left + right == pytest.approx(
-            kernel.cdf_integral(x0, x2, x2 - x0), rel=1e-13)
+        step = (x2 - x1) * float(kernel.cdf(x1) - kernel.cdf(x0))
+        assert (self._remainder(x0, x1) + self._remainder(x1, x2)
+                + step) == pytest.approx(self._remainder(x0, x2), rel=1e-13,
+                                         abs=0.0)
