@@ -40,10 +40,10 @@ side by side, one core call per step; one that stops at adjacent doubles
 logs at INFO on this module's logger.
 
 The integrals of p are assembled in ``erasure``; this module keeps the
-broadening excess of W0/W1 ``_broadening_excess``, the logistic's eta
-remainder ``_Thermal.remainder``, and the device facts that every module
-reads, the attributes of ``DotSystem``. The MAD cross-check of W-bar runs
-the same core over a Gaussian's variable with the inner function
+broadening excess of W0/W1 ``_broadening_excess`` (folded onto |Y|), the
+logistic's eta remainder ``_Thermal.remainder``, and the device facts that
+every module reads, the attributes of ``DotSystem``. The MAD cross-check of
+W-bar runs the same core over a Gaussian's variable with the inner function
 ``_Thermal.absolute_moment``, E_Y|Y - x| in closed form.
 """
 
@@ -531,27 +531,31 @@ def half_occupation_level(sys: DotSystem) -> float:
 # It belongs with the integrals of p in erasure, but stays here: the traced
 # benchmark binds the quadrature as dot_model.integrate as well as
 # erasure.integrate, and this is the function that calls it by that name.
+_LOGISTIC_BREAKS = (3.0, 8.0, 20.0)  # where the weight e^-s falls by decades
 
 def _broadening_excess(c: float, kt: float, kernel: BroadeningKernel) -> float:
     """E_Y[E_U[(U - |c + Y|)^+]]: U the kernel, Y logistic of scale kT.
 
     What broadening adds to both the integral of p above a level mu and that
     of 1 - p below it, for a lead at c = mu_lead - mu: 0 without a kernel,
-    infinite for a kernel without a mean.
+    infinite for a kernel without a mean. One integral over s = |Y|/kT of
+    the weight times ``folded_partial_expectation``, cut at its reach past
+    the kink s = |c|/kT, split there and at ``_LOGISTIC_BREAKS``.
     """
     w = kernel.width
     if w == 0.0 or math.isinf(kernel.mad):
         return 0.0 if w == 0.0 else math.inf
+    c = abs(c)
     if kt == 0.0:
-        return kernel.partial_expectation(abs(c))
-    s_star = -c / kt
+        return kernel.partial_expectation(c)
+    s_star = c / kt
     reach = TAIL_CUTOFF_GAUSSIAN * w / kt
-    lo = max(-_WINDOW, s_star - reach)
-    hi = min(_WINDOW, s_star + reach)
+    lo, hi = max(0.0, s_star - reach), min(_WINDOW, s_star + reach)
     if not lo < hi:
         return 0.0
+    pair = kernel.folded_partial_expectation
 
     def f(s):
-        e = math.exp(-abs(s))
-        return e / (1.0 + e) ** 2 * kernel.partial_expectation(abs(c + kt * s))
-    return integrate(f, lo, hi, breakpoints=[s_star, 0.0]).value
+        e = math.exp(-s)
+        return e / (1.0 + e) ** 2 * pair(c, kt * s)
+    return integrate(f, lo, hi, breakpoints=(s_star, *_LOGISTIC_BREAKS)).value

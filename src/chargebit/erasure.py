@@ -4,10 +4,10 @@ Every integral of the occupation p is assembled here, lead by lead. W0
 (erase to empty) and W1 (erase to full) are the quasistatic-ramp-plus-
 quench limits: the integral of p above mu_1/2 and of 1 - p below it. Per
 lead they are the unbroadened softplus closed forms (exact ramps at T = 0)
-plus a common broadening excess, one adaptive integral of the kernel's
-closed-form partial expectation (``dot_model._broadening_excess``). The
-Lorentzian kernel makes both diverge and is reported as such; eta-erasure
-is the supported finite-cost alternative.
+plus a common broadening excess, one adaptive integral over |Y| of the
+kernel's closed-form partial expectation (``dot_model._broadening_excess``).
+The Lorentzian kernel makes both diverge and is reported as such;
+eta-erasure is the supported finite-cost alternative.
 
 The mean-absolute-deviation form of the average cost is the independent
 cross-check of W-bar. As -dp_i/dmu is the density of mu_i + Y + U, lead i

@@ -11,17 +11,18 @@ have one numpy body each: they take a numpy array of energy offsets
 value); on graded panels, where a kernel is much narrower than kT, the
 core takes ``dpdf`` by parts from the ``pdf`` instead. The delta kernel has
 neither ``pdf`` nor ``dpdf``: its callers branch on ``width == 0`` first.
-The Gaussian's scalar ``partial_expectation`` is the integrand of the
-W0/W1 broadening excess (0 without a kernel and infinite without a mean, as
-read from the data). The eta work takes from each kernel its
-``remainder`` B(a, b) = integral of (b - z) pdf(z) over [a, b] >= 0, the
-integral of cdf - cdf(a) over the window: numpy for the Lorentzian on fixed
-panels, without a warning at any input, scalar ``math`` for the Gaussian
-under adaptive quadrature. Both are closed forms, the logistic's too
-(``dot_model._Thermal``); a window too narrow for them, where their terms
-cancel, takes the one 10-node Gauss-Legendre rule ``_narrow_remainder``.
-The Gaussian and the Lorentzian also
-have a numpy ``tail_moment``, E[e^((a - X)/kT); X > a], from which
+The Gaussian's scalar ``folded_partial_expectation``, P(|a - y|) + P(a + y)
+with P(a) = E[(X - a)^+] its ``partial_expectation``, is the integrand of
+the W0/W1 broadening excess folded onto y >= 0 (0 without a kernel and
+infinite without a mean, as read from the data). The eta work takes from
+each kernel its ``remainder`` B(a, b) = integral of (b - z) pdf(z) over
+[a, b] >= 0, the integral of cdf - cdf(a) over the window: numpy for the
+Lorentzian on fixed panels, without a warning at any input, scalar ``math``
+for the Gaussian under adaptive quadrature. Both are closed forms, the
+logistic's too (``dot_model._Thermal``); a window too narrow for them, where
+their terms cancel, takes the one 10-node Gauss-Legendre rule
+``_narrow_remainder``. The Gaussian and the Lorentzian also have a numpy
+``tail_moment``, E[e^((a - X)/kT); X > a], from which
 ``dot_model`` adds the logistic tail that its thermal rule's window cuts.
 Code outside this module reads a kernel's data, not its type: ``width ==
 0`` is no broadening and an infinite ``mad`` is a kernel without a mean.
@@ -107,9 +108,14 @@ class Gaussian:
 
     def partial_expectation(self, a: float) -> float:
         """E[(X - a)^+] = sigma*(phi(z) - z*Phi(-z)), z = a/sigma, for a >= 0."""
-        z = a / self.sigma
-        return self.sigma * (math.exp(-0.5 * z * z) / _SQRT2PI
-                             - 0.5 * z * math.erfc(z / _SQRT2))
+        return 0.5 * self.folded_partial_expectation(a, 0.0)
+
+    def folded_partial_expectation(self, a: float, y: float) -> float:
+        """P(|a - y|) + P(a + y) for a, y >= 0, P the partial expectation."""
+        r = self.sigma * _SQRT2  # each term in u = z/sqrt2
+        u, v = abs(a - y) / r, (a + y) / r
+        return self.sigma * ((math.exp(-u * u) + math.exp(-v * v)) / _SQRT2PI
+                             - (u * math.erfc(u) + v * math.erfc(v)) / _SQRT2)
 
     def remainder(self, a: float, b: float, width: float) -> float:
         """B(a, b) = b (Phi(b) - Phi(a)) + sigma^2 (pdf(b) - pdf(a)), scalar,

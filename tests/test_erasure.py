@@ -32,15 +32,15 @@ _TWELVE_DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
 class TestErasureCosts:
     def test_landauer(self):
         costs = erasure_costs(make_system(1.0, 1.0, 0.0, 0.5))
-        assert costs.w_bar == pytest.approx(LN2, rel=1e-10)
+        assert costs.w_bar == pytest.approx(LN2, rel=1e-10, abs=0.0)
 
     def test_weighted_landauer(self):
         costs = erasure_costs(make_system(2.0, 1.0, 0.0, 0.3))
-        assert costs.w_bar == pytest.approx(1.3 * LN2, rel=1e-10)
+        assert costs.w_bar == pytest.approx(1.3 * LN2, rel=1e-10, abs=0.0)
 
     def test_symmetric_device_costs_equal(self):
         costs = erasure_costs(make_system(0.7, 0.7, 5.0, 0.5, Gaussian(0.9)))
-        assert costs.w_zero == pytest.approx(costs.w_one, rel=1e-10)
+        assert costs.w_zero == pytest.approx(costs.w_one, rel=1e-10, abs=0.0)
 
     def test_atomic_step_geometry(self):
         # T = 0 leads, sharp level, gamma_S = 0.3: the half level sits at the
@@ -55,7 +55,7 @@ class TestErasureCosts:
         for _ in range(5):
             costs = erasure_costs(random_system(rng))
             assert costs.w_bar == pytest.approx(
-                0.5 * (costs.w_zero + costs.w_one), rel=1e-12)
+                0.5 * (costs.w_zero + costs.w_one), rel=1e-12, abs=0.0)
 
     def test_lorentzian_divergent(self):
         costs = erasure_costs(make_system(1.0, 1.0, 2.0, 0.5, Lorentzian(1.0)))
@@ -66,21 +66,28 @@ class TestErasureCosts:
         assert costs.mad_discrepancy is not None
         assert costs.mad_discrepancy <= 1e-8 * costs.w_bar
 
-    def test_direct_quadrature_route_agrees(self):
-        # independent evaluation: integrate the occupation itself over mu
-        for sys_ in (make_system(0.8, 0.3, 4.0, 0.4),
-                     make_system(0.5, 0.5, 2.0, 0.5, Gaussian(1.5))):
-            costs = erasure_costs(sys_, mad_check=False)
-            reach = 45.0 * 0.8 + 20.0
-            hi = sys_.source.chemical_potential + reach
-            lo = sys_.drain.chemical_potential - reach
-            w0 = reference_quad(lambda m: occupation(m, sys_), costs.mu_half,
-                                hi, points=[sys_.source.chemical_potential])
-            w1 = reference_quad(lambda m: 1.0 - occupation(m, sys_), lo,
-                                costs.mu_half,
-                                points=[sys_.drain.chemical_potential])
-            assert costs.w_zero == pytest.approx(w0, rel=1e-8)
-            assert costs.w_one == pytest.approx(w1, rel=1e-8)
+    @pytest.mark.parametrize("sys_", [
+        pytest.param(make_system(0.8, 0.3, 4.0, 0.4), id="delta"),
+        *(pytest.param(make_system(1.0, 1.0, 3.0, 0.4, Gaussian(ratio)),
+                       id=f"sigma={ratio:g}kT")
+          for ratio in (1e-3, 1e-1, 1.0, 10.0, 1e3)),
+        pytest.param(make_system(0.0, 0.7, 3.0, 0.4, Gaussian(0.5)),
+                     id="T=0-source")])
+    def test_direct_quadrature_route_agrees(self, sys_):
+        # independent evaluation: integrate the occupation itself over mu,
+        # past each lead by 45 kT and 14 sigma, beyond which the integral of
+        # p, or of 1 - p, is below 1e-19 of W
+        costs = erasure_costs(sys_, mad_check=False)
+        mu_s = sys_.source.chemical_potential
+        mu_d = sys_.drain.chemical_potential
+        reach = 14.0 * sys_.kernel.width + 45.0 * max(
+            sys_.source.thermal_energy, sys_.drain.thermal_energy)
+        w0 = reference_quad(lambda m: occupation(m, sys_), costs.mu_half,
+                            mu_s + reach, points=[mu_d, mu_s])
+        w1 = reference_quad(lambda m: 1.0 - occupation(m, sys_),
+                            mu_d - reach, costs.mu_half, points=[mu_d, mu_s])
+        assert costs.w_zero == pytest.approx(w0, rel=1e-9, abs=0.0)
+        assert costs.w_one == pytest.approx(w1, rel=1e-9, abs=0.0)
 
     def test_monotone_in_broadening(self):
         base = make_system(0.5, 0.5, 3.0, 0.5)
@@ -108,7 +115,42 @@ class TestErasureCosts:
         for name in ("w_zero", "w_one", "w_bar"):
             value = getattr(got, name)
             assert not math.isnan(value)
-            assert value == pytest.approx(getattr(want, name), rel=1e-12)
+            assert value == pytest.approx(getattr(want, name), rel=1e-12,
+                                          abs=0.0)
+
+
+class TestBroadeningExcessBudget:
+    """The W0/W1 excess is folded onto |Y| and split where the logistic
+    weight falls by decades, so QUADPACK's first pass mostly converges:
+    unfolded and split at 0 only, it took a mean of 243 evaluations per
+    call on these corpus devices and 296 on these random ones, and up to
+    357."""
+
+    def _check_evaluations(self, monkeypatch, systems):
+        counts, exact = [], dot_model.integrate
+
+        def counted(f, a, b, breakpoints=()):
+            counts.append(0)
+
+            def g(s):
+                counts[-1] += 1
+                return f(s)
+            return exact(g, a, b, breakpoints)
+        monkeypatch.setattr(dot_model, "integrate", counted)
+        for sys_ in systems:
+            erasure_costs(sys_, mad_check=False)
+        assert counts
+        assert sum(counts) / len(counts) <= 120
+        assert max(counts) <= 231
+
+    def test_corpus_gaussian_devices(self, monkeypatch):
+        self._check_evaluations(monkeypatch, (_corpus_device(i)
+                                              for i in range(1, 300, 3)))
+
+    def test_random_systems(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        self._check_evaluations(monkeypatch, (random_system(rng)
+                                              for _ in range(200)))
 
 
 class TestEnergyScales:
@@ -117,7 +159,7 @@ class TestEnergyScales:
         assert scales.e_therm == pytest.approx(LN2 * (0.3 * 2.0 + 0.7 * 1.0))
         assert scales.e_bias == pytest.approx(0.5 * 0.3 * 6.0)
         assert scales.e_broad == pytest.approx(4.0 / math.sqrt(2 * math.pi),
-                                               rel=1e-12)
+                                               rel=1e-12, abs=0.0)
 
     def test_degenerate_zero(self):
         scales = energy_scales(make_system(0.0, 0.0, 0.0, 0.5))
@@ -151,7 +193,7 @@ class TestCheckBound:
         costs = erasure_costs(sys_)
         report = check_bound(costs, energy_scales(sys_))
         assert report.lower == pytest.approx(report.upper)
-        assert costs.w_bar == pytest.approx(report.lower, rel=1e-10)
+        assert costs.w_bar == pytest.approx(report.lower, rel=1e-10, abs=0.0)
 
     def test_divergent_input_rejected(self):
         sys_ = make_system(1.0, 1.0, 0.0, 0.5, Lorentzian(1.0))
@@ -232,14 +274,15 @@ class TestEtaErasure:
     def test_lorentzian_quarter(self):
         sys_ = make_system(0.0, 0.0, 0.0, 0.5, Lorentzian(1.0))
         assert eta_erasure_work(sys_, 0.25) == pytest.approx(
-            LN2 / (2.0 * math.pi), rel=1e-8)
+            LN2 / (2.0 * math.pi), rel=1e-8, abs=0.0)
 
     def test_lorentzian_tenth(self):
         sys_ = make_system(0.0, 0.0, 0.0, 0.5, Lorentzian(1.0))
         expected = (1.0 / (2.0 * math.pi)) * math.log(
             1.0 / math.cos(0.4 * math.pi) ** 2)
         assert expected == pytest.approx(0.3735, abs=5e-4)
-        assert eta_erasure_work(sys_, 0.1) == pytest.approx(expected, rel=1e-8)
+        assert eta_erasure_work(sys_, 0.1) == pytest.approx(expected, rel=1e-8,
+                                                            abs=0.0)
 
     def test_vanishes_as_eta_approaches_half(self):
         sys_ = make_system(1.0, 1.0, 0.0, 0.5)
@@ -249,7 +292,7 @@ class TestEtaErasure:
         narrow = make_system(0.0, 0.0, 0.0, 0.5, Lorentzian(1.0))
         wide = make_system(0.0, 0.0, 0.0, 0.5, Lorentzian(3.0))
         assert eta_erasure_work(wide, 0.1) == pytest.approx(
-            3.0 * eta_erasure_work(narrow, 0.1), rel=1e-7)
+            3.0 * eta_erasure_work(narrow, 0.1), rel=1e-7, abs=0.0)
 
     @pytest.mark.parametrize("eta", [0.39, 0.3, 0.1, 1e-3])
     def test_ramp_past_zero_temperature_atom(self, eta):
@@ -265,7 +308,8 @@ class TestEtaErasure:
         p_after = 0.6 / (1.0 + math.exp(1.0 / kt))
         expected = raise_work - (1.0 - mu_half) * p_after
         assert expected == pytest.approx(0.394656, abs=1e-6)
-        assert eta_erasure_work(sys_, eta) == pytest.approx(expected, rel=1e-9)
+        assert eta_erasure_work(sys_, eta) == pytest.approx(expected, rel=1e-9,
+                                                            abs=0.0)
 
     def test_zero_when_atom_at_mu_half_jumps_below_eta(self):
         # p falls from 1 to 0.25 at the T = 0 drain's atom, which is mu_1/2,
@@ -300,7 +344,7 @@ class TestEtaErasure:
     ])
     def test_narrow_lead_in_a_wide_window(self, sys_, expected):
         assert eta_erasure_work(sys_, 0.1) == pytest.approx(expected,
-                                                            rel=1e-12)
+                                                            rel=1e-12, abs=0.0)
 
     # a Gaussian far narrower than kT: W_eta is the Delta one, to O(sigma^2),
     # although each lead's remainder drops by the window's width over about
@@ -404,7 +448,7 @@ class TestLorentzianEtaTwelveDecades:
 
     def test_device_236_to_1e_12(self):
         assert eta_erasure_work(_corpus_device(236), 0.01) == pytest.approx(
-            46708.95203927990040919, rel=1e-12)
+            46708.95203927990040919, rel=1e-12, abs=0.0)
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
@@ -539,7 +583,8 @@ class TestEtaBelowTheReachableOccupation:
         sys_ = make_system(1.0, 0.7, 3.0, 0.4, Gaussian(1.0))
         works = eta_erasure_work(sys_, [0.1, 1e-300, 1e-304])
         # the tail past the 1e-300 level adds nothing a double resolves
-        assert works[0] < works[1] == pytest.approx(works[2], rel=1e-12)
+        assert works[0] < works[1] == pytest.approx(works[2], rel=1e-12,
+                                                    abs=0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_twelve_decade_corpus_at_1e_310(self):
@@ -583,7 +628,7 @@ class TestEtaSequence:
         # agree to LEVEL_TOL in p
         assert works == pytest.approx(
             [eta_erasure_work(_DEVICE1_LORENTZIAN, e) for e in self.ETAS],
-            rel=1e-9)
+            rel=1e-9, abs=0.0)
 
     def test_empty_sequence_solves_nothing(self):
         with mock.patch.object(dot_model, "_combined",

@@ -14,8 +14,10 @@ outside its own class.
 one body: numpy for ``cdf`` and ``pdf`` (the delta kernel, whose callers
 branch on its zero width, has a ``cdf`` only) and for the Lorentzian's
 ``remainder`` on the eta window's panels, ``math`` for the scalar-only
-``partial_expectation`` and Gaussian ``remainder`` of the adaptive
-integrands. Only the Gaussian has ``partial_expectation``: the
+``partial_expectation`` (and its folded pair
+``folded_partial_expectation``, the W0/W1 integrand) and Gaussian
+``remainder`` of the adaptive integrands. Only the Gaussian has
+``partial_expectation``: the
 broadening excess without a kernel (0) or without a mean (infinite) is read
 from the kernel's data, not from a method that returns a constant.
 
